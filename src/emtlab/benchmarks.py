@@ -143,10 +143,6 @@ def decode(u: np.ndarray, lb: float, ub: float) -> np.ndarray:
     return lb + u * (ub - lb)
 
 
-def encode(x: np.ndarray, lb: float, ub: float) -> np.ndarray:
-    return (np.asarray(x, dtype=np.float64) - lb) / (ub - lb)
-
-
 @dataclass
 class SubTaskDefinition:
     """One minimization task: f(W^T (x - s)) on [lb, ub]^dim."""
@@ -178,10 +174,6 @@ def evaluate_subtask_batch(defn: SubTaskDefinition, u: np.ndarray) -> np.ndarray
     x = decode(np.atleast_2d(u), defn.lb, defn.ub)
     z = (x - defn.shift) @ defn.rotation  # row form of W^T (x - s)
     return evaluate_basic_batch(defn.function, z)
-
-
-def evaluate_subtask(defn: SubTaskDefinition, u) -> float:
-    return float(evaluate_subtask_batch(defn, np.asarray(u).reshape(1, -1))[0])
 
 
 @dataclass
@@ -287,18 +279,24 @@ def instance_to_dict(inst: MTOInstance) -> dict:
     }
 
 
+def _function(key: str) -> BasicFunction:
+    for fid in BasicFunction:
+        if fid.key == key:
+            return fid
+    raise ValueError(f"unknown function: {key!r}")
+
+
 def instance_from_dict(doc: dict) -> MTOInstance:
-    by_key = {f.key: f for f in BasicFunction}
     subs = []
     for st in doc["sub_tasks"]:
         d = int(st["D"])
         subs.append(SubTaskDefinition(
-            by_key[st["function"]], d,
+            _function(st["function"]), d,
             np.array(st["rotation"], dtype=np.float64).reshape(d, d),
             np.array(st["shift"], dtype=np.float64),
             float(st["lb"]), float(st["ub"])))
     return MTOInstance(doc["instance_id"], float(doc["shift_level"]),
-                       tuple(by_key[k] for k in doc["combination"]), subs)
+                       tuple(_function(k) for k in doc["combination"]), subs)
 
 
 def save_instances(instances, path: str) -> None:
@@ -310,10 +308,17 @@ def save_instances(instances, path: str) -> None:
 
 
 def load_instances(path: str) -> list:
+    """Read a dataset file written by save_instances.  A malformed line
+    raises ValueError naming the file and its 1-based line number."""
     out = []
     with open(path) as fh:
-        for line in fh:
-            line = line.strip()
-            if line:
+        for lineno, line in enumerate(fh, start=1):
+            if not line.strip():
+                continue
+            try:
                 out.append(instance_from_dict(json.loads(line)))
+            except KeyError as err:
+                raise ValueError(f"{path}, line {lineno}: missing key {err}") from err
+            except (ValueError, TypeError) as err:
+                raise ValueError(f"{path}, line {lineno}: {err}") from err
     return out

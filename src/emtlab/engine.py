@@ -10,7 +10,8 @@ Each of the K sub-tasks owns a population of N individuals in the unified
   2. the remaining parents produce self-evolution offspring with
      DE/rand/1 and binomial crossover (F=0.5, Cr=0.7);
   3. each parent-offspring pair undergoes greedy selection (offspring
-     survives on ties) and transfer-survival counts are recorded.
+     survives on ties) and the generation's per-task transfer and
+     transfer-survival counts are appended to EMTState.transfers.
 
 Mutation operator pool for transfer offspring (src indices are drawn from
 the source elite set, tgt indices from the target population):
@@ -44,9 +45,7 @@ class Population:
     positions: np.ndarray          # (N, D) in [0, 1]
     fitness: np.ndarray            # (N,)
     best_value: float
-    best_position: np.ndarray
     stagnation: int = 0            # cumulative generations without best improvement
-    generation: int = 0
     improved_last: bool = False    # best-so-far updated in the last generation
 
     @property
@@ -55,33 +54,16 @@ class Population:
 
 
 @dataclass
-class TransferLedger:
-    """Per-generation transfer bookkeeping, one entry per completed step."""
-    n_transfer: np.ndarray         # (K,) current generation
-    n_success: np.ndarray          # (K,)
-    history: list = field(default_factory=list)   # [(n_transfer, n_success), ...]
-    total_transfer: np.ndarray = None
-    total_success: np.ndarray = None
-
-    def commit(self):
-        self.history.append((self.n_transfer.copy(), self.n_success.copy()))
-        self.total_transfer += self.n_transfer
-        self.total_success += self.n_success
-        self.n_transfer[...] = 0
-        self.n_success[...] = 0
-
-
-@dataclass
 class EMTState:
     instance: MTOInstance
     populations: list
-    ledger: TransferLedger
     f0: np.ndarray                 # best fitness of each initial population
     fmax0: np.ndarray              # worst fitness of each initial population
     budget: int                    # total generations G, for the stagnation feature
     task_rngs: list
     evaluations: int = 0
-    generation: int = 0
+    # one (n_transfer, n_success) pair of (K,) arrays per completed generation
+    transfers: list = field(default_factory=list)
 
     @property
     def n_tasks(self) -> int:
@@ -104,16 +86,10 @@ def init_populations(instance: MTOInstance, pop_size: int, seed: int,
         positions = rng.random((pop_size, defn.dim))
         fitness = evaluate_subtask_batch(defn, positions)
         evaluations += pop_size
-        best = int(np.argmin(fitness))
-        pops.append(Population(positions, fitness, float(fitness[best]),
-                               positions[best].copy()))
-    k = instance.n_tasks
-    ledger = TransferLedger(np.zeros(k, dtype=int), np.zeros(k, dtype=int),
-                            total_transfer=np.zeros(k, dtype=int),
-                            total_success=np.zeros(k, dtype=int))
+        pops.append(Population(positions, fitness, float(fitness.min())))
     f0 = np.array([p.best_value for p in pops])
     fmax0 = np.array([p.fitness.max() for p in pops])
-    return EMTState(instance, pops, ledger, f0, fmax0, budget, rngs,
+    return EMTState(instance, pops, f0, fmax0, budget, rngs,
                     evaluations=evaluations)
 
 
@@ -128,7 +104,7 @@ def extract_state(state: EMTState) -> np.ndarray:
     """
     k = state.n_tasks
     feats = np.zeros((k, 5))
-    last = state.ledger.history[-1] if state.ledger.history else None
+    last = state.transfers[-1] if state.transfers else None
     for j, pop in enumerate(state.populations):
         feats[j, 0] = pop.positions.std(axis=0).mean()
         denom = state.fmax0[j]  # f* = 0 for all generated sub-tasks
@@ -237,31 +213,28 @@ def greedy_select(pop: Population, offspring: np.ndarray,
     improved = pop.fitness[best] < pop.best_value
     if improved:
         pop.best_value = float(pop.fitness[best])
-        pop.best_position = pop.positions[best].copy()
     else:
         pop.stagnation += 1
     pop.improved_last = improved
-    pop.generation += 1
     return n_success
 
 
 def compute_reward(best_before: np.ndarray, best_after: np.ndarray,
                    f0: np.ndarray, n_transfer: np.ndarray,
-                   n_success: np.ndarray, f_star=None):
+                   n_success: np.ndarray):
     """Per-step reward: sum over tasks of the normalized best-so-far gain
     plus the transfer survival rate.
 
-    R_c,j = (f_j^t - f_j^{t+1}) / (f_j^0 - f_j^*), 0 when the normalizer
-    degenerates; R_k,j = n_success / n_transfer, 0 when nothing transferred.
+    R_c,j = (f_j^t - f_j^{t+1}) / f_j^0 (the optimum f* is 0 for every
+    generated sub-task), 0 when the normalizer degenerates;
+    R_k,j = n_success / n_transfer, 0 when nothing transferred.
     """
     k = len(best_before)
-    f_star = np.zeros(k) if f_star is None else np.asarray(f_star)
     rc = np.zeros(k)
     rk = np.zeros(k)
     for j in range(k):
-        denom = f0[j] - f_star[j]
-        if abs(denom) >= 1e-12:
-            rc[j] = (best_before[j] - best_after[j]) / denom
+        if abs(f0[j]) >= 1e-12:
+            rc[j] = (best_before[j] - best_after[j]) / f0[j]
         if n_transfer[j] > 0:
             rk[j] = n_success[j] / n_transfer[j]
     return float(np.sum(rc + rk)), rc, rk
@@ -280,6 +253,8 @@ def emt_step(state: EMTState, action):
     if np.any(a1 == np.arange(k)) or a1.min() < 0 or a1.max() >= k:
         raise ValueError("source task indices must differ from the target")
     best_before = state.best_values()
+    n_transfer = np.zeros(k, dtype=int)
+    n_success = np.zeros(k, dtype=int)
     for j in range(k):
         pop = state.populations[j]
         rng = state.task_rngs[j]
@@ -296,20 +271,12 @@ def emt_step(state: EMTState, action):
         combined[self_parents] = self_evolve(pop, rng, self_parents)
         fitness = evaluate_subtask_batch(state.instance.sub_tasks[j], combined)
         state.evaluations += n
-        n_success = greedy_select(pop, combined, fitness, transfer_mask)
-        state.ledger.n_transfer[j] = len(hosts)
-        state.ledger.n_success[j] = n_success
+        n_transfer[j] = len(hosts)
+        n_success[j] = greedy_select(pop, combined, fitness, transfer_mask)
     reward, rc, rk = compute_reward(best_before, state.best_values(), state.f0,
-                                    state.ledger.n_transfer,
-                                    state.ledger.n_success)
-    info = {
-        "rc": rc,
-        "rk": rk,
-        "n_transfer": state.ledger.n_transfer.copy(),
-        "n_success": state.ledger.n_success.copy(),
-    }
-    state.ledger.commit()
-    state.generation += 1
+                                    n_transfer, n_success)
+    state.transfers.append((n_transfer, n_success))
+    info = {"rc": rc, "rk": rk, "n_transfer": n_transfer, "n_success": n_success}
     return reward, info
 
 

@@ -60,8 +60,8 @@ class Controller:
         if v in ("no_tr", "random_all"):
             r = ablation_rng.integers(0, k - 1, size=k)
             forced_a1 = np.where(r < np.arange(k), r, r + 1)
-        bundle, ctx = act_with_context(self.store, features, mode, rngs,
-                                       forced_a1=forced_a1)
+        bundle, scores = act_with_context(self.store, features, mode, rngs,
+                                          forced_a1=forced_a1)
         if v in ("no_kc", "random_all"):
             bundle.a2 = ablation_rng.uniform(0.0, 1.0, size=k)
         if v in ("no_op", "random_all"):
@@ -72,7 +72,7 @@ class Controller:
             bundle.a33 = np.full(k, 0.5)
         if v == "no_transfer":
             bundle.a2 = np.zeros(k)
-        return bundle, ctx
+        return bundle, scores
 
 
 def kt_success_ratio(history) -> float:
@@ -87,22 +87,19 @@ def kt_success_ratio(history) -> float:
     return float(np.mean(ratios)) if ratios else 0.0
 
 
-def normalized_ratios(final_best, f0, f_star=None):
-    """Elementwise (f^G - f*) / (f^0 - f*), clamped to [0, 1].
+def normalized_ratios(final_best, f0):
+    """Elementwise f^G / f^0, clamped to [0, 1]; the optimum f* is 0 for
+    every generated sub-task.
 
     Degenerate normalizers give 0 when the final value already equals the
     optimum and 1 otherwise; raw ratios above 1 are logged and clamped.
     """
     final_best = np.asarray(final_best, dtype=np.float64)
     f0 = np.asarray(f0, dtype=np.float64)
-    f_star = np.zeros_like(f0) if f_star is None else np.asarray(f_star)
-    out = np.empty_like(final_best)
-    denom = f0 - f_star
-    gap = final_best - f_star
-    degenerate = np.abs(denom) < 1e-12
+    degenerate = np.abs(f0) < 1e-12
     with np.errstate(divide="ignore", invalid="ignore"):
-        out = np.where(degenerate, np.where(np.abs(gap) < 1e-12, 0.0, 1.0),
-                       gap / np.where(degenerate, 1.0, denom))
+        out = np.where(degenerate, np.where(np.abs(final_best) < 1e-12, 0.0, 1.0),
+                       final_best / np.where(degenerate, 1.0, f0))
     if np.any(out > 1.0 + 1e-12):
         log.warning("normalized ratio above 1 (worst %.3g); optimum bound "
                     "missed, clamping", float(out.max()))
@@ -143,15 +140,15 @@ def run_episode(instance, controller: Controller, episode_seed: int,
                            state.f0.copy(), 0.0, rewards)
     for t in range(1, budget + 1):
         features = extract_state(state)
-        bundle, ctx = controller.act(features, mode, rngs, ablation_rng)
+        bundle, scores = controller.act(features, mode, rngs, ablation_rng)
         reward, info = emt_step(state, bundle)
         rewards.append(reward)
         best_trace[t] = state.best_values()
         if collect_trace:
             result.trace.extend(trace_rows(t, features, state, bundle, info))
         if collect_attention:
-            result.attention.append(ctx.scores)
-    result.kt_ratio = kt_success_ratio(state.ledger.history)
+            result.attention.append(scores)
+    result.kt_ratio = kt_success_ratio(state.transfers)
     return result
 
 

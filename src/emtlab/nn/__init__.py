@@ -1,5 +1,5 @@
 from . import tape
-from .layers import activation, batch_norm, dense, single_head_attention
+from .layers import batch_norm, dense, single_head_attention
 from .params import (CHECKPOINT_VERSION, CheckpointError, Parameter,
                      ParameterStore, adam_step, add_dense, load_checkpoint,
                      save_checkpoint, uniform_init)

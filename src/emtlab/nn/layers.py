@@ -1,6 +1,6 @@
-"""Network building blocks: dense layers, activations, single-head
-attention, and batch normalization, all composed from tape primitives so
-gradients come for free."""
+"""Network building blocks: dense layers, single-head attention, and
+batch normalization, all composed from tape primitives so gradients come
+for free."""
 
 import numpy as np
 
@@ -18,16 +18,6 @@ def dense(store: ParameterStore, layer: str, x: Node) -> Node:
             f"dense '{layer}': input has {x.value.shape[1]} columns, "
             f"weights expect {w.value.shape[0]}")
     return tape.add(tape.matmul(x, w), b)
-
-
-def activation(kind: str, x: Node) -> Node:
-    if kind == "tanh":
-        return tape.tanh(x)
-    if kind == "relu":
-        return tape.relu(x)
-    if kind == "softmax_rows":
-        return tape.softmax_rows(x)
-    raise ValueError(f"unknown activation: {kind}")
 
 
 def single_head_attention(store: ParameterStore, x: Node, prefix: str = "tr"):

@@ -63,16 +63,6 @@ class ParameterStore:
         for p in self.params.values():
             p.grad[...] = 0.0
 
-    def copy(self) -> "ParameterStore":
-        other = ParameterStore()
-        other.step = self.step
-        for name, p in self.params.items():
-            q = other.add(name, p.value)
-            q.grad[...] = p.grad
-            q.m1[...] = p.m1
-            q.m2[...] = p.m2
-        return other
-
 
 def uniform_init(rng: np.random.Generator, rows: int, cols: int, fan_in: int) -> np.ndarray:
     bound = 1.0 / np.sqrt(fan_in)

@@ -146,19 +146,6 @@ def sum_all(a: Node) -> Node:
     return out
 
 
-def mean_all(a: Node) -> Node:
-    n = a.value.size
-    out = Node(np.array([[a.value.mean()]]), (a,))
-    out.bprop = lambda g: _accum(a, np.full_like(a.value, g[0, 0] / n))
-    return out
-
-
-def sum_axis(a: Node, axis: int) -> Node:
-    out = Node(a.value.sum(axis=axis, keepdims=True), (a,))
-    out.bprop = lambda g: _accum(a, np.broadcast_to(g, a.value.shape).copy())
-    return out
-
-
 def mean_axis(a: Node, axis: int) -> Node:
     n = a.value.shape[axis]
     out = Node(a.value.mean(axis=axis, keepdims=True), (a,))

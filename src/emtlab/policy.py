@@ -22,6 +22,14 @@ keeps the whole controller permutation-equivariant in the task axis.
 
 A value critic (MLP on the mean task embedding) provides the baseline for
 advantage estimation; it is permutation-invariant and K-agnostic.
+
+Acting and re-scoring share one forward path: `_trunk` (embedding,
+attention, masked routing softmax), `_heads` (the four per-task
+distributions given a routing) and `_log_prob` (the joint log-probability
+of a bundle).  `act_with_context` only chooses actions from them;
+`evaluate_actions` rebuilds the same graph for a stored bundle, so the
+stored and the recomputed log-probability of the update step come from
+one computation.
 """
 
 import math
@@ -53,15 +61,6 @@ class ActionBundle:
     a33: np.ndarray       # (K,) crossover rate Cr
     log_prob: float
     means: dict
-
-
-@dataclass
-class DecisionContext:
-    """Intermediate activations retained for export and diagnostics."""
-    embeddings: np.ndarray    # (K, 64)
-    scores: np.ndarray        # (K, K) post-masking, pre-softmax
-    decision: np.ndarray      # (K, 64)
-    concat: np.ndarray        # (K, 128)
 
 
 def init_policy(seed: int) -> ParameterStore:
@@ -122,32 +121,18 @@ def _sample_source(rng: np.random.Generator, probs: np.ndarray,
     return int(order[np.searchsorted(cdf, rng.random(), side="right")])
 
 
-def route(h_score: Node, mode: str, rngs=None, forced=None):
-    """Pick a source task per target from the masked score rows.
-
-    Deterministic mode takes the row argmax (ties to the lowest index);
-    sample mode draws from the row softmax and returns the log-probability
-    node of the draw.
-    """
-    masked = _masked(h_score)
-    k = masked.value.shape[0]
-    probs = tape.softmax_rows(masked)
-    if forced is not None:
-        a1 = np.asarray(forced, dtype=int)
-    elif mode == "deterministic":
-        a1 = np.argmax(masked.value, axis=1)
-    else:
-        a1 = np.array([_sample_source(rngs[j], probs.value[j], masked.value[j])
-                       for j in range(k)])
-    if np.any(a1 == np.arange(k)):
-        raise ValueError("routing selected a task as its own source")
-    logp = tape.sum_all(tape.log(tape.take(probs, np.arange(k), a1)))
-    return a1, probs, logp
-
-
 def pair_concat(h_decision: Node, a1: np.ndarray) -> Node:
     """Row j becomes [decision_j | decision_{a1[j]}]."""
     return tape.concat_cols(h_decision, tape.take_rows(h_decision, a1))
+
+
+def _trunk(store, features):
+    """Shared trunk: embeddings, decision embedding, masked routing scores
+    and their row softmax (the routing distribution)."""
+    e = embed(store, features)
+    scores, decision = tr_forward(store, e)
+    masked = _masked(scores)
+    return e, decision, masked, tape.softmax_rows(masked)
 
 
 def _mu_head(store, head: str, h_concat: Node, center: float, half_range: float) -> Node:
@@ -156,10 +141,43 @@ def _mu_head(store, head: str, h_concat: Node, center: float, half_range: float)
     return tape.add(constant(center), tape.scale(raw, half_range))
 
 
-def _gaussian_logp(mu: Node, values: np.ndarray) -> Node:
+def _heads(store, decision: Node, a1: np.ndarray):
+    """Per-task distributions given the routing a1: (amount mean, operator
+    probabilities, F mean, Cr mean).  The amount mean lies in [0, 0.5],
+    F and Cr means in [0, 1]; the operator head has a ReLU output layer."""
+    if np.any(a1 == np.arange(decision.value.shape[0])):
+        raise ValueError("routing selected a task as its own source")
+    h_concat = pair_concat(decision, a1)
+    mu_kc = _mu_head(store, "kc", h_concat, 0.25, 0.25)
+    op_hidden = tape.relu(dense(store, "op1", h_concat))
+    op_probs = tape.softmax_rows(tape.relu(dense(store, "op2", op_hidden)))
+    return (mu_kc, op_probs, _mu_head(store, "f", h_concat, 0.5, 0.5),
+            _mu_head(store, "cr", h_concat, 0.5, 0.5))
+
+
+def _gaussian_logp(mu: Node, values) -> Node:
+    values = np.asarray(values, dtype=np.float64)
     diff = tape.sub(constant(values.reshape(-1, 1)), mu)
     quad = tape.scale(tape.mul(diff, diff), 1.0 / (2.0 * ACTION_STD ** 2))
     return tape.sub(constant(-len(values) * _LOG_NORM), tape.sum_all(quad))
+
+
+def _categorical_logp(probs: Node, choice) -> Node:
+    rows = np.arange(probs.value.shape[0])
+    return tape.sum_all(tape.log(tape.take(probs, rows, choice)))
+
+
+def _log_prob(heads, bundle: ActionBundle, route_probs: Node = None) -> Node:
+    """Joint log-probability of a bundle's amount, operator, F and Cr, plus
+    its routing when route_probs is given, summed in that order."""
+    mu_kc, op_probs, mu_f, mu_cr = heads
+    logp = tape.add(_gaussian_logp(mu_kc, bundle.a2),
+                    _categorical_logp(op_probs, np.asarray(bundle.a31) - 1))
+    logp = tape.add(logp, _gaussian_logp(mu_f, bundle.a32))
+    logp = tape.add(logp, _gaussian_logp(mu_cr, bundle.a33))
+    if route_probs is not None:
+        logp = tape.add(logp, _categorical_logp(route_probs, bundle.a1))
+    return logp
 
 
 def _sample_gaussian(rngs, mu: np.ndarray, lo: float, hi: float) -> np.ndarray:
@@ -167,62 +185,15 @@ def _sample_gaussian(rngs, mu: np.ndarray, lo: float, hi: float) -> np.ndarray:
     return np.clip(draws, lo, hi)
 
 
-def kc_act(store, h_concat: Node, mode: str, rngs=None, forced=None):
-    """Transfer-amount head; mean in [0, 0.5] by construction."""
-    mu = _mu_head(store, "kc", h_concat, 0.25, 0.25)
-    flat = mu.value[:, 0]
-    if forced is not None:
-        a2 = np.asarray(forced, dtype=np.float64)
-    elif mode == "deterministic":
-        a2 = flat.copy()
-    else:
-        a2 = _sample_gaussian(rngs, flat, 0.0, 0.5)
-    return mu, a2, _gaussian_logp(mu, a2)
-
-
-def op_act(store, h_concat: Node, mode: str, rngs=None, forced=None):
-    """Operator head: 4 softmax probabilities per task (ReLU output layer)."""
-    hidden = tape.relu(dense(store, "op1", h_concat))
-    logits = tape.relu(dense(store, "op2", hidden))
-    probs = tape.softmax_rows(logits)
-    k = probs.value.shape[0]
-    if forced is not None:
-        a31 = np.asarray(forced, dtype=int)
-    elif mode == "deterministic":
-        a31 = np.argmax(probs.value, axis=1) + 1
-    else:
-        a31 = np.array([_sample_categorical(rngs[j], probs.value[j])
-                        for j in range(k)]) + 1
-    logp = tape.sum_all(tape.log(tape.take(probs, np.arange(k), a31 - 1)))
-    return probs, a31, logp
-
-
-def fcr_act(store, h_concat: Node, mode: str, rngs=None,
-            forced_f=None, forced_cr=None):
-    """Mutation-strength and crossover-rate heads; means in [0, 1]."""
-    mu_f = _mu_head(store, "f", h_concat, 0.5, 0.5)
-    mu_cr = _mu_head(store, "cr", h_concat, 0.5, 0.5)
-    if forced_f is not None:
-        a32 = np.asarray(forced_f, dtype=np.float64)
-    elif mode == "deterministic":
-        a32 = mu_f.value[:, 0].copy()
-    else:
-        a32 = _sample_gaussian(rngs, mu_f.value[:, 0], 0.0, 1.0)
-    if forced_cr is not None:
-        a33 = np.asarray(forced_cr, dtype=np.float64)
-    elif mode == "deterministic":
-        a33 = mu_cr.value[:, 0].copy()
-    else:
-        a33 = _sample_gaussian(rngs, mu_cr.value[:, 0], 0.0, 1.0)
-    return mu_f, mu_cr, a32, a33, _gaussian_logp(mu_f, a32), _gaussian_logp(mu_cr, a33)
-
-
 def act_with_context(store, features, mode="sample", rngs=None, forced_a1=None):
-    """Full controller pass.  Returns (ActionBundle, DecisionContext).
+    """Full controller pass.  Returns (ActionBundle, masked routing scores),
+    the scores being the (K, K) pre-softmax matrix with -inf on the diagonal.
 
-    mode "sample" draws every action and records the joint log-probability
-    (routing included only when it was actually sampled, i.e. not forced);
-    mode "deterministic" consumes no randomness and reports log_prob 0.
+    Deterministic mode takes the routing row argmax (ties to the lowest
+    index), the operator argmax and the Gaussian means; it consumes no
+    randomness and reports log_prob 0.  Sample mode draws every action and
+    records the joint log-probability, routing included only when it was
+    sampled, i.e. not forced by forced_a1.
     """
     features = np.atleast_2d(np.asarray(features, dtype=np.float64))
     k = features.shape[0]
@@ -230,39 +201,46 @@ def act_with_context(store, features, mode="sample", rngs=None, forced_a1=None):
         raise ValueError(f"unknown mode: {mode}")
     if mode == "sample" and (rngs is None or len(rngs) != k):
         raise ValueError("sample mode needs one rng stream per task")
-    e = embed(store, features)
-    scores, decision = tr_forward(store, e)
-    a1, _, route_logp = route(scores, mode, rngs, forced=forced_a1)
-    h_concat = pair_concat(decision, a1)
-    mu_kc, a2, kc_logp = kc_act(store, h_concat, mode, rngs)
-    _, a31, op_logp = op_act(store, h_concat, mode, rngs)
-    mu_f, mu_cr, a32, a33, f_logp, cr_logp = fcr_act(store, h_concat, mode, rngs)
-    if mode == "sample":
-        log_prob = (kc_logp.value + op_logp.value + f_logp.value
-                    + cr_logp.value).item()
-        if forced_a1 is None:
-            log_prob += route_logp.value.item()
+    _, decision, masked, route_probs = _trunk(store, features)
+    if forced_a1 is not None:
+        a1 = np.asarray(forced_a1, dtype=int)
+    elif mode == "deterministic":
+        a1 = np.argmax(masked.value, axis=1)
     else:
-        log_prob = 0.0
-    bundle = ActionBundle(a1, a2, a31, a32, a33, log_prob,
-                          means={"mu_kc": mu_kc.value[:, 0].copy(),
-                                 "mu_f": mu_f.value[:, 0].copy(),
-                                 "mu_cr": mu_cr.value[:, 0].copy()})
-    ctx = DecisionContext(e.value.copy(), _masked(scores).value.copy(),
-                          decision.value.copy(), h_concat.value.copy())
-    return bundle, ctx
+        a1 = np.array([_sample_source(rngs[j], route_probs.value[j], masked.value[j])
+                       for j in range(k)])
+    heads = _heads(store, decision, a1)
+    mu_kc, op_probs, mu_f, mu_cr = (h.value for h in heads)
+    means = {"mu_kc": mu_kc[:, 0].copy(), "mu_f": mu_f[:, 0].copy(),
+             "mu_cr": mu_cr[:, 0].copy()}
+    if mode == "deterministic":
+        a2, a32, a33 = (means[m].copy() for m in ("mu_kc", "mu_f", "mu_cr"))
+        a31 = np.argmax(op_probs, axis=1) + 1
+    else:
+        a2 = _sample_gaussian(rngs, means["mu_kc"], 0.0, 0.5)
+        a31 = np.array([_sample_categorical(rngs[j], op_probs[j])
+                        for j in range(k)]) + 1
+        a32 = _sample_gaussian(rngs, means["mu_f"], 0.0, 1.0)
+        a33 = _sample_gaussian(rngs, means["mu_cr"], 0.0, 1.0)
+    bundle = ActionBundle(a1, a2, a31, a32, a33, 0.0, means)
+    if mode == "sample":
+        routed = route_probs if forced_a1 is None else None
+        bundle.log_prob = _log_prob(heads, bundle, routed).value.item()
+    return bundle, masked.value
 
 
 def act(store, features, mode="sample", rngs=None, forced_a1=None) -> ActionBundle:
     return act_with_context(store, features, mode, rngs, forced_a1)[0]
 
 
+def _critic(store, e: Node) -> Node:
+    hidden = tape.relu(dense(store, "critic1", tape.mean_axis(e, axis=0)))
+    return dense(store, "critic2", hidden)
+
+
 def critic_value(store, features) -> Node:
     """Scalar state value: MLP over the mean task embedding."""
-    e = embed(store, features)
-    pooled = tape.mean_axis(e, axis=0)
-    hidden = tape.relu(dense(store, "critic1", pooled))
-    return dense(store, "critic2", hidden)
+    return _critic(store, embed(store, features))
 
 
 def _entropy(probs: Node) -> Node:
@@ -272,30 +250,14 @@ def _entropy(probs: Node) -> Node:
 
 
 def evaluate_actions(store, features, bundle: ActionBundle,
-                     need_entropy: bool = False, include_route: bool = True):
-    """Recompute the joint log-probability of a stored bundle plus the
-    state value, on the gradient tape.  Used by the policy-update step."""
-    features = np.atleast_2d(np.asarray(features, dtype=np.float64))
-    k = features.shape[0]
-    e = embed(store, features)
-    scores, decision = tr_forward(store, e)
-    a1 = np.asarray(bundle.a1, dtype=int)
-    _, route_probs, route_logp = route(scores, "sample", forced=a1)
-    h_concat = pair_concat(decision, a1)
-    mu_kc, _, kc_logp = kc_act(store, h_concat, "sample", forced=bundle.a2)
-    op_probs, _, op_logp = op_act(store, h_concat, "sample", forced=bundle.a31)
-    _, _, _, _, f_logp, cr_logp = fcr_act(store, h_concat, "sample",
-                                          forced_f=bundle.a32,
-                                          forced_cr=bundle.a33)
-    parts = [kc_logp, op_logp, f_logp, cr_logp]
-    if include_route:
-        parts.append(route_logp)
-    logp = parts[0]
-    for p in parts[1:]:
-        logp = tape.add(logp, p)
-    pooled = tape.mean_axis(e, axis=0)
-    value = dense(store, "critic2", tape.relu(dense(store, "critic1", pooled)))
+                     need_entropy: bool = False):
+    """Recompute the joint log-probability of a stored bundle (routing
+    included) plus the state value, on the gradient tape, through the same
+    trunk, heads and log-probability builder that acting uses.  Used by
+    the policy-update step."""
+    e, decision, _, route_probs = _trunk(store, features)
+    heads = _heads(store, decision, np.asarray(bundle.a1, dtype=int))
     entropy = None
     if need_entropy:
-        entropy = tape.add(_entropy(route_probs), _entropy(op_probs))
-    return logp, value, entropy
+        entropy = tape.add(_entropy(route_probs), _entropy(heads[1]))
+    return _log_prob(heads, bundle, route_probs), _critic(store, e), entropy

@@ -1,5 +1,7 @@
 """Base functions, transformations, and problem-set generation."""
 
+import json
+
 import numpy as np
 import pytest
 
@@ -107,11 +109,6 @@ class TestEncodeDecode:
     def test_midpoint(self):
         assert B.decode(np.array([0.5]), -100.0, 100.0)[0] == 0.0
 
-    def test_round_trip(self):
-        u = derive_rng(8, "u").random(50)
-        np.testing.assert_allclose(B.encode(B.decode(u, -30.0, 70.0), -30.0, 70.0),
-                                   u, atol=1e-12)
-
     def test_out_of_range_clamped(self):
         out = B.decode(np.array([-0.5, 1.5]), 0.0, 10.0)
         np.testing.assert_allclose(out, [0.0, 10.0])
@@ -131,16 +128,17 @@ class TestSubTask:
             if fid is B.BasicFunction.SCHWEFEL:
                 continue
             st = make_subtask(fid, dim=5, seed=fid.value)
-            u = B.encode(st.shift, st.lb, st.ub)
+            u = (st.shift - st.lb) / (st.ub - st.lb)
             expected = 0.0
             if fid is B.BasicFunction.ROSENBROCK:
                 expected = B.evaluate_basic(fid, np.zeros(5))
-            assert B.evaluate_subtask(st, u) == pytest.approx(expected, abs=1e-8)
+            value = B.evaluate_subtask_batch(st, u[None, :])[0]
+            assert value == pytest.approx(expected, abs=1e-8)
 
     def test_identity_transform_sphere(self):
         st = B.SubTaskDefinition(B.BasicFunction.SPHERE, 3, np.eye(3),
                                  np.zeros(3), -100.0, 100.0)
-        assert B.evaluate_subtask(st, np.full(3, 0.5)) == 0.0
+        assert B.evaluate_subtask_batch(st, np.full((1, 3), 0.5))[0] == 0.0
 
     def test_matches_direct_matrix_application(self):
         st = make_subtask(B.BasicFunction.RASTRIGIN, dim=7, seed=5)
@@ -150,7 +148,8 @@ class TestSubTask:
             x = st.lb + u * (st.ub - st.lb)
             z = st.rotation.T @ (x - st.shift)  # explicit column form
             direct = B.evaluate_basic(st.function, z)
-            assert B.evaluate_subtask(st, u) == pytest.approx(direct, rel=1e-12)
+            value = B.evaluate_subtask_batch(st, u[None, :])[0]
+            assert value == pytest.approx(direct, rel=1e-12)
 
     def test_non_orthogonal_rotation_rejected(self):
         with pytest.raises(ValueError, match="orthogonal"):
@@ -226,6 +225,26 @@ class TestGeneration:
                 np.testing.assert_array_equal(so.rotation, sl.rotation)
                 np.testing.assert_array_equal(so.shift, sl.shift)
                 assert so.function == sl.function
+
+    @pytest.mark.parametrize("case", ["json", "key", "function", "shape"])
+    def test_load_errors_name_file_and_line(self, tmp_path, case):
+        path = tmp_path / "d.jsonl"
+        B.save_instances(B.sample_instances(0.2, seed=3, n_tasks=2, dim=3,
+                                            count=3), str(path))
+        lines = path.read_text().splitlines()
+        doc = json.loads(lines[2])
+        if case == "key":
+            del doc["shift_level"]
+        elif case == "function":
+            doc["sub_tasks"][1]["function"] = "sphear"
+        elif case == "shape":
+            doc["sub_tasks"][0]["rotation"] = doc["sub_tasks"][0]["rotation"][:-1]
+        lines[2] = "{not json" if case == "json" else json.dumps(doc)
+        path.write_text("\n".join(lines) + "\n")
+        expected = {"json": "Expecting", "key": "missing key 'shift_level'",
+                    "function": "unknown function: 'sphear'", "shape": "reshape"}
+        with pytest.raises(ValueError, match=f"d.jsonl, line 3: .*{expected[case]}"):
+            B.load_instances(str(path))
 
     def test_sample_instances_count_validation(self):
         with pytest.raises(ValueError):

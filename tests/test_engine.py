@@ -201,8 +201,7 @@ class TestGreedySelect:
     def _pop():
         positions = np.linspace(0.1, 0.9, 12).reshape(4, 3)
         fitness = np.array([4.0, 2.0, 3.0, 1.0])
-        return E.Population(positions.copy(), fitness.copy(), 1.0,
-                            positions[3].copy())
+        return E.Population(positions.copy(), fitness.copy(), 1.0)
 
     def test_all_worse_keeps_population_and_stagnates(self):
         pop = self._pop()

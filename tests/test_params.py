@@ -26,12 +26,6 @@ class TestStore:
         with pytest.raises(KeyError, match="unknown"):
             make_store()["nope"]
 
-    def test_copy_is_independent(self):
-        store = make_store()
-        other = store.copy()
-        other["w"].value[0, 0] = 99.0
-        assert store["w"].value[0, 0] == 0.5
-
 
 class TestAdam:
     def test_zero_gradient_is_identity(self):

@@ -5,6 +5,8 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from emtlab import policy as P
 from emtlab.nn import tape
@@ -104,26 +106,44 @@ class TestTRForward:
         assert np.ptp(scores.value) < 1e-10
 
 
+def _routing_store(raw, seed=3):
+    """A policy whose trunk yields exactly the score matrix `raw` for the
+    returned one-hot features: the embedding copies the features, Wk is the
+    identity and Wq carries the score rows (times sqrt(64), which the
+    attention scale divides out again)."""
+    k = raw.shape[0]
+    store = P.init_policy(seed)
+    store["fe.W"].value[...] = np.eye(5, 64)
+    store["fe.b"].value[...] = 0.0
+    store["tr.Wq"].value[...] = 0.0
+    store["tr.Wq"].value[:k, :k] = raw * 8.0
+    store["tr.Wk"].value[...] = np.eye(64)
+    return store, np.eye(k, 5)
+
+
 class TestRoute:
     def test_two_tasks_forced_choice(self):
         store = P.init_policy(3)
-        scores, _ = P.tr_forward(store, P.embed(store, random_features(2, 7)))
-        a1, _, _ = P.route(scores, "deterministic")
-        np.testing.assert_array_equal(a1, [1, 0])
+        bundle = P.act(store, random_features(2, 7), "deterministic")
+        np.testing.assert_array_equal(bundle.a1, [1, 0])
 
     def test_deterministic_picks_highest_unmasked(self):
-        scores = tape.constant(np.array([[9.0, 5.0, 1.0, 0.0],
-                                         [2.0, 9.0, 1.5, 0.5],
-                                         [0.0, 3.0, 9.0, 2.0],
-                                         [1.0, 0.0, 2.5, 9.0]]))
-        a1, _, _ = P.route(scores, "deterministic")
-        np.testing.assert_array_equal(a1, [1, 0, 1, 2])
+        raw = np.array([[9.0, 5.0, 1.0, 0.0],
+                        [2.0, 9.0, 1.5, 0.5],
+                        [0.0, 3.0, 9.0, 2.0],
+                        [1.0, 0.0, 2.5, 9.0]])
+        store, f = _routing_store(raw)
+        bundle, scores = P.act_with_context(store, f, "deterministic")
+        np.testing.assert_array_equal(bundle.a1, [1, 0, 1, 2])
+        masked = raw.copy()
+        np.fill_diagonal(masked, -np.inf)
+        np.testing.assert_array_equal(scores, masked)
 
     def test_argmax_invariant_under_positive_affine(self):
         rng = derive_rng(4, "rows")
         raw = rng.standard_normal((5, 5))
-        a1, _, _ = P.route(tape.constant(raw), "deterministic")
-        a1b, _, _ = P.route(tape.constant(raw * 3.7 + 11.0), "deterministic")
+        a1 = P.act(*_routing_store(raw), "deterministic").a1
+        a1b = P.act(*_routing_store(raw * 3.7 + 11.0), "deterministic").a1
         np.testing.assert_array_equal(a1, a1b)
 
     def test_sampling_frequencies_match_softmax(self):
@@ -134,13 +154,15 @@ class TestRoute:
         masked = raw.copy()
         np.fill_diagonal(masked, -np.inf)
         probs = _softmax(masked)
+        _, _, scores, route_probs = P._trunk(*_routing_store(raw))
+        np.testing.assert_allclose(route_probs.value, probs, rtol=1e-12)
         n = 100_000
         rng = derive_rng(5, "mc")
         counts = np.zeros((4, 4))
-        node = tape.constant(raw)
         for _ in range(n):
-            a1, _, _ = P.route(node, "sample", [rng] * 4)
-            counts[np.arange(4), a1] += 1
+            for j in range(4):
+                counts[j, P._sample_source(rng, route_probs.value[j],
+                                           scores.value[j])] += 1
         freq = counts / n
         sigma = np.sqrt(probs * (1 - probs) / n)
         assert (np.abs(freq - probs) <= 3 * sigma + 1e-9).all()
@@ -167,12 +189,11 @@ class TestPairConcat:
         np.testing.assert_array_equal(a[1:], b[1:])
 
 
-def _concat_for(store, k, seed=0):
-    feats = random_features(k, seed)
-    e = P.embed(store, feats)
-    scores, decision = P.tr_forward(store, e)
-    a1, _, _ = P.route(scores, "deterministic")
-    return P.pair_concat(decision, a1)
+def _heads_for(store, k, seed=0):
+    """(amount mean, operator probabilities, F mean, Cr mean) under the
+    deterministic routing of random_features(k, seed)."""
+    _, decision, masked, _ = P._trunk(store, random_features(k, seed))
+    return P._heads(store, decision, np.argmax(masked.value, axis=1))
 
 
 class TestContinuousHeads:
@@ -180,34 +201,32 @@ class TestContinuousHeads:
         store = P.init_policy(5)
         store["kc2.W"].value[...] = 0.0
         store["kc2.b"].value[...] = 0.0
-        mu, a2, _ = P.kc_act(store, _concat_for(store, 3), "deterministic")
-        np.testing.assert_allclose(mu.value, 0.25)
-        np.testing.assert_allclose(a2, 0.25)
+        bundle = P.act(store, random_features(3), "deterministic")
+        np.testing.assert_allclose(bundle.means["mu_kc"], 0.25)
+        np.testing.assert_allclose(bundle.a2, 0.25)
 
     def test_kc_saturated_negative_gives_zero(self):
         store = P.init_policy(5)
         store["kc2.W"].value[...] = 0.0
         store["kc2.b"].value[...] = -40.0  # tanh saturates to -1
-        mu, _, _ = P.kc_act(store, _concat_for(store, 3), "deterministic")
-        np.testing.assert_allclose(mu.value, 0.0, atol=1e-12)
+        bundle = P.act(store, random_features(3), "deterministic")
+        np.testing.assert_allclose(bundle.a2, 0.0, atol=1e-12)
 
     def test_fcr_zero_mlp_gives_half(self):
         store = P.init_policy(5)
         for head in ("f", "cr"):
             store[f"{head}2.W"].value[...] = 0.0
             store[f"{head}2.b"].value[...] = 0.0
-        mu_f, mu_cr, a32, a33, _, _ = P.fcr_act(store, _concat_for(store, 3),
-                                                "deterministic")
-        np.testing.assert_allclose(a32, 0.5)
-        np.testing.assert_allclose(a33, 0.5)
+        bundle = P.act(store, random_features(3), "deterministic")
+        np.testing.assert_allclose(bundle.a32, 0.5)
+        np.testing.assert_allclose(bundle.a33, 0.5)
 
     def test_fcr_saturated_positive_gives_one(self):
         store = P.init_policy(5)
         store["f2.W"].value[...] = 0.0
         store["f2.b"].value[...] = 40.0
-        mu_f, _, a32, _, _, _ = P.fcr_act(store, _concat_for(store, 3),
-                                          "deterministic")
-        np.testing.assert_allclose(a32, 1.0, atol=1e-12)
+        bundle = P.act(store, random_features(3), "deterministic")
+        np.testing.assert_allclose(bundle.a32, 1.0, atol=1e-12)
 
     def test_sampled_bounds_hold_in_bulk(self):
         # one million draws through the sampling path, means near the edges
@@ -228,25 +247,24 @@ class TestOperatorHead:
         store = P.init_policy(7)
         store["op2.W"].value[...] = 0.0
         store["op2.b"].value[...] = 0.0
-        probs, a31, _ = P.op_act(store, _concat_for(store, 4), "deterministic")
-        np.testing.assert_allclose(probs.value, 0.25)
-        np.testing.assert_array_equal(a31, 1)  # ties resolve to the lowest id
+        _, op_probs, _, _ = _heads_for(store, 4)
+        np.testing.assert_allclose(op_probs.value, 0.25)
+        bundle = P.act(store, random_features(4), "deterministic")
+        np.testing.assert_array_equal(bundle.a31, 1)  # ties resolve to the lowest id
 
     def test_dominant_logit_selected(self):
         store = P.init_policy(7)
         store["op2.W"].value[...] = 0.0
         store["op2.b"].value[...] = np.array([[10.0, 0.0, 0.0, 0.0]])
-        _, a31, _ = P.op_act(store, _concat_for(store, 4), "deterministic")
-        np.testing.assert_array_equal(a31, 1)
+        bundle = P.act(store, random_features(4), "deterministic")
+        np.testing.assert_array_equal(bundle.a31, 1)
         store["op2.b"].value[...] = np.array([[0.0, 0.0, 10.0, 0.0]])
-        _, a31, _ = P.op_act(store, _concat_for(store, 4), "deterministic")
-        np.testing.assert_array_equal(a31, 3)
+        bundle = P.act(store, random_features(4), "deterministic")
+        np.testing.assert_array_equal(bundle.a31, 3)
 
     def test_sampling_frequencies(self):
         store = P.init_policy(7)
-        h = _concat_for(store, 2)
-        probs_fixed, _, _ = P.op_act(store, h, "deterministic")
-        p = probs_fixed.value[0]
+        p = _heads_for(store, 2)[1].value[0]
         rng = derive_rng(8, "opmc")
         n = 100_000
         counts = np.zeros(4)
@@ -315,11 +333,12 @@ class TestAct:
     def test_context_scores_match_oracle(self):
         store = P.init_policy(11)
         f = random_features(4, 12)
-        bundle, ctx = P.act_with_context(store, f, "deterministic")
+        bundle, scores = P.act_with_context(store, f, "deterministic")
         ref = numpy_forward(store, f, bundle.a1)
-        np.testing.assert_allclose(ctx.scores, ref["scores"], rtol=1e-12)
-        assert np.isneginf(np.diag(ctx.scores)).all()
-        np.testing.assert_allclose(ctx.embeddings, ref["embeddings"], rtol=1e-12)
+        np.testing.assert_allclose(scores, ref["scores"], rtol=1e-12)
+        assert np.isneginf(np.diag(scores)).all()
+        np.testing.assert_allclose(P.embed(store, f).value, ref["embeddings"],
+                                   rtol=1e-12)
 
     def test_permutation_equivariance(self):
         store = P.init_policy(13)
@@ -393,6 +412,18 @@ class TestEvaluateActions:
         assert logp.value.item() == pytest.approx(bundle.log_prob, rel=1e-12)
         direct = P.critic_value(store, f).value.item()
         assert value.value.item() == pytest.approx(direct, rel=1e-12)
+
+    @given(st.integers(2, 10), st.integers(0, 2 ** 32 - 1))
+    @settings(max_examples=30, deadline=None)
+    def test_rescoring_is_exact(self, k, seed):
+        # the stored and the recomputed log-probability (and value) come
+        # from one computation, so PPO's first ratio is exactly 1
+        store = P.init_policy(seed)
+        f = random_features(k, seed)
+        bundle = P.act(store, f, "sample", task_rngs(k, seed))
+        logp, value, _ = P.evaluate_actions(store, f, bundle)
+        assert logp.value.item() == bundle.log_prob
+        assert value.value.item() == P.critic_value(store, f).value.item()
 
     def test_entropy_is_positive_and_finite(self):
         store = P.init_policy(17)

@@ -9,7 +9,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from emtlab.nn import tape
-from emtlab.nn.layers import activation, batch_norm, dense, single_head_attention
+from emtlab.nn.layers import batch_norm, dense, single_head_attention
 from emtlab.nn.params import ParameterStore
 from emtlab.nn.tape import backward, constant
 
@@ -85,19 +85,15 @@ class TestDense:
 
 class TestActivations:
     def test_tanh_zero(self):
-        assert activation("tanh", constant(0.0)).value[0, 0] == 0.0
+        assert tape.tanh(constant(0.0)).value[0, 0] == 0.0
 
     def test_relu(self):
-        out = activation("relu", constant([[-1.0, 2.0]]))
+        out = tape.relu(constant([[-1.0, 2.0]]))
         np.testing.assert_allclose(out.value, [[0.0, 2.0]])
 
     def test_softmax_uniform_logits(self):
-        out = activation("softmax_rows", constant([[0.0, 0.0, 0.0, 0.0]]))
+        out = tape.softmax_rows(constant([[0.0, 0.0, 0.0, 0.0]]))
         np.testing.assert_allclose(out.value, [[0.25] * 4])
-
-    def test_unknown_kind(self):
-        with pytest.raises(ValueError, match="activation"):
-            activation("gelu", constant(0.0))
 
     @given(st.integers(0, 2 ** 32 - 1))
     @settings(max_examples=25, deadline=None)
@@ -290,7 +286,6 @@ class TestPrimitiveGradients:
         "neg": tape.neg,
         "mean0": lambda a: tape.mean_axis(a, 0),
         "mean1": lambda a: tape.mean_axis(a, 1),
-        "sum0": lambda a: tape.sum_axis(a, 0),
         "clip": lambda a: tape.clip(a, -0.5, 0.5),
     }
 
