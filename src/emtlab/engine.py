@@ -38,6 +38,8 @@ from .seeds import derive_rng
 
 SELF_F = 0.5
 SELF_CR = 0.7
+# accepted action ranges; transfer_evolve caps the transfer count at N
+ACTION_RANGES = {"a2": (0.0, np.inf), "a32": (0.0, 1.0), "a33": (0.0, 1.0)}
 
 
 @dataclass
@@ -244,7 +246,8 @@ def emt_step(state: EMTState, action):
     """Advance every population by one generation under the action bundle.
 
     Mutates the state in place; returns (reward, info) where info carries
-    the per-task reward components for logging.
+    the per-task reward components for logging.  A bad routing or a value
+    outside ACTION_RANGES raises ValueError before anything changes.
     """
     k = state.n_tasks
     a1 = np.asarray(action.a1, dtype=int)
@@ -252,6 +255,12 @@ def emt_step(state: EMTState, action):
         raise ValueError("action has wrong number of tasks")
     if np.any(a1 == np.arange(k)) or a1.min() < 0 or a1.max() >= k:
         raise ValueError("source task indices must differ from the target")
+    for name, (lo, hi) in ACTION_RANGES.items():
+        values = np.asarray(getattr(action, name), dtype=np.float64)
+        bad = np.flatnonzero(~(np.isfinite(values) & (values >= lo) & (values <= hi)))
+        if len(bad):
+            raise ValueError(f"action {name} of task {bad[0]} is {values[bad[0]]}, "
+                             f"expected a finite value in [{lo}, {hi}]")
     best_before = state.best_values()
     n_transfer = np.zeros(k, dtype=int)
     n_success = np.zeros(k, dtype=int)

@@ -26,7 +26,7 @@ ABLATION_VARIANTS = ("full", "no_tr", "no_kc", "no_op", "no_f", "no_cr",
 
 
 class Controller:
-    """A policy with optionally substituted components.
+    """A deterministic policy with optionally substituted components.
 
     Variants replace exactly one decision (controls replace several):
       no_tr       uniform random source task (never self)
@@ -51,7 +51,7 @@ class Controller:
         self.store = store
         self.variant = variant
 
-    def act(self, features, mode="deterministic", rngs=None, ablation_rng=None):
+    def act(self, features, ablation_rng=None):
         k = np.atleast_2d(features).shape[0]
         v = self.variant
         if v in ("no_tr", "no_kc", "no_op", "random_all") and ablation_rng is None:
@@ -60,7 +60,7 @@ class Controller:
         if v in ("no_tr", "random_all"):
             r = ablation_rng.integers(0, k - 1, size=k)
             forced_a1 = np.where(r < np.arange(k), r, r + 1)
-        bundle, scores = act_with_context(self.store, features, mode, rngs,
+        bundle, scores = act_with_context(self.store, features, "deterministic",
                                           forced_a1=forced_a1)
         if v in ("no_kc", "random_all"):
             bundle.a2 = ablation_rng.uniform(0.0, 1.0, size=k)
@@ -122,16 +122,12 @@ class EpisodeResult:
 
 
 def run_episode(instance, controller: Controller, episode_seed: int,
-                pop_size: int, budget: int, mode: str = "deterministic",
-                collect_trace: bool = False,
+                pop_size: int, budget: int, collect_trace: bool = False,
                 collect_attention: bool = False) -> EpisodeResult:
     """One full optimization run of an instance under a controller."""
     state = init_populations(instance, pop_size,
                              derive_seed(episode_seed, "engine"), budget)
     k = instance.n_tasks
-    rngs = None
-    if mode == "sample":
-        rngs = [derive_rng(episode_seed, "sample", j) for j in range(k)]
     ablation_rng = derive_rng(episode_seed, "ablation")
     best_trace = np.empty((budget + 1, k))
     best_trace[0] = state.best_values()
@@ -140,7 +136,7 @@ def run_episode(instance, controller: Controller, episode_seed: int,
                            state.f0.copy(), 0.0, rewards)
     for t in range(1, budget + 1):
         features = extract_state(state)
-        bundle, scores = controller.act(features, mode, rngs, ablation_rng)
+        bundle, scores = controller.act(features, ablation_rng)
         reward, info = emt_step(state, bundle)
         rewards.append(reward)
         best_trace[t] = state.best_values()

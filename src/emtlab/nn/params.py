@@ -92,10 +92,14 @@ def adam_step(store: ParameterStore, learning_rate: float, step_count: int,
 
 
 def save_checkpoint(store: ParameterStore, path: str) -> None:
-    """Write one JSON record per parameter; float64 values round-trip exactly."""
+    """Write one JSON record per parameter; float64 values round-trip
+    exactly.  A non-finite value or moment raises CheckpointError."""
     records = []
     for name in sorted(store.params):
         p = store.params[name]
+        if not all(np.isfinite(a).all() for a in (p.value, p.m1, p.m2)):
+            raise CheckpointError(
+                f"refusing to write {path}: parameter {name} is not finite")
         records.append({
             "name": name,
             "shape": list(p.value.shape),

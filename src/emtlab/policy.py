@@ -13,8 +13,8 @@ small MLP heads:
     crossover rate    mu = 0.5 + 0.5 tanh(.)     -> a33 in [0, 1]
 
 Continuous actions are drawn from Gaussians with fixed standard deviation
-0.1 around the head means and clamped to their ranges; the stored
-log-density is that of the unclamped Gaussian at the clamped value.
+0.1 around the head means and clamped to their ranges; their log-density
+is scored as that of the unclamped Gaussian at the clamped value.
 Discrete actions sample their categorical distributions during training
 and take the argmax at inference.  Sampling for task j consumes only the
 j-th RNG stream (order per task: routing, amount, operator, F, Cr), which
@@ -23,13 +23,13 @@ keeps the whole controller permutation-equivariant in the task axis.
 A value critic (MLP on the mean task embedding) provides the baseline for
 advantage estimation; it is permutation-invariant and K-agnostic.
 
-Acting and re-scoring share one forward path: `_trunk` (embedding,
-attention, masked routing softmax), `_heads` (the four per-task
-distributions given a routing) and `_log_prob` (the joint log-probability
-of a bundle).  `act_with_context` only chooses actions from them;
-`evaluate_actions` rebuilds the same graph for a stored bundle, so the
-stored and the recomputed log-probability of the update step come from
-one computation.
+Acting and scoring share one forward path: `_trunk` (embedding,
+attention, masked routing softmax) and `_heads` (the four per-task
+distributions given a routing).  `act_with_context` only chooses actions
+from them and records no probabilities; `evaluate_actions` rebuilds the
+same graph for a chosen bundle and adds `_log_prob` (the joint
+log-probability, routing included) and the critic.  The policy update
+scores each collected bundle there, once per pass.
 """
 
 import math
@@ -59,8 +59,6 @@ class ActionBundle:
     a31: np.ndarray       # (K,) operator id in {1..4}
     a32: np.ndarray       # (K,) mutation strength F
     a33: np.ndarray       # (K,) crossover rate Cr
-    log_prob: float
-    means: dict
 
 
 def init_policy(seed: int) -> ParameterStore:
@@ -167,17 +165,15 @@ def _categorical_logp(probs: Node, choice) -> Node:
     return tape.sum_all(tape.log(tape.take(probs, rows, choice)))
 
 
-def _log_prob(heads, bundle: ActionBundle, route_probs: Node = None) -> Node:
-    """Joint log-probability of a bundle's amount, operator, F and Cr, plus
-    its routing when route_probs is given, summed in that order."""
+def _log_prob(heads, bundle: ActionBundle, route_probs: Node) -> Node:
+    """Joint log-probability of a bundle's amount, operator, F, Cr and
+    routing, summed in that order."""
     mu_kc, op_probs, mu_f, mu_cr = heads
     logp = tape.add(_gaussian_logp(mu_kc, bundle.a2),
                     _categorical_logp(op_probs, np.asarray(bundle.a31) - 1))
     logp = tape.add(logp, _gaussian_logp(mu_f, bundle.a32))
     logp = tape.add(logp, _gaussian_logp(mu_cr, bundle.a33))
-    if route_probs is not None:
-        logp = tape.add(logp, _categorical_logp(route_probs, bundle.a1))
-    return logp
+    return tape.add(logp, _categorical_logp(route_probs, bundle.a1))
 
 
 def _sample_gaussian(rngs, mu: np.ndarray, lo: float, hi: float) -> np.ndarray:
@@ -190,10 +186,8 @@ def act_with_context(store, features, mode="sample", rngs=None, forced_a1=None):
     the scores being the (K, K) pre-softmax matrix with -inf on the diagonal.
 
     Deterministic mode takes the routing row argmax (ties to the lowest
-    index), the operator argmax and the Gaussian means; it consumes no
-    randomness and reports log_prob 0.  Sample mode draws every action and
-    records the joint log-probability, routing included only when it was
-    sampled, i.e. not forced by forced_a1.
+    index), the operator argmax and the Gaussian means, and consumes no
+    randomness.  Sample mode draws every action not forced by forced_a1.
     """
     features = np.atleast_2d(np.asarray(features, dtype=np.float64))
     k = features.shape[0]
@@ -209,24 +203,17 @@ def act_with_context(store, features, mode="sample", rngs=None, forced_a1=None):
     else:
         a1 = np.array([_sample_source(rngs[j], route_probs.value[j], masked.value[j])
                        for j in range(k)])
-    heads = _heads(store, decision, a1)
-    mu_kc, op_probs, mu_f, mu_cr = (h.value for h in heads)
-    means = {"mu_kc": mu_kc[:, 0].copy(), "mu_f": mu_f[:, 0].copy(),
-             "mu_cr": mu_cr[:, 0].copy()}
+    mu_kc, op_probs, mu_f, mu_cr = (h.value for h in _heads(store, decision, a1))
     if mode == "deterministic":
-        a2, a32, a33 = (means[m].copy() for m in ("mu_kc", "mu_f", "mu_cr"))
+        a2, a32, a33 = mu_kc[:, 0], mu_f[:, 0], mu_cr[:, 0]
         a31 = np.argmax(op_probs, axis=1) + 1
     else:
-        a2 = _sample_gaussian(rngs, means["mu_kc"], 0.0, 0.5)
+        a2 = _sample_gaussian(rngs, mu_kc[:, 0], 0.0, 0.5)
         a31 = np.array([_sample_categorical(rngs[j], op_probs[j])
                         for j in range(k)]) + 1
-        a32 = _sample_gaussian(rngs, means["mu_f"], 0.0, 1.0)
-        a33 = _sample_gaussian(rngs, means["mu_cr"], 0.0, 1.0)
-    bundle = ActionBundle(a1, a2, a31, a32, a33, 0.0, means)
-    if mode == "sample":
-        routed = route_probs if forced_a1 is None else None
-        bundle.log_prob = _log_prob(heads, bundle, routed).value.item()
-    return bundle, masked.value
+        a32 = _sample_gaussian(rngs, mu_f[:, 0], 0.0, 1.0)
+        a33 = _sample_gaussian(rngs, mu_cr[:, 0], 0.0, 1.0)
+    return ActionBundle(a1, a2, a31, a32, a33), masked.value
 
 
 def act(store, features, mode="sample", rngs=None, forced_a1=None) -> ActionBundle:
@@ -251,10 +238,10 @@ def _entropy(probs: Node) -> Node:
 
 def evaluate_actions(store, features, bundle: ActionBundle,
                      need_entropy: bool = False):
-    """Recompute the joint log-probability of a stored bundle (routing
-    included) plus the state value, on the gradient tape, through the same
-    trunk, heads and log-probability builder that acting uses.  Used by
-    the policy-update step."""
+    """Joint log-probability of a bundle (routing included) plus the state
+    value, on the gradient tape, through the same trunk and heads that
+    acting uses.  The policy-update step scores every collected bundle
+    here."""
     e, decision, _, route_probs = _trunk(store, features)
     heads = _heads(store, decision, np.asarray(bundle.a1, dtype=int))
     entropy = None

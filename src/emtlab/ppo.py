@@ -8,9 +8,12 @@ the policy takes `k_ppo` full-batch update passes of
     loss = -E[min(r A, clip(r, 1-eps, 1+eps) A)]
            + value_coef * E[(return - V)^2] - entropy_coef * H
 
-where r is the ratio of the recomputed to the stored joint action
-log-probability.  Advantages are normalized within each segment; returns
-are raw advantages plus values and serve as critic targets.
+where r is the ratio of the current to the behaviour probability of the
+joint action.  Rollouts only act; the first pass scores the segment with
+the parameters that collected it, and those log-probabilities and values
+are the behaviour log-probabilities and GAE values of all k_ppo passes.
+Advantages are normalized within each segment; returns are raw advantages
+plus values and serve as critic targets.
 """
 
 import logging
@@ -33,10 +36,7 @@ log = logging.getLogger(__name__)
 class Transition:
     features: np.ndarray
     action: ActionBundle
-    log_prob: float
     reward: float
-    value: float
-    done: bool
 
 
 @dataclass
@@ -61,27 +61,25 @@ class PPOConfig:
             raise ValueError("t_ppo must be >= 1")
 
 
-def compute_advantages(buffer, config: PPOConfig, bootstrap_value: float = 0.0):
-    """GAE over one contiguous segment.
+def compute_advantages(rewards, values, config: PPOConfig,
+                       bootstrap_value: float = 0.0):
+    """GAE over one contiguous segment of per-step rewards and values.
 
     bootstrap_value is the critic's estimate of the state following the
-    last transition (ignored when that transition is terminal).  Returns
+    last transition, 0 when that transition ends the episode.  Returns
     (advantages, returns) with advantages normalized to zero mean and unit
     variance for segments of length >= 2; returns are computed from the
     raw advantages.
     """
-    if not buffer:
+    n = len(rewards)
+    if n == 0:
         raise ValueError("empty segment")
-    n = len(buffer)
-    rewards = np.array([t.reward for t in buffer])
-    values = np.array([t.value for t in buffer])
     adv = np.zeros(n)
     running = 0.0
     next_value = bootstrap_value
     for t in range(n - 1, -1, -1):
-        alive = 0.0 if buffer[t].done else 1.0
-        delta = rewards[t] + config.gamma * next_value * alive - values[t]
-        running = delta + config.gamma * config.gae_lambda * alive * running
+        delta = rewards[t] + config.gamma * next_value - values[t]
+        running = delta + config.gamma * config.gae_lambda * running
         adv[t] = running
         next_value = values[t]
     returns = adv + values
@@ -90,16 +88,15 @@ def compute_advantages(buffer, config: PPOConfig, bootstrap_value: float = 0.0):
     return adv, returns
 
 
-def _ppo_loss(store, buffer, advantages, returns, old_logp, config: PPOConfig):
-    n = len(buffer)
+def _ppo_loss(scored, advantages, returns, old_logp, config: PPOConfig):
+    """Clipped-surrogate loss over a segment's `evaluate_actions` outputs."""
+    n = len(scored)
     surr_sum = None
     vloss_sum = None
     ent_sum = None
     ratio_vals = []
     want_entropy = config.entropy_coef != 0.0
-    for i, tr in enumerate(buffer):
-        logp, value, entropy = evaluate_actions(store, tr.features, tr.action,
-                                                need_entropy=want_entropy)
+    for i, (logp, value, entropy) in enumerate(scored):
         ratio = tape.exp(tape.sub(logp, constant(old_logp[i])))
         ratio_vals.append(ratio.value.item())
         unclipped = tape.scale(ratio, advantages[i])
@@ -132,12 +129,19 @@ def ppo_update(buffer, store: ParameterStore, config: PPOConfig,
     A non-finite loss aborts the update before any gradient is applied in
     that pass and reports the diagnostic in the returned statistics.
     """
-    advantages, returns = compute_advantages(buffer, config, bootstrap_value)
-    old_logp = np.array([t.log_prob for t in buffer])
+    rewards = np.array([t.reward for t in buffer])
+    want_entropy = config.entropy_coef != 0.0
     stats = {"iterations": [], "aborted": False, "diagnostic": None}
-    for _ in range(config.k_ppo):
+    for it in range(config.k_ppo):
         store.zero_grads()
-        loss, parts = _ppo_loss(store, buffer, advantages, returns, old_logp, config)
+        scored = [evaluate_actions(store, t.features, t.action,
+                                   need_entropy=want_entropy) for t in buffer]
+        if it == 0:
+            old_logp = np.array([logp.value.item() for logp, _, _ in scored])
+            values = np.array([value.value.item() for _, value, _ in scored])
+            advantages, returns = compute_advantages(rewards, values, config,
+                                                     bootstrap_value)
+        loss, parts = _ppo_loss(scored, advantages, returns, old_logp, config)
         if not np.isfinite(loss.value).all():
             stats["aborted"] = True
             stats["diagnostic"] = (
@@ -188,15 +192,13 @@ def run_training_episode(store, instance, config: PPOConfig, pop_size: int,
     rk_total = 0.0
     for t in range(1, config.budget + 1):
         bundle = act(store, features, "sample", rngs)
-        value = critic_value(store, features).value.item()
         reward, info = emt_step(state, bundle)
         ep_return += reward
         rc_total += float(info["rc"].sum())
         rk_total += float(info["rk"].sum())
-        done = t == config.budget
-        buffer.append(Transition(features, bundle, bundle.log_prob, reward,
-                                 value, done))
+        buffer.append(Transition(features, bundle, reward))
         next_features = extract_state(state)
+        done = t == config.budget
         if t % config.t_ppo == 0 or done:
             bootstrap = (0.0 if done else
                          critic_value(store, next_features).value.item())

@@ -157,8 +157,7 @@ class TestEngineInvariants:
             assert np.isfinite(feats).all()
             assert (feats >= 0).all() and (feats <= 1).all()
             assert set(np.unique(feats[:, 3])) <= {0.0, 1.0}
-            bundle, _ = controller.act(feats, "deterministic",
-                                       ablation_rng=ablation_rng)
+            bundle, _ = controller.act(feats, ablation_rng)
             assert (bundle.a1 != np.arange(5)).all()
             assert (bundle.a2 >= 0).all() and (bundle.a2 <= 1).all()
             assert set(bundle.a31) <= {1, 2, 3, 4}
@@ -191,7 +190,7 @@ class TestOracleEquivalence:
         k = 2
         action = P.ActionBundle(np.array([1, 0]), np.zeros(k),
                                 np.ones(k, dtype=int), np.full(k, 0.5),
-                                np.full(k, 0.7), 0.0, {})
+                                np.full(k, 0.7))
         for _ in range(10):
             E.emt_step(state, action)
         identical = True
@@ -334,7 +333,7 @@ class TestVariableK:
         state = E.init_populations(instance, POP_SIZE, seed=404, budget=20)
         for _ in range(20):
             feats = E.extract_state(state)
-            bundle, _ = controller.act(feats, "deterministic")
+            bundle, _ = controller.act(feats)
             assert (bundle.a1 != np.arange(k)).all()
             assert (bundle.a1 >= 0).all() and (bundle.a1 < k).all()
             assert (bundle.a2 >= 0).all() and (bundle.a2 <= 0.5).all()
@@ -357,8 +356,7 @@ class TestAblationHarness:
                        "no_f": "a32", "no_cr": "a33"}
         for variant, changed in substituted.items():
             controller = H.Controller(desk_policy, variant)
-            bundle, _ = controller.act(feats, "deterministic",
-                                       ablation_rng=derive_rng(71, variant))
+            bundle, _ = controller.act(feats, derive_rng(71, variant))
             if variant == "no_tr":
                 # downstream heads must equal the full policy conditioned
                 # on the substituted routing

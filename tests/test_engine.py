@@ -28,7 +28,7 @@ def bundle_for(state, a1=None, a2=0.0, op=1, f=0.5, cr=0.7):
         a1 = (np.arange(k) + 1) % k
     return ActionBundle(np.asarray(a1), np.full(k, float(a2)),
                         np.full(k, op, dtype=int), np.full(k, float(f)),
-                        np.full(k, float(cr)), 0.0, {})
+                        np.full(k, float(cr)))
 
 
 class TestInit:
@@ -282,6 +282,30 @@ class TestStep:
         state = E.init_populations(tiny_instance(3, 3), 6, seed=1, budget=10)
         with pytest.raises(ValueError, match="number of tasks"):
             E.emt_step(state, bundle_for(state, a1=[1, 0]))
+
+    @pytest.mark.parametrize("field,value", [
+        ("a2", np.nan), ("a2", np.inf), ("a2", -0.1),
+        ("a32", np.nan), ("a32", -0.01), ("a32", 1.5),
+        ("a33", -np.inf), ("a33", -1.0), ("a33", 1.01),
+    ])
+    def test_bad_action_rejected_before_any_change(self, field, value):
+        state = E.init_populations(tiny_instance(3, 3), 6, seed=1, budget=10)
+        bundle = bundle_for(state, a2=0.3)
+        getattr(bundle, field)[1] = value
+        positions = [p.positions.copy() for p in state.populations]
+        evaluations = state.evaluations
+        with pytest.raises(ValueError, match=f"{field} of task 1 is"):
+            E.emt_step(state, bundle)
+        assert state.evaluations == evaluations and state.transfers == []
+        for pop, before in zip(state.populations, positions):
+            np.testing.assert_array_equal(pop.positions, before)
+
+    def test_range_edges_accepted(self):
+        # a2 above 0.5 is the no_kc ablation's range; the engine caps it
+        state = E.init_populations(tiny_instance(3, 3), 6, seed=1, budget=10)
+        for a2, f, cr in ((0.0, 0.0, 0.0), (1.0, 1.0, 1.0), (3.0, 0.5, 0.7)):
+            E.emt_step(state, bundle_for(state, a2=a2, f=f, cr=cr))
+        assert len(state.transfers) == 3
 
     def test_budget_accounting(self):
         state = E.init_populations(tiny_instance(3, 4), 9, seed=2, budget=10)

@@ -216,13 +216,6 @@ class TestRunEpisode:
                                           6, 10)
             np.testing.assert_array_equal(ep.best_trace[:, j], best)
 
-    def test_sample_mode_runs(self):
-        inst = instances_for_tests(1)[0]
-        controller = H.Controller(P.init_policy(41), "full")
-        ep = H.run_episode(inst, controller, 9, pop_size=8, budget=4,
-                           mode="sample")
-        assert len(ep.rewards) == 4
-
 
 class TestEvaluate:
     def test_row_counts_and_determinism(self, tmp_path):

@@ -92,6 +92,21 @@ class TestCheckpoint:
         save_checkpoint(load_checkpoint(str(p1)), str(p2))
         assert p1.read_bytes() == p2.read_bytes()
 
+    @pytest.mark.parametrize("array,bad", [("value", np.nan), ("value", np.inf),
+                                           ("m1", -np.inf), ("m2", np.nan)])
+    def test_non_finite_parameter_refused(self, tmp_path, array, bad):
+        store = make_store()
+        store.add("z", np.zeros((2, 2)))
+        getattr(store["z"], array)[1, 0] = bad
+        store["w"].m1[0, 0] = np.nan   # sorted first: names "b", "w", "z"
+        path = tmp_path / "ckpt.json"
+        with pytest.raises(CheckpointError, match="parameter w is not finite"):
+            save_checkpoint(store, str(path))
+        store["w"].m1[0, 0] = 0.0
+        with pytest.raises(CheckpointError, match="parameter z is not finite"):
+            save_checkpoint(store, str(path))
+        assert not path.exists() and not (tmp_path / "ckpt.json.tmp").exists()
+
     def test_missing_file(self, tmp_path):
         with pytest.raises(CheckpointError, match="not found"):
             load_checkpoint(str(tmp_path / "nope.json"))

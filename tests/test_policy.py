@@ -202,7 +202,6 @@ class TestContinuousHeads:
         store["kc2.W"].value[...] = 0.0
         store["kc2.b"].value[...] = 0.0
         bundle = P.act(store, random_features(3), "deterministic")
-        np.testing.assert_allclose(bundle.means["mu_kc"], 0.25)
         np.testing.assert_allclose(bundle.a2, 0.25)
 
     def test_kc_saturated_negative_gives_zero(self):
@@ -287,40 +286,40 @@ class TestAct:
         np.testing.assert_array_equal(a.a31, b.a31)
         np.testing.assert_array_equal(a.a32, b.a32)
         np.testing.assert_array_equal(a.a33, b.a33)
-        assert a.log_prob == 0.0
 
     def test_sample_mode_reproducible(self):
         store = P.init_policy(9)
         f = random_features(4, 9)
         a = P.act(store, f, "sample", task_rngs(4, 1))
         b = P.act(store, f, "sample", task_rngs(4, 1))
-        assert a.log_prob == b.log_prob
-        np.testing.assert_array_equal(a.a1, b.a1)
-        np.testing.assert_array_equal(a.a2, b.a2)
+        for name in ("a1", "a2", "a31", "a32", "a33"):
+            np.testing.assert_array_equal(getattr(a, name), getattr(b, name))
 
     def test_bounds_always_hold(self):
         for seed in range(15):
             store = P.init_policy(100 + seed)
             k = 2 + seed % 5
             for draw in range(10):
-                b = P.act(store, random_features(k, seed * 31 + draw),
-                          "sample", task_rngs(k, draw))
+                f = random_features(k, seed * 31 + draw)
+                b = P.act(store, f, "sample", task_rngs(k, draw))
                 assert (b.a1 != np.arange(k)).all()
                 assert (b.a1 >= 0).all() and (b.a1 < k).all()
                 assert (b.a2 >= 0).all() and (b.a2 <= 0.5).all()
                 assert set(b.a31) <= {1, 2, 3, 4}
                 assert (b.a32 >= 0).all() and (b.a32 <= 1).all()
                 assert (b.a33 >= 0).all() and (b.a33 <= 1).all()
-                assert math.isfinite(b.log_prob)
+                assert math.isfinite(P.evaluate_actions(store, f, b)[0].value.item())
 
     def test_log_prob_decomposes_against_numpy_oracle(self):
         store = P.init_policy(11)
         f = random_features(5, 11)
         bundle = P.act(store, f, "sample", task_rngs(5, 3))
         ref = numpy_forward(store, f, bundle.a1)
-        np.testing.assert_allclose(bundle.means["mu_kc"], ref["mu_kc"], rtol=1e-10)
-        np.testing.assert_allclose(bundle.means["mu_f"], ref["mu_f"], rtol=1e-10)
-        np.testing.assert_allclose(bundle.means["mu_cr"], ref["mu_cr"], rtol=1e-10)
+        _, decision, _, _ = P._trunk(store, f)
+        mu_kc, _, mu_f, mu_cr = P._heads(store, decision, bundle.a1)
+        np.testing.assert_allclose(mu_kc.value[:, 0], ref["mu_kc"], rtol=1e-10)
+        np.testing.assert_allclose(mu_f.value[:, 0], ref["mu_f"], rtol=1e-10)
+        np.testing.assert_allclose(mu_cr.value[:, 0], ref["mu_cr"], rtol=1e-10)
         expected = 0.0
         for j in range(5):
             expected += math.log(ref["route_probs"][j, bundle.a1[j]])
@@ -328,7 +327,8 @@ class TestAct:
             expected += math.log(ref["op_probs"][j, bundle.a31[j] - 1])
             expected += normal_logpdf(bundle.a32[j], ref["mu_f"][j])
             expected += normal_logpdf(bundle.a33[j], ref["mu_cr"][j])
-        assert bundle.log_prob == pytest.approx(expected, rel=1e-10)
+        logp, _, _ = P.evaluate_actions(store, f, bundle)
+        assert logp.value.item() == pytest.approx(expected, rel=1e-10)
 
     def test_context_scores_match_oracle(self):
         store = P.init_policy(11)
@@ -355,7 +355,9 @@ class TestAct:
         np.testing.assert_allclose(permuted.a32, base.a32[perm], rtol=1e-10)
         np.testing.assert_allclose(permuted.a33, base.a33[perm], rtol=1e-10)
         np.testing.assert_array_equal(permuted.a1, inverse[base.a1[perm]])
-        assert permuted.log_prob == pytest.approx(base.log_prob, rel=1e-10)
+        base_logp = P.evaluate_actions(store, f, base)[0].value.item()
+        permuted_logp = P.evaluate_actions(store, f[perm], permuted)[0].value.item()
+        assert permuted_logp == pytest.approx(base_logp, rel=1e-10)
 
     def test_forced_routing_respected(self):
         store = P.init_policy(13)
@@ -404,25 +406,19 @@ class TestCritic:
 
 
 class TestEvaluateActions:
-    def test_logp_matches_act(self):
-        store = P.init_policy(17)
-        f = random_features(5, 40)
-        bundle = P.act(store, f, "sample", task_rngs(5, 7))
-        logp, value, _ = P.evaluate_actions(store, f, bundle)
-        assert logp.value.item() == pytest.approx(bundle.log_prob, rel=1e-12)
-        direct = P.critic_value(store, f).value.item()
-        assert value.value.item() == pytest.approx(direct, rel=1e-12)
-
     @given(st.integers(2, 10), st.integers(0, 2 ** 32 - 1))
     @settings(max_examples=30, deadline=None)
     def test_rescoring_is_exact(self, k, seed):
-        # the stored and the recomputed log-probability (and value) come
-        # from one computation, so PPO's first ratio is exactly 1
+        # scoring is a pure function of the parameters, and the GAE values
+        # (evaluate_actions) and the segment bootstrap (critic_value) are
+        # one function of the state
         store = P.init_policy(seed)
         f = random_features(k, seed)
         bundle = P.act(store, f, "sample", task_rngs(k, seed))
         logp, value, _ = P.evaluate_actions(store, f, bundle)
-        assert logp.value.item() == bundle.log_prob
+        again, _, _ = P.evaluate_actions(store, f, bundle)
+        assert math.isfinite(logp.value.item())
+        assert logp.value.item() == again.value.item()
         assert value.value.item() == P.critic_value(store, f).value.item()
 
     def test_entropy_is_positive_and_finite(self):

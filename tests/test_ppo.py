@@ -3,6 +3,8 @@ loop's determinism and accounting."""
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from emtlab import benchmarks as B
 from emtlab import engine as E
@@ -15,21 +17,25 @@ from emtlab.seeds import derive_rng
 from tests.test_policy import random_features, task_rngs
 
 
-def make_transition(features, bundle, reward, value, done, log_prob=None):
-    return ppo.Transition(features, bundle,
-                          bundle.log_prob if log_prob is None else log_prob,
-                          reward, value, done)
-
-
-def sampled_buffer(store, n, k=3, seed=0, rewards=None, done_last=True):
+def sampled_buffer(store, n, k=3, seed=0, rewards=None):
     buf = []
     for i in range(n):
         f = random_features(k, seed * 100 + i)
         bundle = P.act(store, f, "sample", task_rngs(k, seed * 100 + i))
         r = 1.0 if rewards is None else rewards[i]
-        v = P.critic_value(store, f).value.item()
-        buf.append(make_transition(f, bundle, r, v, done_last and i == n - 1))
+        buf.append(ppo.Transition(f, bundle, r))
     return buf
+
+
+def scored_segment(store, buf, config, bootstrap_value=0.0):
+    """What ppo_update's first pass builds: the evaluate_actions nodes of
+    every transition, their log-probabilities, and GAE over their values."""
+    scored = [P.evaluate_actions(store, t.features, t.action) for t in buf]
+    old_logp = np.array([logp.value.item() for logp, _, _ in scored])
+    values = np.array([value.value.item() for _, value, _ in scored])
+    rewards = np.array([t.reward for t in buf])
+    adv, ret = ppo.compute_advantages(rewards, values, config, bootstrap_value)
+    return scored, old_logp, adv, ret
 
 
 class TestConfig:
@@ -48,24 +54,15 @@ class TestConfig:
             ppo.PPOConfig(t_ppo=0)
 
 
-class FakeTransition:
-    def __init__(self, reward, value, done):
-        self.reward = reward
-        self.value = value
-        self.done = done
-        self.log_prob = 0.0
-
-
 class TestAdvantages:
     def test_all_zero(self):
-        buf = [FakeTransition(0.0, 0.0, i == 2) for i in range(3)]
-        adv, ret = ppo.compute_advantages(buf, ppo.PPOConfig())
+        adv, ret = ppo.compute_advantages(np.zeros(3), np.zeros(3), ppo.PPOConfig())
         np.testing.assert_allclose(adv, 0.0)
         np.testing.assert_allclose(ret, 0.0)
 
     def test_single_terminal_step(self):
-        buf = [FakeTransition(2.5, 0.7, True)]
-        adv, ret = ppo.compute_advantages(buf, ppo.PPOConfig())
+        adv, ret = ppo.compute_advantages(np.array([2.5]), np.array([0.7]),
+                                          ppo.PPOConfig())
         assert adv[0] == pytest.approx(2.5 - 0.7)   # length 1: not normalized
         assert ret[0] == pytest.approx(2.5)
 
@@ -74,60 +71,67 @@ class TestAdvantages:
         #   d2 = 2.0 - 0.1 = 1.9               A2 = 1.9
         #   d1 = 0.5 + 0.9*0.1 - 0.4 = 0.19    A1 = 0.19 + 0.72*1.9  = 1.558
         #   d0 = 1.0 + 0.9*0.4 - 0.2 = 1.16    A0 = 1.16 + 0.72*1.558 = 2.28176
-        buf = [FakeTransition(1.0, 0.2, False), FakeTransition(0.5, 0.4, False),
-               FakeTransition(2.0, 0.1, True)]
+        # the last step ends the episode: bootstrap value 0
         config = ppo.PPOConfig(gamma=0.9, gae_lambda=0.8)
-        adv, ret = ppo.compute_advantages(buf, config)
+        adv, ret = ppo.compute_advantages(np.array([1.0, 0.5, 2.0]),
+                                          np.array([0.2, 0.4, 0.1]), config)
         raw = ret - np.array([0.2, 0.4, 0.1])
         np.testing.assert_allclose(raw, [2.28176, 1.558, 1.9], rtol=1e-12)
         np.testing.assert_allclose(ret, [2.48176, 1.958, 2.0], rtol=1e-12)
 
     def test_bootstrap_hand_recursion(self):
         # non-terminal tail bootstrapped with the critic estimate 2.0
-        buf = [FakeTransition(1.0, 0.5, False), FakeTransition(1.0, 0.5, False)]
         config = ppo.PPOConfig(gamma=0.5, gae_lambda=0.5)
-        adv, ret = ppo.compute_advantages(buf, config, bootstrap_value=2.0)
+        adv, ret = ppo.compute_advantages(np.ones(2), np.full(2, 0.5), config,
+                                          bootstrap_value=2.0)
         np.testing.assert_allclose(ret, [1.625, 2.0], rtol=1e-12)
 
     def test_normalization_invariant(self):
         rng = derive_rng(1, "adv")
-        buf = [FakeTransition(rng.normal(), rng.normal(), i == 19)
-               for i in range(20)]
-        adv, _ = ppo.compute_advantages(buf, ppo.PPOConfig())
+        pairs = np.array([(rng.normal(), rng.normal()) for _ in range(20)])
+        adv, _ = ppo.compute_advantages(pairs[:, 0], pairs[:, 1], ppo.PPOConfig())
         assert abs(adv.mean()) < 1e-10
         assert 1 - 1e-6 < adv.var() < 1 + 1e-6
 
     def test_empty_segment_rejected(self):
         with pytest.raises(ValueError, match="empty"):
-            ppo.compute_advantages([], ppo.PPOConfig())
+            ppo.compute_advantages(np.zeros(0), np.zeros(0), ppo.PPOConfig())
 
 
 class TestUpdate:
-    def test_first_iteration_ratio_is_one(self):
-        store = P.init_policy(23)
-        buf = sampled_buffer(store, 3, seed=1)
-        config = ppo.PPOConfig(k_ppo=1, learning_rate=1e-4)
-        stats = ppo.ppo_update(buf, store, config)
+    @given(st.integers(2, 6), st.integers(1, 4), st.integers(0, 2 ** 20),
+           st.sampled_from([0.0, 0.01]), st.floats(-5.0, 5.0))
+    @settings(max_examples=25, deadline=None)
+    def test_first_iteration_ratio_is_one(self, k, n, seed, entropy_coef,
+                                          bootstrap):
+        # the behaviour log-probabilities are the first pass's own scores,
+        # so every first-pass ratio is exactly 1
+        store = P.init_policy(seed)
+        buf = sampled_buffer(store, n, k=k, seed=seed)
+        config = ppo.PPOConfig(k_ppo=2, entropy_coef=entropy_coef,
+                               learning_rate=1e-4)
+        stats = ppo.ppo_update(buf, store, config, bootstrap)
         it = stats["iterations"][0]
-        assert it["mean_ratio"] == pytest.approx(1.0, abs=1e-12)
-        # with ratio exactly 1 the surrogate is the advantage mean, which
-        # normalization makes (numerically) zero for segments of length >= 2
-        assert abs(it["surrogate"]) < 1e-9
+        assert not stats["aborted"] and it["mean_ratio"] == 1.0
+        if n >= 2:
+            # with ratio 1 the surrogate is the advantage mean, which
+            # normalization makes (numerically) zero
+            assert abs(it["surrogate"]) < 1e-9
 
     def test_clip_boundary_engages(self):
         store = P.init_policy(23)
         f = random_features(3, 5)
         bundle = P.act(store, f, "sample", task_rngs(3, 5))
-        # stored log-prob shifted so the recomputed ratio is exactly 2,
-        # reward chosen so the (unnormalized) advantage is +1
+        # reward chosen so the (unnormalized) advantage is +1, behaviour
+        # log-prob shifted so the ratio is exactly 2
         v = P.critic_value(store, f).value.item()
-        tr = make_transition(f, bundle, v + 1.0, v, True,
-                             log_prob=bundle.log_prob - np.log(2.0))
-        config = ppo.PPOConfig(k_ppo=1, clip_eps=0.2, learning_rate=0.0)
-        stats = ppo.ppo_update([tr], store, config)
-        it = stats["iterations"][0]
-        assert it["mean_ratio"] == pytest.approx(2.0, rel=1e-10)
-        assert it["surrogate"] == pytest.approx(1.2, rel=1e-10)
+        config = ppo.PPOConfig(k_ppo=1, clip_eps=0.2)
+        scored, old_logp, adv, ret = scored_segment(
+            store, [ppo.Transition(f, bundle, v + 1.0)], config)
+        assert adv[0] == pytest.approx(1.0, rel=1e-12)
+        _, parts = ppo._ppo_loss(scored, adv, ret, old_logp - np.log(2.0), config)
+        assert parts["mean_ratio"] == pytest.approx(2.0, rel=1e-10)
+        assert parts["surrogate"] == pytest.approx(1.2, rel=1e-10)
 
     def test_descent_direction(self):
         successes = 0
@@ -137,11 +141,11 @@ class TestUpdate:
             buf = sampled_buffer(store, 4, seed=trial,
                                  rewards=rng.normal(size=4).tolist())
             config = ppo.PPOConfig(k_ppo=1, learning_rate=1e-3)
-            adv, ret = ppo.compute_advantages(buf, config)
-            old_logp = np.array([t.log_prob for t in buf])
-            loss_before, _ = ppo._ppo_loss(store, buf, adv, ret, old_logp, config)
+            scored, old_logp, adv, ret = scored_segment(store, buf, config)
+            loss_before, _ = ppo._ppo_loss(scored, adv, ret, old_logp, config)
             ppo.ppo_update(buf, store, config)
-            loss_after, _ = ppo._ppo_loss(store, buf, adv, ret, old_logp, config)
+            rescored = scored_segment(store, buf, config)[0]
+            loss_after, _ = ppo._ppo_loss(rescored, adv, ret, old_logp, config)
             if loss_after.value.item() < loss_before.value.item():
                 successes += 1
         assert successes >= 18
@@ -153,11 +157,10 @@ class TestUpdate:
         buf = sampled_buffer(store, 3, seed=9)
         config = ppo.PPOConfig(k_ppo=1, clip_eps=1e9, value_coef=0.0,
                                learning_rate=1e-3)
-        adv, ret = ppo.compute_advantages(buf, config)
-        old_logp = np.array([t.log_prob for t in buf])
 
         store.zero_grads()
-        loss, _ = ppo._ppo_loss(store, buf, adv, ret, old_logp, config)
+        scored, old_logp, adv, ret = scored_segment(store, buf, config)
+        loss, _ = ppo._ppo_loss(scored, adv, ret, old_logp, config)
         backward(loss)
         surrogate_grads = {n: store[n].grad.copy() for n in store.names()}
 
@@ -175,7 +178,7 @@ class TestUpdate:
     def test_non_finite_loss_aborts(self):
         store = P.init_policy(23)
         buf = sampled_buffer(store, 2, seed=2)
-        buf[0].log_prob = np.nan
+        store["kc2.b"].value[0, 0] = np.nan
         before = {n: store[n].value.copy() for n in store.names()}
         stats = ppo.ppo_update(buf, store, ppo.PPOConfig(k_ppo=2))
         assert stats["aborted"] and "non-finite" in stats["diagnostic"]
