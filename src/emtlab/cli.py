@@ -54,10 +54,10 @@ def _cmd_train(args):
           f"outputs in {args.out}")
 
 
-def _run_evaluation(args, variant):
+def _run_evaluation(args):
     store = load_checkpoint(args.checkpoint)
     instances = benchmarks.load_instances(args.dataset)
-    controller = harness.Controller(store, variant)
+    controller = harness.Controller(store, args.variant)
     rows, episodes = harness.evaluate(controller, instances, args.runs,
                                       args.seed, args.pop_size, args.budget,
                                       collect_trace=True)
@@ -65,16 +65,8 @@ def _run_evaluation(args, variant):
     harness.write_results_csv(rows, os.path.join(args.out, "results.csv"))
     paired = [(row.run_index, ep) for row, ep in zip(rows, episodes)]
     harness.write_trace_csv(paired, os.path.join(args.out, "trace.csv"))
-    print(f"{variant}: mean perf {harness.mean_perf(rows):.4f} over "
+    print(f"{args.variant}: mean perf {harness.mean_perf(rows):.4f} over "
           f"{len(rows)} runs; results in {args.out}")
-
-
-def _cmd_evaluate(args):
-    _run_evaluation(args, "full")
-
-
-def _cmd_ablate(args):
-    _run_evaluation(args, args.variant)
 
 
 def _cmd_export_attention(args):
@@ -132,13 +124,13 @@ def build_parser():
 
     p = sub.add_parser("evaluate", help="evaluate a checkpoint")
     _add_eval_flags(p)
-    p.set_defaults(func=_cmd_evaluate)
+    p.set_defaults(func=_run_evaluation, variant="full")
 
     p = sub.add_parser("ablate", help="evaluate an ablation variant")
     p.add_argument("--variant", choices=harness.ABLATION_VARIANTS,
                    required=True)
     _add_eval_flags(p)
-    p.set_defaults(func=_cmd_ablate)
+    p.set_defaults(func=_run_evaluation)
 
     p = sub.add_parser("export-attention", help="dump routing score matrices")
     p.add_argument("--checkpoint", required=True)

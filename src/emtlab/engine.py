@@ -13,8 +13,9 @@ Each of the K sub-tasks owns a population of N individuals in the unified
      survives on ties) and the generation's per-task transfer and
      transfer-survival counts are appended to EMTState.transfers.
 
-Mutation operator pool for transfer offspring (src indices are drawn from
-the source elite set, tgt indices from the target population):
+Mutation operator pool for transfer offspring, tabulated in OPERATORS
+(src indices are drawn from the source elite set, tgt indices from the
+target population):
 
   1  v = tgt_best + F (src_r1 - src_r2)
   2  v = tgt_r1   + F (src_r2 - src_r3)
@@ -40,6 +41,12 @@ SELF_F = 0.5
 SELF_CR = 0.7
 # accepted action ranges; transfer_evolve caps the transfer count at N
 ACTION_RANGES = {"a2": (0.0, np.inf), "a32": (0.0, 1.0), "a33": (0.0, 1.0)}
+# op_id: (base population, whether the base is that population's best row,
+#         difference-pair population)
+OPERATORS = {1: ("target", True, "source"),
+             2: ("target", False, "source"),
+             3: ("source", False, "target"),
+             4: ("source", True, "target")}
 
 
 @dataclass
@@ -119,9 +126,8 @@ def extract_state(state: EMTState) -> np.ndarray:
     return feats
 
 
-def _distinct_partners(rng, n, parent):
-    pool = np.concatenate([np.arange(parent), np.arange(parent + 1, n)])
-    return rng.choice(pool, size=3, replace=False)
+def _pick(rng, pool, count):
+    return rng.choice(pool, size=count, replace=len(pool) < count)
 
 
 def _binomial_crossover(rng, base, mutants, cr):
@@ -136,12 +142,12 @@ def self_evolve(pop: Population, rng: np.random.Generator, parents,
                 f: float = SELF_F, cr: float = SELF_CR) -> np.ndarray:
     """DE/rand/1/bin offspring for the given parent indices, clamped to [0, 1]."""
     parents = np.asarray(parents, dtype=int)
-    n = pop.size
     x = pop.positions
-    mutants = np.empty((len(parents), x.shape[1]))
+    everyone = np.arange(pop.size)
+    r = np.empty((len(parents), 3), dtype=int)
     for i, parent in enumerate(parents):
-        r1, r2, r3 = _distinct_partners(rng, n, parent)
-        mutants[i] = x[r1] + f * (x[r2] - x[r3])
+        r[i] = _pick(rng, np.delete(everyone, parent), 3)
+    mutants = x[r[:, 0]] + f * (x[r[:, 1]] - x[r[:, 2]])
     trials = _binomial_crossover(rng, x[parents], mutants, cr)
     return np.clip(trials, 0.0, 1.0)
 
@@ -160,44 +166,27 @@ def transfer_evolve(target: Population, source: Population, a2: float,
     m_kt = round(a2 * N) offspring are built; zero means no transfer and
     no stream consumption.
     """
-    if op_id not in (1, 2, 3, 4):
+    if op_id not in OPERATORS:
         raise ValueError(f"unknown operator id: {op_id}")
     n = target.size
-    d = target.positions.shape[1]
     m_kt = min(_round_half_up(a2 * n), n)
     if m_kt <= 0:
-        return np.empty((0, d)), np.empty(0, dtype=int)
+        return np.empty((0, target.positions.shape[1])), np.empty(0, dtype=int)
     hosts = rng.choice(n, size=m_kt, replace=False)
     # elite set: the m_kt lowest-fitness source individuals
     elites = np.argsort(source.fitness, kind="stable")[:m_kt]
-    src = source.positions
-    tgt = target.positions
-    tgt_best = tgt[int(np.argmin(target.fitness))]
-    src_best = src[int(np.argmin(source.fitness))]
-
-    def pick_src(count):
-        return rng.choice(elites, size=count, replace=len(elites) < count)
-
-    def pick_tgt(count):
-        return rng.choice(n, size=count, replace=False)
-
-    mutants = np.empty((m_kt, d))
+    pools = {"target": (target, np.arange(n)), "source": (source, elites)}
+    base_name, base_is_best, diff_name = OPERATORS[op_id]
+    (base, base_pool), (diff, diff_pool) = pools[base_name], pools[diff_name]
+    base_rows = np.full(m_kt, np.argmin(base.fitness))
+    pairs = np.empty((m_kt, 2), dtype=int)
     for i in range(m_kt):
-        if op_id == 1:
-            r1, r2 = pick_src(2)
-            mutants[i] = tgt_best + f * (src[r1] - src[r2])
-        elif op_id == 2:
-            t1 = pick_tgt(1)[0]
-            r2, r3 = pick_src(2)
-            mutants[i] = tgt[t1] + f * (src[r2] - src[r3])
-        elif op_id == 3:
-            r1 = pick_src(1)[0]
-            t2, t3 = pick_tgt(2)
-            mutants[i] = src[r1] + f * (tgt[t2] - tgt[t3])
-        else:
-            t1, t2 = pick_tgt(2)
-            mutants[i] = src_best + f * (tgt[t1] - tgt[t2])
-    trials = _binomial_crossover(rng, tgt[hosts], mutants, cr)
+        if not base_is_best:
+            base_rows[i] = _pick(rng, base_pool, 1)[0]
+        pairs[i] = _pick(rng, diff_pool, 2)
+    mutants = (base.positions[base_rows]
+               + f * (diff.positions[pairs[:, 0]] - diff.positions[pairs[:, 1]]))
+    trials = _binomial_crossover(rng, target.positions[hosts], mutants, cr)
     return np.clip(trials, 0.0, 1.0), hosts
 
 
@@ -231,14 +220,9 @@ def compute_reward(best_before: np.ndarray, best_after: np.ndarray,
     generated sub-task), 0 when the normalizer degenerates;
     R_k,j = n_success / n_transfer, 0 when nothing transferred.
     """
-    k = len(best_before)
-    rc = np.zeros(k)
-    rk = np.zeros(k)
-    for j in range(k):
-        if abs(f0[j]) >= 1e-12:
-            rc[j] = (best_before[j] - best_after[j]) / f0[j]
-        if n_transfer[j] > 0:
-            rk[j] = n_success[j] / n_transfer[j]
+    valid = np.abs(f0) >= 1e-12
+    rc = np.where(valid, (best_before - best_after) / np.where(valid, f0, 1.0), 0.0)
+    rk = np.where(n_transfer > 0, n_success / np.maximum(n_transfer, 1), 0.0)
     return float(np.sum(rc + rk)), rc, rk
 
 

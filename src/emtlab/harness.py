@@ -60,7 +60,7 @@ class Controller:
         if v in ("no_tr", "random_all"):
             r = ablation_rng.integers(0, k - 1, size=k)
             forced_a1 = np.where(r < np.arange(k), r, r + 1)
-        bundle, scores = act_with_context(self.store, features, "deterministic",
+        bundle, scores = act_with_context(self.store, features,
                                           forced_a1=forced_a1)
         if v in ("no_kc", "random_all"):
             bundle.a2 = ablation_rng.uniform(0.0, 1.0, size=k)
@@ -181,20 +181,6 @@ def evaluate(controller: Controller, instances, runs: int, master_seed: int,
 
 def mean_perf(rows) -> float:
     return float(np.mean([r.perf for r in rows]))
-
-
-def instance_summary(rows):
-    """Run-averaged metrics per instance: {instance_id: (perf_tasks, perf)}
-    where perf_tasks[j] is the mean over runs of task j's normalized final
-    objective and perf is the task mean of that."""
-    grouped = {}
-    for r in rows:
-        grouped.setdefault(r.instance_id, []).append(r.perf_tasks)
-    out = {}
-    for instance_id, stacks in grouped.items():
-        per_task = np.mean(np.stack(stacks), axis=0)
-        out[instance_id] = (per_task, float(per_task.mean()))
-    return out
 
 
 def write_results_csv(rows, path: str) -> None:

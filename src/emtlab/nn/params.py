@@ -42,17 +42,11 @@ class ParameterStore:
         self.params[name] = p
         return p
 
-    def __contains__(self, name):
-        return name in self.params
-
     def __getitem__(self, name) -> Parameter:
         try:
             return self.params[name]
         except KeyError:
             raise KeyError(f"unknown parameter: {name}") from None
-
-    def names(self):
-        return list(self.params)
 
     def leaf(self, name: str) -> Node:
         """Fresh graph leaf for a parameter; backward() adds into its grad."""

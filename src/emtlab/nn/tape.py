@@ -23,10 +23,6 @@ class Node:
         self.bprop = bprop
         self.param = param
 
-    @property
-    def shape(self):
-        return self.value.shape
-
 
 def constant(x) -> Node:
     """Wrap an array or scalar as a non-differentiable leaf."""

@@ -15,10 +15,11 @@ small MLP heads:
 Continuous actions are drawn from Gaussians with fixed standard deviation
 0.1 around the head means and clamped to their ranges; their log-density
 is scored as that of the unclamped Gaussian at the clamped value.
-Discrete actions sample their categorical distributions during training
-and take the argmax at inference.  Sampling for task j consumes only the
-j-th RNG stream (order per task: routing, amount, operator, F, Cr), which
-keeps the whole controller permutation-equivariant in the task axis.
+Given per-task RNG streams (training), every action is drawn; without
+them (inference), discrete actions take the argmax and continuous ones
+the mean.  Sampling for task j consumes only the j-th RNG stream (order
+per task: routing, amount, operator, F, Cr), which keeps the whole
+controller permutation-equivariant in the task axis.
 
 A value critic (MLP on the mean task embedding) provides the baseline for
 advantage estimation; it is permutation-invariant and K-agnostic.
@@ -114,9 +115,7 @@ def _sample_source(rng: np.random.Generator, probs: np.ndarray,
     # of [0, 1) is then a property of the tasks themselves, which keeps
     # sampled routing equivariant under task permutations
     order = np.argsort(-scores, kind="stable")
-    cdf = np.cumsum(probs[order])
-    cdf[-1] = 1.0
-    return int(order[np.searchsorted(cdf, rng.random(), side="right")])
+    return int(order[_sample_categorical(rng, probs[order])])
 
 
 def pair_concat(h_decision: Node, a1: np.ndarray) -> Node:
@@ -181,30 +180,29 @@ def _sample_gaussian(rngs, mu: np.ndarray, lo: float, hi: float) -> np.ndarray:
     return np.clip(draws, lo, hi)
 
 
-def act_with_context(store, features, mode="sample", rngs=None, forced_a1=None):
+def act_with_context(store, features, rngs=None, forced_a1=None):
     """Full controller pass.  Returns (ActionBundle, masked routing scores),
     the scores being the (K, K) pre-softmax matrix with -inf on the diagonal.
 
-    Deterministic mode takes the routing row argmax (ties to the lowest
-    index), the operator argmax and the Gaussian means, and consumes no
-    randomness.  Sample mode draws every action not forced by forced_a1.
+    Given rngs (one stream per task), draws every action not forced by
+    forced_a1.  Without rngs, takes the routing row argmax (ties to the
+    lowest index), the operator argmax and the Gaussian means, and
+    consumes no randomness.
     """
     features = np.atleast_2d(np.asarray(features, dtype=np.float64))
     k = features.shape[0]
-    if mode not in ("sample", "deterministic"):
-        raise ValueError(f"unknown mode: {mode}")
-    if mode == "sample" and (rngs is None or len(rngs) != k):
-        raise ValueError("sample mode needs one rng stream per task")
+    if rngs is not None and len(rngs) != k:
+        raise ValueError("sampling needs one rng stream per task")
     _, decision, masked, route_probs = _trunk(store, features)
     if forced_a1 is not None:
         a1 = np.asarray(forced_a1, dtype=int)
-    elif mode == "deterministic":
+    elif rngs is None:
         a1 = np.argmax(masked.value, axis=1)
     else:
         a1 = np.array([_sample_source(rngs[j], route_probs.value[j], masked.value[j])
                        for j in range(k)])
     mu_kc, op_probs, mu_f, mu_cr = (h.value for h in _heads(store, decision, a1))
-    if mode == "deterministic":
+    if rngs is None:
         a2, a32, a33 = mu_kc[:, 0], mu_f[:, 0], mu_cr[:, 0]
         a31 = np.argmax(op_probs, axis=1) + 1
     else:
@@ -216,8 +214,8 @@ def act_with_context(store, features, mode="sample", rngs=None, forced_a1=None):
     return ActionBundle(a1, a2, a31, a32, a33), masked.value
 
 
-def act(store, features, mode="sample", rngs=None, forced_a1=None) -> ActionBundle:
-    return act_with_context(store, features, mode, rngs, forced_a1)[0]
+def act(store, features, rngs=None, forced_a1=None) -> ActionBundle:
+    return act_with_context(store, features, rngs, forced_a1)[0]
 
 
 def _critic(store, e: Node) -> Node:

@@ -17,6 +17,8 @@ plus values and serve as critic targets.
 """
 
 import logging
+import os
+import shutil
 import time
 from dataclasses import dataclass, field
 
@@ -191,7 +193,7 @@ def run_training_episode(store, instance, config: PPOConfig, pop_size: int,
     rc_total = 0.0
     rk_total = 0.0
     for t in range(1, config.budget + 1):
-        bundle = act(store, features, "sample", rngs)
+        bundle = act(store, features, rngs)
         reward, info = emt_step(state, bundle)
         ep_return += reward
         rc_total += float(info["rc"].sum())
@@ -212,12 +214,14 @@ def run_training_episode(store, instance, config: PPOConfig, pop_size: int,
 def train(train_set, config: PPOConfig, seed: int, pop_size: int = 50,
           out_dir=None) -> TrainResult:
     """Full training loop: `epochs` passes over the instance set, one
-    episode per instance, checkpoint per epoch when out_dir is given.
-    A failing instance run is logged and skipped."""
+    episode per instance, checkpoint per epoch when out_dir is given;
+    checkpoint.json is a copy of the last one (of the initial parameters
+    when epochs is 0).  A failing instance run is logged and skipped."""
     if not train_set:
         raise ValueError("training set must not be empty")
     store = init_policy(seed)
     result = TrainResult(store)
+    last_checkpoint = None
     for epoch in range(1, config.epochs + 1):
         for inst in train_set:
             start = time.perf_counter()
@@ -233,9 +237,15 @@ def train(train_set, config: PPOConfig, seed: int, pop_size: int = 50,
                                          mean_rc, mean_rk,
                                          time.perf_counter() - start))
         if out_dir is not None:
-            save_checkpoint(store, f"{out_dir}/checkpoint_epoch_{epoch:03d}.json")
+            last_checkpoint = f"{out_dir}/checkpoint_epoch_{epoch:03d}.json"
+            save_checkpoint(store, last_checkpoint)
     if out_dir is not None:
-        save_checkpoint(store, f"{out_dir}/checkpoint.json")
+        final = f"{out_dir}/checkpoint.json"
+        if last_checkpoint is None:
+            save_checkpoint(store, final)
+        else:
+            shutil.copyfile(last_checkpoint, final + ".tmp")
+            os.replace(final + ".tmp", final)
     return result
 
 

@@ -125,7 +125,7 @@ class TestGradientSuite:
                 rng = derive_rng(seed, "accept-grad", k)
                 store = P.init_policy(derive_seed(seed, "accept-params", k))
                 feats = random_features(k, seed + 100 * k)
-                bundle = P.act(store, feats, "sample", task_rngs(k, seed))
+                bundle = P.act(store, feats, task_rngs(k, seed))
                 w = rng.standard_normal((k, 64))
 
                 def build():
@@ -350,7 +350,7 @@ class TestAblationHarness:
         instance = B.sample_instances(LEVEL, seed=71, n_tasks=N_TASKS, dim=DIM,
                                       count=1)[0]
         feats = random_features(N_TASKS, 71)
-        full = P.act(desk_policy, feats, "deterministic")
+        full = P.act(desk_policy, feats)
         action_fields = ("a1", "a2", "a31", "a32", "a33")
         substituted = {"no_tr": "a1", "no_kc": "a2", "no_op": "a31",
                        "no_f": "a32", "no_cr": "a33"}
@@ -361,8 +361,7 @@ class TestAblationHarness:
                 # downstream heads must equal the full policy conditioned
                 # on the substituted routing
                 assert (bundle.a1 != np.arange(N_TASKS)).all()
-                ref = P.act(desk_policy, feats, "deterministic",
-                            forced_a1=bundle.a1)
+                ref = P.act(desk_policy, feats, forced_a1=bundle.a1)
             else:
                 ref = full
             for name in action_fields:

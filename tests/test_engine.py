@@ -122,6 +122,16 @@ class TestSelfEvolve:
                                                     - pop.positions[r3])
         np.testing.assert_array_equal(off, np.clip(mutants, 0.0, 1.0))
 
+    @pytest.mark.parametrize("parents", [[], np.empty(0, dtype=int)])
+    def test_empty_parent_set(self, parents):
+        # every parent hosts a transfer offspring when m_kt = N
+        state = E.init_populations(tiny_instance(2, 3), 5, seed=7, budget=10)
+        rng = derive_rng(1, "se")
+        before = rng.bit_generator.state
+        off = E.self_evolve(state.populations[0], rng, parents)
+        assert off.shape == (0, 3)
+        assert rng.bit_generator.state == before
+
     def test_offspring_inside_unit_box(self):
         state = E.init_populations(tiny_instance(2, 5), 12, seed=9, budget=10)
         for _ in range(10):
@@ -172,6 +182,36 @@ class TestTransferEvolve:
             mutants[i] = tgt_best + 0.3 * (source.positions[r1]
                                            - source.positions[r2])
         np.testing.assert_allclose(off, np.clip(mutants, 0, 1))
+
+    @pytest.mark.parametrize("op_id", [1, 2, 3, 4])
+    def test_each_operator_replays_documented_draws(self, op_id):
+        # per offspring: the random base index (operators 2 and 3), then
+        # the difference pair; Cr = 1 makes every trial the raw mutant
+        target, source = self._two_pops(n=12)
+        off, hosts = E.transfer_evolve(target, source, 0.5, op_id, 0.3, 1.0,
+                                       derive_rng(6, "t"))
+        m = len(hosts)
+        replay = derive_rng(6, "t")
+        np.testing.assert_array_equal(hosts, replay.choice(12, size=m, replace=False))
+        elites = np.argsort(source.fitness, kind="stable")[:m]
+        src, tgt = source.positions, target.positions
+        mutants = np.empty((m, 4))
+        for i in range(m):
+            if op_id == 1:
+                r1, r2 = replay.choice(elites, size=2, replace=False)
+                mutants[i] = tgt[np.argmin(target.fitness)] + 0.3 * (src[r1] - src[r2])
+            elif op_id == 2:
+                t1 = replay.choice(12, size=1, replace=False)[0]
+                r2, r3 = replay.choice(elites, size=2, replace=False)
+                mutants[i] = tgt[t1] + 0.3 * (src[r2] - src[r3])
+            elif op_id == 3:
+                r1 = replay.choice(elites, size=1, replace=False)[0]
+                t2, t3 = replay.choice(12, size=2, replace=False)
+                mutants[i] = src[r1] + 0.3 * (tgt[t2] - tgt[t3])
+            else:
+                t1, t2 = replay.choice(12, size=2, replace=False)
+                mutants[i] = src[np.argmin(source.fitness)] + 0.3 * (tgt[t1] - tgt[t2])
+        np.testing.assert_array_equal(off, np.clip(mutants, 0.0, 1.0))
 
     def test_operator_three_f_zero_injects_source(self):
         target, source = self._two_pops(n=10)

@@ -1,4 +1,4 @@
-"""Fixed-seed golden digests of two end-to-end outputs.
+"""Fixed-seed golden digests of three end-to-end outputs.
 
 A change that claims to keep behaviour must keep these bytes.  A
 deliberate behaviour change (a new RNG stream contract, a different
@@ -16,6 +16,7 @@ from emtlab import ppo
 from emtlab.policy import init_policy
 
 EVAL_TRACE_SHA256 = "ada930f8fea7990c3a972132023cc8706982091bbf9cf8321cd817d3c1e24bd8"
+RANDOM_ALL_TRACE_SHA256 = "abe27735e2681c6a6bf1f6727c427d22b64cc755d38e4aff7c1f8e4fa4c40182"
 TRAIN_CHECKPOINT_SHA256 = "53357f70e6de6190bfe83be8fcf3fda5905b3c85dec9658a43e01c2d77238bc2"
 
 
@@ -28,15 +29,26 @@ def _instances(count):
     return B.sample_instances(0.2, seed=3, n_tasks=3, dim=4, count=count)
 
 
-def test_deterministic_eval_trace(tmp_path):
-    controller = H.Controller(init_policy(0), "full")
+def _eval_trace_sha256(variant, tmp_path):
+    controller = H.Controller(init_policy(0), variant)
     rows, episodes = H.evaluate(controller, _instances(2), runs=2,
                                 master_seed=0, pop_size=8, budget=10,
                                 collect_trace=True)
     path = tmp_path / "trace.csv"
     H.write_trace_csv([(r.run_index, ep) for r, ep in zip(rows, episodes)],
                       str(path))
-    assert _sha256(path) == EVAL_TRACE_SHA256
+    return _sha256(path)
+
+
+def test_deterministic_eval_trace(tmp_path):
+    # this policy uses operators 1, 3 and 4 with two transfers per task
+    assert _eval_trace_sha256("full", tmp_path) == EVAL_TRACE_SHA256
+
+
+def test_random_all_eval_trace(tmp_path):
+    # random substitutes reach all four operators and every transfer count
+    # from a single elite (m_kt = 1) to full transfer (m_kt = N)
+    assert _eval_trace_sha256("random_all", tmp_path) == RANDOM_ALL_TRACE_SHA256
 
 
 def test_one_epoch_training_checkpoint(tmp_path):

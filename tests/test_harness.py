@@ -66,15 +66,6 @@ class TestNormalizedRatios:
         np.testing.assert_array_equal(out, [1.0])
         assert "clamping" in caplog.text
 
-    def test_instance_summary_averages_runs(self):
-        rows = [H.EvaluationRow("a", 0, 0.3, np.array([0.2, 0.4]), 0.0),
-                H.EvaluationRow("a", 1, 0.5, np.array([0.4, 0.6]), 0.0),
-                H.EvaluationRow("b", 0, 0.1, np.array([0.1, 0.1]), 0.0)]
-        summary = H.instance_summary(rows)
-        np.testing.assert_allclose(summary["a"][0], [0.3, 0.5])
-        assert summary["a"][1] == pytest.approx(0.4)
-        assert summary["b"][1] == pytest.approx(0.1)
-
     @given(st.integers(0, 2 ** 32 - 1))
     @settings(max_examples=40, deadline=None)
     def test_always_in_unit_interval(self, seed):
@@ -99,7 +90,7 @@ class TestControllers:
     def test_full_matches_plain_policy(self):
         store, f = self._setup()
         bundle, _ = H.Controller(store, "full").act(f)
-        direct = P.act(store, f, "deterministic")
+        direct = P.act(store, f)
         np.testing.assert_array_equal(bundle.a1, direct.a1)
         np.testing.assert_array_equal(bundle.a2, direct.a2)
         np.testing.assert_array_equal(bundle.a31, direct.a31)
@@ -113,7 +104,7 @@ class TestControllers:
     def test_fixed_value_variants_change_only_their_field(self, variant,
                                                           field, others):
         store, f = self._setup()
-        full = P.act(store, f, "deterministic")
+        full = P.act(store, f)
         bundle, _ = H.Controller(store, variant).act(f)
         np.testing.assert_array_equal(getattr(bundle, field), 0.5)
         for name in others:
@@ -161,7 +152,7 @@ class TestControllers:
         store, f = self._setup()
         controller = H.Controller(store, "no_tr")
         bundle, _ = controller.act(f, ablation_rng=derive_rng(4, "ab"))
-        recomputed = P.act(store, f, "deterministic", forced_a1=bundle.a1)
+        recomputed = P.act(store, f, forced_a1=bundle.a1)
         np.testing.assert_array_equal(bundle.a2, recomputed.a2)
         np.testing.assert_array_equal(bundle.a31, recomputed.a31)
         np.testing.assert_array_equal(bundle.a32, recomputed.a32)

@@ -30,9 +30,9 @@ class TestStore:
 class TestAdam:
     def test_zero_gradient_is_identity(self):
         store = make_store()
-        before = {n: store[n].value.copy() for n in store.names()}
+        before = {n: store[n].value.copy() for n in list(store.params)}
         adam_step(store, 0.01, 1)
-        for n in store.names():
+        for n in list(store.params):
             np.testing.assert_array_equal(store[n].value, before[n])
 
     def test_first_step_matches_hand_computation(self):
@@ -80,7 +80,7 @@ class TestCheckpoint:
         save_checkpoint(store, str(path))
         loaded = load_checkpoint(str(path))
         assert loaded.step == 42
-        for name in store.names():
+        for name in list(store.params):
             np.testing.assert_array_equal(loaded[name].value, store[name].value)
             np.testing.assert_array_equal(loaded[name].m1, store[name].m1)
             np.testing.assert_array_equal(loaded[name].m2, store[name].m2)

@@ -124,7 +124,7 @@ def _routing_store(raw, seed=3):
 class TestRoute:
     def test_two_tasks_forced_choice(self):
         store = P.init_policy(3)
-        bundle = P.act(store, random_features(2, 7), "deterministic")
+        bundle = P.act(store, random_features(2, 7))
         np.testing.assert_array_equal(bundle.a1, [1, 0])
 
     def test_deterministic_picks_highest_unmasked(self):
@@ -133,7 +133,7 @@ class TestRoute:
                         [0.0, 3.0, 9.0, 2.0],
                         [1.0, 0.0, 2.5, 9.0]])
         store, f = _routing_store(raw)
-        bundle, scores = P.act_with_context(store, f, "deterministic")
+        bundle, scores = P.act_with_context(store, f)
         np.testing.assert_array_equal(bundle.a1, [1, 0, 1, 2])
         masked = raw.copy()
         np.fill_diagonal(masked, -np.inf)
@@ -142,8 +142,8 @@ class TestRoute:
     def test_argmax_invariant_under_positive_affine(self):
         rng = derive_rng(4, "rows")
         raw = rng.standard_normal((5, 5))
-        a1 = P.act(*_routing_store(raw), "deterministic").a1
-        a1b = P.act(*_routing_store(raw * 3.7 + 11.0), "deterministic").a1
+        a1 = P.act(*_routing_store(raw)).a1
+        a1b = P.act(*_routing_store(raw * 3.7 + 11.0)).a1
         np.testing.assert_array_equal(a1, a1b)
 
     def test_sampling_frequencies_match_softmax(self):
@@ -201,14 +201,14 @@ class TestContinuousHeads:
         store = P.init_policy(5)
         store["kc2.W"].value[...] = 0.0
         store["kc2.b"].value[...] = 0.0
-        bundle = P.act(store, random_features(3), "deterministic")
+        bundle = P.act(store, random_features(3))
         np.testing.assert_allclose(bundle.a2, 0.25)
 
     def test_kc_saturated_negative_gives_zero(self):
         store = P.init_policy(5)
         store["kc2.W"].value[...] = 0.0
         store["kc2.b"].value[...] = -40.0  # tanh saturates to -1
-        bundle = P.act(store, random_features(3), "deterministic")
+        bundle = P.act(store, random_features(3))
         np.testing.assert_allclose(bundle.a2, 0.0, atol=1e-12)
 
     def test_fcr_zero_mlp_gives_half(self):
@@ -216,7 +216,7 @@ class TestContinuousHeads:
         for head in ("f", "cr"):
             store[f"{head}2.W"].value[...] = 0.0
             store[f"{head}2.b"].value[...] = 0.0
-        bundle = P.act(store, random_features(3), "deterministic")
+        bundle = P.act(store, random_features(3))
         np.testing.assert_allclose(bundle.a32, 0.5)
         np.testing.assert_allclose(bundle.a33, 0.5)
 
@@ -224,7 +224,7 @@ class TestContinuousHeads:
         store = P.init_policy(5)
         store["f2.W"].value[...] = 0.0
         store["f2.b"].value[...] = 40.0
-        bundle = P.act(store, random_features(3), "deterministic")
+        bundle = P.act(store, random_features(3))
         np.testing.assert_allclose(bundle.a32, 1.0, atol=1e-12)
 
     def test_sampled_bounds_hold_in_bulk(self):
@@ -248,17 +248,17 @@ class TestOperatorHead:
         store["op2.b"].value[...] = 0.0
         _, op_probs, _, _ = _heads_for(store, 4)
         np.testing.assert_allclose(op_probs.value, 0.25)
-        bundle = P.act(store, random_features(4), "deterministic")
+        bundle = P.act(store, random_features(4))
         np.testing.assert_array_equal(bundle.a31, 1)  # ties resolve to the lowest id
 
     def test_dominant_logit_selected(self):
         store = P.init_policy(7)
         store["op2.W"].value[...] = 0.0
         store["op2.b"].value[...] = np.array([[10.0, 0.0, 0.0, 0.0]])
-        bundle = P.act(store, random_features(4), "deterministic")
+        bundle = P.act(store, random_features(4))
         np.testing.assert_array_equal(bundle.a31, 1)
         store["op2.b"].value[...] = np.array([[0.0, 0.0, 10.0, 0.0]])
-        bundle = P.act(store, random_features(4), "deterministic")
+        bundle = P.act(store, random_features(4))
         np.testing.assert_array_equal(bundle.a31, 3)
 
     def test_sampling_frequencies(self):
@@ -279,8 +279,8 @@ class TestAct:
     def test_deterministic_is_pure(self):
         store = P.init_policy(9)
         f = random_features(4, 9)
-        a = P.act(store, f, "deterministic")
-        b = P.act(store, f, "deterministic")
+        a = P.act(store, f)
+        b = P.act(store, f)
         np.testing.assert_array_equal(a.a1, b.a1)
         np.testing.assert_array_equal(a.a2, b.a2)
         np.testing.assert_array_equal(a.a31, b.a31)
@@ -290,8 +290,8 @@ class TestAct:
     def test_sample_mode_reproducible(self):
         store = P.init_policy(9)
         f = random_features(4, 9)
-        a = P.act(store, f, "sample", task_rngs(4, 1))
-        b = P.act(store, f, "sample", task_rngs(4, 1))
+        a = P.act(store, f, task_rngs(4, 1))
+        b = P.act(store, f, task_rngs(4, 1))
         for name in ("a1", "a2", "a31", "a32", "a33"):
             np.testing.assert_array_equal(getattr(a, name), getattr(b, name))
 
@@ -301,7 +301,7 @@ class TestAct:
             k = 2 + seed % 5
             for draw in range(10):
                 f = random_features(k, seed * 31 + draw)
-                b = P.act(store, f, "sample", task_rngs(k, draw))
+                b = P.act(store, f, task_rngs(k, draw))
                 assert (b.a1 != np.arange(k)).all()
                 assert (b.a1 >= 0).all() and (b.a1 < k).all()
                 assert (b.a2 >= 0).all() and (b.a2 <= 0.5).all()
@@ -313,7 +313,7 @@ class TestAct:
     def test_log_prob_decomposes_against_numpy_oracle(self):
         store = P.init_policy(11)
         f = random_features(5, 11)
-        bundle = P.act(store, f, "sample", task_rngs(5, 3))
+        bundle = P.act(store, f, task_rngs(5, 3))
         ref = numpy_forward(store, f, bundle.a1)
         _, decision, _, _ = P._trunk(store, f)
         mu_kc, _, mu_f, mu_cr = P._heads(store, decision, bundle.a1)
@@ -333,7 +333,7 @@ class TestAct:
     def test_context_scores_match_oracle(self):
         store = P.init_policy(11)
         f = random_features(4, 12)
-        bundle, scores = P.act_with_context(store, f, "deterministic")
+        bundle, scores = P.act_with_context(store, f)
         ref = numpy_forward(store, f, bundle.a1)
         np.testing.assert_allclose(scores, ref["scores"], rtol=1e-12)
         assert np.isneginf(np.diag(scores)).all()
@@ -346,9 +346,9 @@ class TestAct:
         f = random_features(k, 21)
         perm = np.array([2, 0, 4, 1, 3])
         inverse = np.argsort(perm)
-        base = P.act(store, f, "sample",
+        base = P.act(store, f,
                      [derive_rng(50, "stream", j) for j in range(k)])
-        permuted = P.act(store, f[perm], "sample",
+        permuted = P.act(store, f[perm],
                          [derive_rng(50, "stream", perm[i]) for i in range(k)])
         np.testing.assert_allclose(permuted.a2, base.a2[perm], rtol=1e-10)
         np.testing.assert_array_equal(permuted.a31, base.a31[perm])
@@ -363,24 +363,19 @@ class TestAct:
         store = P.init_policy(13)
         f = random_features(4, 22)
         forced = np.array([2, 3, 0, 1])
-        bundle = P.act(store, f, "deterministic", forced_a1=forced)
+        bundle = P.act(store, f, forced_a1=forced)
         np.testing.assert_array_equal(bundle.a1, forced)
 
     def test_self_routing_rejected(self):
         store = P.init_policy(13)
         with pytest.raises(ValueError, match="own source"):
-            P.act(store, random_features(4, 22), "deterministic",
+            P.act(store, random_features(4, 22),
                   forced_a1=np.array([0, 0, 1, 2]))
 
     def test_sample_mode_requires_stream_per_task(self):
         store = P.init_policy(13)
         with pytest.raises(ValueError, match="one rng stream per task"):
-            P.act(store, random_features(4, 23), "sample", task_rngs(3, 0))
-
-    def test_unknown_mode_rejected(self):
-        store = P.init_policy(13)
-        with pytest.raises(ValueError, match="unknown mode"):
-            P.act(store, random_features(4, 23), "greedy")
+            P.act(store, random_features(4, 23), task_rngs(3, 0))
 
 
 class TestCritic:
@@ -414,7 +409,7 @@ class TestEvaluateActions:
         # one function of the state
         store = P.init_policy(seed)
         f = random_features(k, seed)
-        bundle = P.act(store, f, "sample", task_rngs(k, seed))
+        bundle = P.act(store, f, task_rngs(k, seed))
         logp, value, _ = P.evaluate_actions(store, f, bundle)
         again, _, _ = P.evaluate_actions(store, f, bundle)
         assert math.isfinite(logp.value.item())
@@ -424,7 +419,7 @@ class TestEvaluateActions:
     def test_entropy_is_positive_and_finite(self):
         store = P.init_policy(17)
         f = random_features(4, 41)
-        bundle = P.act(store, f, "sample", task_rngs(4, 8))
+        bundle = P.act(store, f, task_rngs(4, 8))
         _, _, ent = P.evaluate_actions(store, f, bundle, need_entropy=True)
         assert np.isfinite(ent.value).all() and ent.value.item() > 0
 
@@ -433,7 +428,7 @@ class TestEvaluateActions:
         rng = derive_rng(2, "efd", k)
         store = P.init_policy(19)
         f = random_features(k, 42 + k)
-        bundle = P.act(store, f, "sample", task_rngs(k, 9))
+        bundle = P.act(store, f, task_rngs(k, 9))
 
         def build():
             logp, value, _ = P.evaluate_actions(store, f, bundle)

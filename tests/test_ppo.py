@@ -1,6 +1,8 @@
 """Advantage estimation, the clipped-surrogate update, and the training
 loop's determinism and accounting."""
 
+import os
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -21,7 +23,7 @@ def sampled_buffer(store, n, k=3, seed=0, rewards=None):
     buf = []
     for i in range(n):
         f = random_features(k, seed * 100 + i)
-        bundle = P.act(store, f, "sample", task_rngs(k, seed * 100 + i))
+        bundle = P.act(store, f, task_rngs(k, seed * 100 + i))
         r = 1.0 if rewards is None else rewards[i]
         buf.append(ppo.Transition(f, bundle, r))
     return buf
@@ -121,7 +123,7 @@ class TestUpdate:
     def test_clip_boundary_engages(self):
         store = P.init_policy(23)
         f = random_features(3, 5)
-        bundle = P.act(store, f, "sample", task_rngs(3, 5))
+        bundle = P.act(store, f, task_rngs(3, 5))
         # reward chosen so the (unnormalized) advantage is +1, behaviour
         # log-prob shifted so the ratio is exactly 2
         v = P.critic_value(store, f).value.item()
@@ -162,7 +164,7 @@ class TestUpdate:
         scored, old_logp, adv, ret = scored_segment(store, buf, config)
         loss, _ = ppo._ppo_loss(scored, adv, ret, old_logp, config)
         backward(loss)
-        surrogate_grads = {n: store[n].grad.copy() for n in store.names()}
+        surrogate_grads = {n: store[n].grad.copy() for n in list(store.params)}
 
         store.zero_grads()
         total = None
@@ -171,7 +173,7 @@ class TestUpdate:
             term = tape.scale(logp, -a / len(buf))
             total = term if total is None else tape.add(total, term)
         backward(total)
-        for n in store.names():
+        for n in list(store.params):
             np.testing.assert_allclose(store[n].grad, surrogate_grads[n],
                                        rtol=1e-8, atol=1e-12)
 
@@ -179,22 +181,22 @@ class TestUpdate:
         store = P.init_policy(23)
         buf = sampled_buffer(store, 2, seed=2)
         store["kc2.b"].value[0, 0] = np.nan
-        before = {n: store[n].value.copy() for n in store.names()}
+        before = {n: store[n].value.copy() for n in list(store.params)}
         stats = ppo.ppo_update(buf, store, ppo.PPOConfig(k_ppo=2))
         assert stats["aborted"] and "non-finite" in stats["diagnostic"]
         assert stats["iterations"] == []
-        for n in store.names():
+        for n in list(store.params):
             np.testing.assert_array_equal(store[n].value, before[n])
 
     def test_update_changes_parameters(self):
         store = P.init_policy(23)
         rng = derive_rng(3, "rew")
         buf = sampled_buffer(store, 5, seed=3, rewards=rng.normal(size=5).tolist())
-        before = {n: store[n].value.copy() for n in store.names()}
+        before = {n: store[n].value.copy() for n in list(store.params)}
         stats = ppo.ppo_update(buf, store, ppo.PPOConfig())
         assert len(stats["iterations"]) == 3
         changed = any(not np.array_equal(store[n].value, before[n])
-                      for n in store.names())
+                      for n in list(store.params))
         assert changed and store.step == 3
 
 
@@ -208,7 +210,7 @@ class TestTrain:
         config = ppo.PPOConfig(epochs=0, budget=4)
         result = ppo.train(desk_instances(), config, seed=7, pop_size=6)
         reference = P.init_policy(7)
-        for n in reference.names():
+        for n in list(reference.params):
             np.testing.assert_array_equal(result.params[n].value,
                                           reference[n].value)
         assert result.log == []
@@ -227,7 +229,7 @@ class TestTrain:
             assert (ra.epoch, ra.instance_id) == (rb.epoch, rb.instance_id)
             assert ra.episode_return == rb.episode_return
             assert ra.mean_rc == rb.mean_rc and ra.mean_rk == rb.mean_rk
-        for n in a.params.names():
+        for n in list(a.params.params):
             np.testing.assert_array_equal(a.params[n].value, b.params[n].value)
 
     def test_checkpoints_written_and_loadable(self, tmp_path):
@@ -239,10 +241,32 @@ class TestTrain:
             assert (tmp_path / name).exists()
         loaded = load_checkpoint(str(tmp_path / "checkpoint.json"))
         f = random_features(2, 77)
-        a = P.act(result.params, f, "deterministic")
-        b = P.act(loaded, f, "deterministic")
+        a = P.act(result.params, f)
+        b = P.act(loaded, f)
         np.testing.assert_array_equal(a.a2, b.a2)
         np.testing.assert_array_equal(a.a1, b.a1)
+
+    @pytest.mark.parametrize("epochs, saved", [
+        (2, ["checkpoint_epoch_001.json", "checkpoint_epoch_002.json"]),
+        (0, ["checkpoint.json"])])
+    def test_final_checkpoint_serialized_once(self, tmp_path, monkeypatch,
+                                              epochs, saved):
+        calls = []
+        original = ppo.save_checkpoint
+
+        def spy(store, path):
+            calls.append(os.path.basename(path))
+            original(store, path)
+
+        monkeypatch.setattr(ppo, "save_checkpoint", spy)
+        config = ppo.PPOConfig(epochs=epochs, budget=4, t_ppo=4)
+        ppo.train(desk_instances(1), config, seed=13, pop_size=6,
+                  out_dir=str(tmp_path))
+        assert calls == saved
+        final = (tmp_path / "checkpoint.json").read_bytes()
+        assert final == (tmp_path / saved[-1]).read_bytes()
+        assert sorted(p.name for p in tmp_path.iterdir()) == sorted(
+            set(saved) | {"checkpoint.json"})
 
     def test_episode_return_matches_engine_rewards(self, monkeypatch):
         recorded = []

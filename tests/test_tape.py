@@ -19,8 +19,8 @@ def fd_gradcheck(store, build_loss, rng, h=1e-5, rel_tol=1e-4, abs_floor=1e-7,
     """Central finite differences on sampled coordinates of every parameter."""
     store.zero_grads()
     backward(build_loss())
-    grads = {name: store[name].grad.copy() for name in store.names()}
-    for name in store.names():
+    grads = {name: store[name].grad.copy() for name in list(store.params)}
+    for name in list(store.params):
         flat = store[name].value.ravel()
         n = flat.size
         coords = np.arange(n) if n <= max_coords else rng.choice(
