@@ -28,6 +28,14 @@ per-offspring operator indices, then the transfer crossover mask matrix
 and j_rand vector, then per-parent self-evolution partner indices, then
 the self crossover mask matrix and j_rand vector.  With a2 = 0 the stream
 consumption is exactly that of an independent single-task DE/rand/1/bin.
+
+Known fault, kept for reproducibility: emt_step advances the tasks in
+index order, each through selection before the next starts.  A transfer
+into task j from a source a1_j < j therefore reads that source's
+population after this generation's selection, and one from a1_j > j the
+population before it.  The engine is not permutation-equivariant in the
+task axis, although the controller is: relabelling the tasks of an
+instance (same streams, positions and routing) changes the results.
 """
 
 from dataclasses import dataclass, field

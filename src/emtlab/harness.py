@@ -15,7 +15,7 @@ import numpy as np
 
 from .engine import (TRACE_COLUMNS, emt_step, extract_state, init_populations,
                      trace_rows)
-from .policy import act_with_context
+from .policy import act_with_context, init_policy
 from .seeds import derive_rng, derive_seed
 from .stats import wilcoxon_signed_rank
 
@@ -42,12 +42,28 @@ class Controller:
     given the substituted routing.  Note no_kc intentionally exceeds the
     policy's own [0, 0.5] proportion bound; the engine caps the transfer
     count at the population size.
+
+    The store must have init_policy's parameter names and shapes; the
+    first missing, unexpected or mis-shaped parameter raises ValueError.
     """
 
     def __init__(self, store, variant: str = "full"):
         if variant not in ABLATION_VARIANTS:
             raise ValueError(f"unknown variant: {variant!r}, "
                              f"expected one of {ABLATION_VARIANTS}")
+        expected = {n: p.value.shape for n, p in init_policy(0).params.items()}
+        found = {n: p.value.shape for n, p in store.params.items()}
+        misfit = "parameters do not fit the policy network: "
+        for name, shape in expected.items():
+            if name not in found:
+                raise ValueError(f"{misfit}{name} (expected shape {shape}) "
+                                 "is missing")
+            if found[name] != shape:
+                raise ValueError(f"{misfit}{name} has shape {found[name]}, "
+                                 f"expected {shape}")
+        for name, shape in found.items():
+            if name not in expected:
+                raise ValueError(f"{misfit}unexpected {name} (shape {shape})")
         self.store = store
         self.variant = variant
 
@@ -112,7 +128,6 @@ class EpisodeResult:
     best_trace: np.ndarray          # (G+1, K) best-so-far, row 0 = initial
     f0: np.ndarray                  # (K,)
     kt_ratio: float
-    rewards: list
     trace: list = field(default_factory=list)
     attention: list = field(default_factory=list)
 
@@ -131,14 +146,12 @@ def run_episode(instance, controller: Controller, episode_seed: int,
     ablation_rng = derive_rng(episode_seed, "ablation")
     best_trace = np.empty((budget + 1, k))
     best_trace[0] = state.best_values()
-    rewards = []
     result = EpisodeResult(instance.instance_id, best_trace,
-                           state.f0.copy(), 0.0, rewards)
+                           state.f0.copy(), 0.0)
     for t in range(1, budget + 1):
         features = extract_state(state)
         bundle, scores = controller.act(features, ablation_rng)
-        reward, info = emt_step(state, bundle)
-        rewards.append(reward)
+        _, info = emt_step(state, bundle)
         best_trace[t] = state.best_values()
         if collect_trace:
             result.trace.extend(trace_rows(t, features, state, bundle, info))

@@ -8,6 +8,7 @@ import numpy as np
 from .tape import Node
 
 CHECKPOINT_VERSION = 1
+BETA1, BETA2, EPS = 0.9, 0.999, 1e-8   # Adam's decay rates and offset
 
 
 class CheckpointError(ValueError):
@@ -69,19 +70,18 @@ def add_dense(store: ParameterStore, rng: np.random.Generator, layer: str,
     store.add(f"{layer}.b", uniform_init(rng, 1, fan_out, fan_in))
 
 
-def adam_step(store: ParameterStore, learning_rate: float, step_count: int,
-              beta1: float = 0.9, beta2: float = 0.999, eps: float = 1e-8) -> None:
-    """Bias-corrected adaptive-moment update; zeroes gradients afterwards."""
-    if step_count < 1:
-        raise ValueError("step_count starts at 1")
-    c1 = 1.0 - beta1 ** step_count
-    c2 = 1.0 - beta2 ** step_count
+def adam_step(store: ParameterStore, learning_rate: float) -> None:
+    """Bias-corrected adaptive-moment update; counts the step in
+    store.step and zeroes gradients afterwards."""
+    store.step += 1
+    c1 = 1.0 - BETA1 ** store.step
+    c2 = 1.0 - BETA2 ** store.step
     for p in store.params.values():
-        p.m1 *= beta1
-        p.m1 += (1.0 - beta1) * p.grad
-        p.m2 *= beta2
-        p.m2 += (1.0 - beta2) * p.grad * p.grad
-        p.value -= learning_rate * (p.m1 / c1) / (np.sqrt(p.m2 / c2) + eps)
+        p.m1 *= BETA1
+        p.m1 += (1.0 - BETA1) * p.grad
+        p.m2 *= BETA2
+        p.m2 += (1.0 - BETA2) * p.grad * p.grad
+        p.value -= learning_rate * (p.m1 / c1) / (np.sqrt(p.m2 / c2) + EPS)
         p.grad[...] = 0.0
 
 

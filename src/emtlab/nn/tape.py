@@ -82,7 +82,8 @@ def neg(a: Node) -> Node:
     return out
 
 
-def scale(a: Node, c: float) -> Node:
+def scale(a: Node, c) -> Node:
+    """Multiply by a constant: a float, or an array of a's shape."""
     out = Node(a.value * c, (a,))
     out.bprop = lambda g: _accum(a, g * c)
     return out
@@ -189,10 +190,13 @@ def take_rows(a: Node, idx) -> Node:
     return out
 
 
-def concat_cols(a: Node, b: Node) -> Node:
-    na = a.value.shape[1]
-    out = Node(np.concatenate([a.value, b.value], axis=1), (a, b))
-    out.bprop = lambda g: (_accum(a, g[:, :na]), _accum(b, g[:, na:]))
+def concat(nodes, axis: int) -> Node:
+    """Join a sequence of nodes along an axis: 0 stacks rows, 1 places
+    columns side by side."""
+    ends = np.cumsum([n.value.shape[axis] for n in nodes])[:-1]
+    out = Node(np.concatenate([n.value for n in nodes], axis=axis), tuple(nodes))
+    out.bprop = lambda g: [_accum(n, part) for n, part
+                           in zip(nodes, np.split(g, ends, axis=axis))]
     return out
 
 

@@ -29,8 +29,8 @@ attention, masked routing softmax) and `_heads` (the four per-task
 distributions given a routing).  `act_with_context` only chooses actions
 from them and records no probabilities; `evaluate_actions` rebuilds the
 same graph for a chosen bundle and adds `_log_prob` (the joint
-log-probability, routing included) and the critic.  The policy update
-scores each collected bundle there, once per pass.
+log-probability, routing included), the critic and the entropy.  The
+policy update scores each collected bundle there, once per pass.
 """
 
 import math
@@ -120,7 +120,7 @@ def _sample_source(rng: np.random.Generator, probs: np.ndarray,
 
 def pair_concat(h_decision: Node, a1: np.ndarray) -> Node:
     """Row j becomes [decision_j | decision_{a1[j]}]."""
-    return tape.concat_cols(h_decision, tape.take_rows(h_decision, a1))
+    return tape.concat([h_decision, tape.take_rows(h_decision, a1)], axis=1)
 
 
 def _trunk(store, features):
@@ -234,15 +234,12 @@ def _entropy(probs: Node) -> Node:
     return tape.neg(tape.sum_all(tape.mul(probs, safe)))
 
 
-def evaluate_actions(store, features, bundle: ActionBundle,
-                     need_entropy: bool = False):
-    """Joint log-probability of a bundle (routing included) plus the state
-    value, on the gradient tape, through the same trunk and heads that
-    acting uses.  The policy-update step scores every collected bundle
-    here."""
+def evaluate_actions(store, features, bundle: ActionBundle):
+    """Joint log-probability of a bundle (routing included), the state
+    value and the routing-plus-operator entropy, on the gradient tape,
+    through the same trunk and heads that acting uses.  The policy-update
+    step scores every collected bundle here."""
     e, decision, _, route_probs = _trunk(store, features)
     heads = _heads(store, decision, np.asarray(bundle.a1, dtype=int))
-    entropy = None
-    if need_entropy:
-        entropy = tape.add(_entropy(route_probs), _entropy(heads[1]))
+    entropy = tape.add(_entropy(route_probs), _entropy(heads[1]))
     return _log_prob(heads, bundle, route_probs), _critic(store, e), entropy

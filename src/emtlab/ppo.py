@@ -9,9 +9,11 @@ the policy takes `k_ppo` full-batch update passes of
            + value_coef * E[(return - V)^2] - entropy_coef * H
 
 where r is the ratio of the current to the behaviour probability of the
-joint action.  Rollouts only act; the first pass scores the segment with
-the parameters that collected it, and those log-probabilities and values
-are the behaviour log-probabilities and GAE values of all k_ppo passes.
+joint action.  Each pass scores the segment as (T, 1) columns
+(`score_segment`), and the loss is one array expression over them.
+Rollouts only act; the first pass scores the segment with the parameters
+that collected it, and those log-probabilities and values are the
+behaviour log-probabilities and GAE values of all k_ppo passes.
 Advantages are normalized within each segment; returns are raw advantages
 plus values and serve as critic targets.
 """
@@ -90,37 +92,34 @@ def compute_advantages(rewards, values, config: PPOConfig,
     return adv, returns
 
 
-def _ppo_loss(scored, advantages, returns, old_logp, config: PPOConfig):
-    """Clipped-surrogate loss over a segment's `evaluate_actions` outputs."""
-    n = len(scored)
-    surr_sum = None
-    vloss_sum = None
-    ent_sum = None
-    ratio_vals = []
-    want_entropy = config.entropy_coef != 0.0
-    for i, (logp, value, entropy) in enumerate(scored):
-        ratio = tape.exp(tape.sub(logp, constant(old_logp[i])))
-        ratio_vals.append(ratio.value.item())
-        unclipped = tape.scale(ratio, advantages[i])
-        clipped = tape.scale(tape.clip(ratio, 1.0 - config.clip_eps,
-                                       1.0 + config.clip_eps), advantages[i])
-        surr = tape.minimum(unclipped, clipped)
-        verr = tape.sub(constant(returns[i]), value)
-        vloss = tape.mul(verr, verr)
-        surr_sum = surr if surr_sum is None else tape.add(surr_sum, surr)
-        vloss_sum = vloss if vloss_sum is None else tape.add(vloss_sum, vloss)
-        if want_entropy:
-            ent_sum = entropy if ent_sum is None else tape.add(ent_sum, entropy)
-    loss = tape.add(tape.scale(surr_sum, -1.0 / n),
-                    tape.scale(vloss_sum, config.value_coef / n))
-    if want_entropy:
-        loss = tape.sub(loss, tape.scale(ent_sum, config.entropy_coef / n))
-    parts = {
-        "surrogate": surr_sum.value.item() / n,
-        "value_loss": vloss_sum.value.item() / n,
-        "entropy": ent_sum.value.item() / n if want_entropy else 0.0,
-        "mean_ratio": float(np.mean(ratio_vals)),
-    }
+def score_segment(store: ParameterStore, buffer):
+    """Score every transition of a segment with `evaluate_actions`; returns
+    its log-probabilities, values and entropies as three (T, 1) columns."""
+    scored = [evaluate_actions(store, t.features, t.action) for t in buffer]
+    return tuple(tape.concat(nodes, axis=0) for nodes in zip(*scored))
+
+
+def _ppo_loss(columns, advantages, returns, old_logp, config: PPOConfig):
+    """Clipped-surrogate loss over a segment's `score_segment` columns;
+    advantages, returns and old_logp hold one entry per transition.  The
+    entropy enters the loss only when entropy_coef is nonzero."""
+    logp, value, entropy = columns
+    n = logp.value.shape[0]
+    adv = np.reshape(advantages, (n, 1))
+    ratio = tape.exp(tape.sub(logp, constant(np.reshape(old_logp, (n, 1)))))
+    clipped = tape.clip(ratio, 1.0 - config.clip_eps, 1.0 + config.clip_eps)
+    surr = tape.sum_all(tape.minimum(tape.scale(ratio, adv),
+                                     tape.scale(clipped, adv)))
+    verr = tape.sub(constant(np.reshape(returns, (n, 1))), value)
+    vloss = tape.sum_all(tape.mul(verr, verr))
+    ent = tape.sum_all(entropy)
+    loss = tape.add(tape.scale(surr, -1.0 / n),
+                    tape.scale(vloss, config.value_coef / n))
+    if config.entropy_coef != 0.0:
+        loss = tape.sub(loss, tape.scale(ent, config.entropy_coef / n))
+    parts = {name: node.value.item() / n for name, node in
+             (("surrogate", surr), ("value_loss", vloss), ("entropy", ent))}
+    parts["mean_ratio"] = float(ratio.value.mean())
     return loss, parts
 
 
@@ -132,18 +131,15 @@ def ppo_update(buffer, store: ParameterStore, config: PPOConfig,
     that pass and reports the diagnostic in the returned statistics.
     """
     rewards = np.array([t.reward for t in buffer])
-    want_entropy = config.entropy_coef != 0.0
     stats = {"iterations": [], "aborted": False, "diagnostic": None}
     for it in range(config.k_ppo):
         store.zero_grads()
-        scored = [evaluate_actions(store, t.features, t.action,
-                                   need_entropy=want_entropy) for t in buffer]
+        columns = score_segment(store, buffer)
         if it == 0:
-            old_logp = np.array([logp.value.item() for logp, _, _ in scored])
-            values = np.array([value.value.item() for _, value, _ in scored])
-            advantages, returns = compute_advantages(rewards, values, config,
-                                                     bootstrap_value)
-        loss, parts = _ppo_loss(scored, advantages, returns, old_logp, config)
+            old_logp = columns[0].value[:, 0]
+            advantages, returns = compute_advantages(
+                rewards, columns[1].value[:, 0], config, bootstrap_value)
+        loss, parts = _ppo_loss(columns, advantages, returns, old_logp, config)
         if not np.isfinite(loss.value).all():
             stats["aborted"] = True
             stats["diagnostic"] = (
@@ -153,8 +149,7 @@ def ppo_update(buffer, store: ParameterStore, config: PPOConfig,
             log.warning("ppo_update aborted: %s", stats["diagnostic"])
             break
         backward(loss)
-        store.step += 1
-        adam_step(store, config.learning_rate, store.step)
+        adam_step(store, config.learning_rate)
         parts["loss"] = loss.value.item()
         stats["iterations"].append(parts)
     return stats

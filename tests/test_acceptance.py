@@ -133,7 +133,7 @@ class TestGradientSuite:
                     scores, decision = P.tr_forward(store, e)
                     probe = tape.sum_all(tape.mul(decision, tape.constant(w)))
                     logp, value, entropy = P.evaluate_actions(
-                        store, feats, bundle, need_entropy=True)
+                        store, feats, bundle)
                     return tape.add(tape.add(logp, value),
                                     tape.add(probe, entropy))
                 fd_gradcheck(store, build, rng, max_coords=4)

@@ -5,7 +5,7 @@ import json
 import pytest
 
 from emtlab import benchmarks as B
-from emtlab import cli
+from emtlab import cli, ppo
 
 
 def run(argv):
@@ -98,3 +98,27 @@ class TestTrainEvaluatePipeline:
         with pytest.raises(ValueError, match="dataset"):
             run(["train", "--config", str(config_path), "--out",
                  str(tmp_path / "x")])
+
+    def test_epoch_without_episode_exits_nonzero(self, tmp_path, tiny_dataset,
+                                                  monkeypatch):
+        # two instances, two epochs: both episodes of epoch 2 fail
+        original = ppo.run_training_episode
+        calls = []
+
+        def failing_late(*args, **kwargs):
+            calls.append(1)
+            if len(calls) > 2:
+                raise FloatingPointError("injected")
+            return original(*args, **kwargs)
+
+        monkeypatch.setattr(ppo, "run_training_episode", failing_late)
+        config = {"dataset": str(tiny_dataset), "seed": 3, "pop_size": 6,
+                  "epochs": 2, "budget": 4, "t_ppo": 4, "k_ppo": 1}
+        config_path = tmp_path / "config.json"
+        config_path.write_text(json.dumps(config))
+        train_dir = tmp_path / "run"
+        with pytest.raises(SystemExit, match=r"epochs \[2\] completed no episode"):
+            run(["train", "--config", str(config_path), "--out",
+                 str(train_dir)])
+        lines = (train_dir / "training_log.csv").read_text().splitlines()
+        assert len(lines) == 1 + 2 and all(l.startswith("1,") for l in lines[1:])

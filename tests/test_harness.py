@@ -9,6 +9,7 @@ from hypothesis import strategies as st
 from emtlab import benchmarks as B
 from emtlab import harness as H
 from emtlab import policy as P
+from emtlab.nn.params import Parameter, load_checkpoint, save_checkpoint
 from emtlab.seeds import derive_rng, derive_seed
 from emtlab.stats import wilcoxon_signed_rank
 from tests.test_engine import reference_de_run
@@ -178,6 +179,25 @@ class TestControllers:
         store, f = self._setup()
         with pytest.raises(ValueError, match="ablation rng"):
             H.Controller(store, "no_tr").act(f)
+
+    @pytest.mark.parametrize("misfit, message", [
+        ("missing", r"critic2\.b \(expected shape \(1, 1\)\) is missing"),
+        ("extra", r"unexpected extra\.W \(shape \(2, 3\)\)"),
+        ("reshaped", r"fe\.W has shape \(5, 32\), expected \(5, 64\)"),
+    ], ids=["missing", "extra", "reshaped"])
+    def test_checkpoint_not_fitting_network_rejected(self, tmp_path, misfit,
+                                                     message):
+        store = P.init_policy(33)
+        if misfit == "missing":
+            del store.params["critic2.b"]
+        elif misfit == "extra":
+            store.add("extra.W", np.zeros((2, 3)))
+        else:
+            store.params["fe.W"] = Parameter(np.zeros((5, 32)))
+        path = str(tmp_path / "checkpoint.json")
+        save_checkpoint(store, path)
+        with pytest.raises(ValueError, match=message):
+            H.Controller(load_checkpoint(path), "full")
 
 
 class TestRunEpisode:

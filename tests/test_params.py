@@ -31,7 +31,7 @@ class TestAdam:
     def test_zero_gradient_is_identity(self):
         store = make_store()
         before = {n: store[n].value.copy() for n in list(store.params)}
-        adam_step(store, 0.01, 1)
+        adam_step(store, 0.01)
         for n in list(store.params):
             np.testing.assert_array_equal(store[n].value, before[n])
 
@@ -41,7 +41,8 @@ class TestAdam:
         g = 0.3
         lr = 0.01
         store["w"].grad[...] = g
-        adam_step(store, lr, 1)
+        adam_step(store, lr)
+        assert store.step == 1
         # bias-corrected first step: m_hat = g, v_hat = g^2
         expected = 0.5 - lr * g / (abs(g) + 1e-8)
         np.testing.assert_allclose(store["w"].value, [[expected]], rtol=1e-12)
@@ -55,16 +56,12 @@ class TestAdam:
         store = ParameterStore()
         store.add("w", np.array([[1.0]]))
         trajectory = [1.0]
-        for step in range(1, 51):
+        for _ in range(50):
             store["w"].grad[...] = 2.0 * store["w"].value
-            adam_step(store, 0.01, step)
+            adam_step(store, 0.01)
             trajectory.append(abs(store["w"].value.item()))
         assert all(b <= a + 1e-12 for a, b in zip(trajectory[5:], trajectory[6:]))
         assert trajectory[-1] < 0.7
-
-    def test_step_count_must_be_positive(self):
-        with pytest.raises(ValueError, match="step_count"):
-            adam_step(make_store(), 0.01, 0)
 
 
 class TestCheckpoint:

@@ -420,7 +420,7 @@ class TestEvaluateActions:
         store = P.init_policy(17)
         f = random_features(4, 41)
         bundle = P.act(store, f, task_rngs(4, 8))
-        _, _, ent = P.evaluate_actions(store, f, bundle, need_entropy=True)
+        _, _, ent = P.evaluate_actions(store, f, bundle)
         assert np.isfinite(ent.value).all() and ent.value.item() > 0
 
     @pytest.mark.parametrize("k", [2, 5])

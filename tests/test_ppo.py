@@ -30,14 +30,39 @@ def sampled_buffer(store, n, k=3, seed=0, rewards=None):
 
 
 def scored_segment(store, buf, config, bootstrap_value=0.0):
-    """What ppo_update's first pass builds: the evaluate_actions nodes of
-    every transition, their log-probabilities, and GAE over their values."""
-    scored = [P.evaluate_actions(store, t.features, t.action) for t in buf]
-    old_logp = np.array([logp.value.item() for logp, _, _ in scored])
-    values = np.array([value.value.item() for _, value, _ in scored])
+    """What ppo_update's first pass builds: the segment's score columns,
+    their log-probabilities, and GAE over their values."""
+    columns = ppo.score_segment(store, buf)
+    old_logp = columns[0].value[:, 0]
     rewards = np.array([t.reward for t in buf])
-    adv, ret = ppo.compute_advantages(rewards, values, config, bootstrap_value)
-    return scored, old_logp, adv, ret
+    adv, ret = ppo.compute_advantages(rewards, columns[1].value[:, 0], config,
+                                      bootstrap_value)
+    return columns, old_logp, adv, ret
+
+
+def per_transition_loss(scored, advantages, returns, old_logp, config):
+    """Reference for `ppo._ppo_loss`: one scalar chain per transition over
+    its `evaluate_actions` outputs, summed through accumulators."""
+    n = len(scored)
+    surr_sum = vloss_sum = ent_sum = None
+    want_entropy = config.entropy_coef != 0.0
+    for i, (logp, value, entropy) in enumerate(scored):
+        ratio = tape.exp(tape.sub(logp, constant(old_logp[i])))
+        unclipped = tape.scale(ratio, advantages[i])
+        clipped = tape.scale(tape.clip(ratio, 1.0 - config.clip_eps,
+                                       1.0 + config.clip_eps), advantages[i])
+        surr = tape.minimum(unclipped, clipped)
+        verr = tape.sub(constant(returns[i]), value)
+        vloss = tape.mul(verr, verr)
+        surr_sum = surr if surr_sum is None else tape.add(surr_sum, surr)
+        vloss_sum = vloss if vloss_sum is None else tape.add(vloss_sum, vloss)
+        if want_entropy:
+            ent_sum = entropy if ent_sum is None else tape.add(ent_sum, entropy)
+    loss = tape.add(tape.scale(surr_sum, -1.0 / n),
+                    tape.scale(vloss_sum, config.value_coef / n))
+    if want_entropy:
+        loss = tape.sub(loss, tape.scale(ent_sum, config.entropy_coef / n))
+    return loss
 
 
 class TestConfig:
@@ -119,6 +144,33 @@ class TestUpdate:
             # with ratio 1 the surrogate is the advantage mean, which
             # normalization makes (numerically) zero
             assert abs(it["surrogate"]) < 1e-9
+
+    @given(st.integers(2, 6), st.integers(1, 6), st.integers(0, 2 ** 20),
+           st.sampled_from([0.0, 0.01]))
+    @settings(max_examples=25, deadline=None)
+    def test_column_loss_gradients_equal_per_transition_loop(
+            self, k, n, seed, entropy_coef):
+        store = P.init_policy(seed)
+        rng = derive_rng(seed, "column-loss")
+        buf = sampled_buffer(store, n, k=k, seed=seed,
+                             rewards=rng.normal(size=n).tolist())
+        config = ppo.PPOConfig(entropy_coef=entropy_coef)
+        columns, old_logp, adv, ret = scored_segment(store, buf, config)
+        # behaviour log-probabilities off by up to 0.5 either way, so the
+        # ratios straddle the clip range
+        old_logp = old_logp + rng.uniform(-0.5, 0.5, size=n)
+        store.zero_grads()
+        loss, _ = ppo._ppo_loss(columns, adv, ret, old_logp, config)
+        backward(loss)
+        grads = {name: p.grad.copy() for name, p in store.params.items()}
+        store.zero_grads()
+        scored = [P.evaluate_actions(store, t.features, t.action) for t in buf]
+        reference = per_transition_loss(scored, adv, ret, old_logp, config)
+        backward(reference)
+        assert loss.value.item() == pytest.approx(reference.value.item(),
+                                                  rel=1e-12, abs=1e-15)
+        for name, p in store.params.items():
+            np.testing.assert_array_equal(grads[name], p.grad, err_msg=name)
 
     def test_clip_boundary_engages(self):
         store = P.init_policy(23)

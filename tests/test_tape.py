@@ -318,17 +318,21 @@ class TestPrimitiveGradients:
         fd_gradcheck(store, build, rng)
 
     def test_concat_cols(self):
+        # both axes: columns side by side, and rows stacked
         rng = np.random.default_rng(78)
-        store = ParameterStore()
-        store.add("a", rng.uniform(-1, 1, (3, 2)))
-        store.add("b", rng.uniform(-1, 1, (3, 4)))
-        w = rng.standard_normal((3, 6))
+        for axis, shapes, out_shape in ((1, [(3, 2), (3, 4)], (3, 6)),
+                                        (0, [(2, 3), (1, 3), (3, 3)], (6, 3))):
+            store = ParameterStore()
+            names = [f"x{i}" for i in range(len(shapes))]
+            for name, shape in zip(names, shapes):
+                store.add(name, rng.uniform(-1, 1, shape))
+            w = rng.standard_normal(out_shape)
 
-        def build():
-            return tape.sum_all(tape.mul(
-                tape.concat_cols(store.leaf("a"), store.leaf("b")),
-                constant(w)))
-        fd_gradcheck(store, build, rng)
+            def build():
+                joined = tape.concat([store.leaf(n) for n in names], axis)
+                assert joined.value.shape == out_shape
+                return tape.sum_all(tape.mul(joined, constant(w)))
+            fd_gradcheck(store, build, rng)
 
     def test_broadcast_bias_gradient(self):
         rng = np.random.default_rng(79)
