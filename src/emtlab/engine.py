@@ -134,8 +134,11 @@ def extract_state(state: EMTState) -> np.ndarray:
     return feats
 
 
-def _pick(rng, pool, count):
-    return rng.choice(pool, size=count, replace=len(pool) < count)
+def _pick(rng, pool_size, count):
+    """Positions into a pool of pool_size rows; the caller indexes its pool.
+    rng.choice(pool, ...) is pool[rng.choice(len(pool), ...)], so this is
+    the same stream and the same rows."""
+    return rng.choice(pool_size, size=count, replace=pool_size < count)
 
 
 def _binomial_crossover(rng, base, mutants, cr):
@@ -151,10 +154,11 @@ def self_evolve(pop: Population, rng: np.random.Generator, parents,
     """DE/rand/1/bin offspring for the given parent indices, clamped to [0, 1]."""
     parents = np.asarray(parents, dtype=int)
     x = pop.positions
-    everyone = np.arange(pop.size)
     r = np.empty((len(parents), 3), dtype=int)
-    for i, parent in enumerate(parents):
-        r[i] = _pick(rng, np.delete(everyone, parent), 3)
+    for i in range(len(parents)):
+        r[i] = _pick(rng, pop.size - 1, 3)
+    # positions into "every row but the parent" become row indices
+    r += r >= parents[:, None]
     mutants = x[r[:, 0]] + f * (x[r[:, 1]] - x[r[:, 2]])
     trials = _binomial_crossover(rng, x[parents], mutants, cr)
     return np.clip(trials, 0.0, 1.0)
@@ -190,8 +194,8 @@ def transfer_evolve(target: Population, source: Population, a2: float,
     pairs = np.empty((m_kt, 2), dtype=int)
     for i in range(m_kt):
         if not base_is_best:
-            base_rows[i] = _pick(rng, base_pool, 1)[0]
-        pairs[i] = _pick(rng, diff_pool, 2)
+            base_rows[i] = base_pool[_pick(rng, len(base_pool), 1)[0]]
+        pairs[i] = diff_pool[_pick(rng, len(diff_pool), 2)]
     mutants = (base.positions[base_rows]
                + f * (diff.positions[pairs[:, 0]] - diff.positions[pairs[:, 1]]))
     trials = _binomial_crossover(rng, target.positions[hosts], mutants, cr)

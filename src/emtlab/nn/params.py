@@ -8,6 +8,7 @@ import numpy as np
 from .tape import Node
 
 CHECKPOINT_VERSION = 1
+RECORD_KEYS = ("name", "shape", "values", "moment1", "moment2", "step_count")
 BETA1, BETA2, EPS = 0.9, 0.999, 1e-8   # Adam's decay rates and offset
 
 
@@ -105,7 +106,7 @@ def save_checkpoint(store: ParameterStore, path: str) -> None:
     doc = {"format_version": CHECKPOINT_VERSION, "parameters": records}
     tmp = path + ".tmp"
     with open(tmp, "w") as fh:
-        json.dump(doc, fh)
+        fh.write(json.dumps(doc))   # dumps uses the C encoder, dump never does
     os.replace(tmp, path)
 
 
@@ -122,11 +123,19 @@ def load_checkpoint(path: str) -> ParameterStore:
         raise CheckpointError(
             f"checkpoint {path} has format_version={version!r}, expected {CHECKPOINT_VERSION}")
     store = ParameterStore()
-    for rec in doc.get("parameters", []):
-        shape = tuple(rec["shape"])
-        p = store.add(rec["name"], np.array(rec["values"], dtype=np.float64).reshape(shape))
-        m1 = np.array(rec["moment1"], dtype=np.float64).reshape(shape)
-        m2 = np.array(rec["moment2"], dtype=np.float64).reshape(shape)
+    for i, rec in enumerate(doc.get("parameters", [])):
+        name = rec.get("name", f"#{i}")
+        missing = [key for key in RECORD_KEYS if key not in rec]
+        if missing:
+            raise CheckpointError(
+                f"checkpoint {path}: parameter {name} has no {missing[0]!r}")
+        try:
+            value, m1, m2 = [np.array(rec[key], dtype=np.float64).reshape(rec["shape"])
+                             for key in ("values", "moment1", "moment2")]
+        except (TypeError, ValueError) as err:
+            raise CheckpointError(f"checkpoint {path}: parameter {name} does not "
+                                  f"fit its shape: {err}") from None
+        p = store.add(name, value)
         p.m1[...] = m1
         p.m2[...] = m2
         store.step = int(rec["step_count"])

@@ -30,9 +30,14 @@ def constant(x) -> Node:
 
 
 def _accum(node, g):
+    # The first adjoint is copied, which saves adding it into zeros.  It must
+    # be ndarray.copy(), which is C-ordered even for a transposed g: a copy
+    # in g's F order (np.array, np.copy) sends later matmuls down another
+    # BLAS path and moves gradients in the last bit.
     if node.grad is None:
-        node.grad = np.zeros_like(node.value)
-    node.grad += g
+        node.grad = g.copy()
+    else:
+        node.grad += g
 
 
 def _unbroadcast(g, shape):
@@ -218,18 +223,19 @@ def minimum(a: Node, b: Node) -> Node:
 
 
 def _topo_order(root):
+    # a Node hashes and compares by identity, so `seen` holds the nodes
     order, seen, stack = [], set(), [(root, False)]
     while stack:
         node, expanded = stack.pop()
         if expanded:
             order.append(node)
             continue
-        if id(node) in seen:
+        if node in seen:
             continue
-        seen.add(id(node))
+        seen.add(node)
         stack.append((node, True))
         for p in node.parents:
-            if id(p) not in seen:
+            if p not in seen:
                 stack.append((p, False))
     return order
 

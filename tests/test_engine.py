@@ -3,7 +3,7 @@ reward, and the no-transfer reduction to independent per-task DE."""
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from emtlab import benchmarks as B
@@ -131,6 +131,31 @@ class TestSelfEvolve:
         off = E.self_evolve(state.populations[0], rng, parents)
         assert off.shape == (0, 3)
         assert rng.bit_generator.state == before
+
+    @given(st.integers(4, 60), st.floats(0.0, 1.0), st.integers(0, 2 ** 20))
+    @example(4, 0.0, 0)
+    @example(60, 1.0, 0)
+    @settings(max_examples=40, deadline=None)
+    def test_partner_positions_replay_delete_and_choose(self, n, share, seed):
+        # reference: each parent's partners are drawn from the population
+        # with the parent deleted, then crossover as documented
+        rng = derive_rng(seed, "replay")
+        pop = E.Population(rng.random((n, 3)), np.zeros(n), 0.0)
+        parents = np.sort(rng.choice(n, size=round(share * n), replace=False))
+        replay = derive_rng(seed, "replay", "stream")
+        x, everyone = pop.positions, np.arange(n)
+        r = np.array([replay.choice(np.delete(everyone, p), size=3,
+                                    replace=False) for p in parents],
+                     dtype=int).reshape(-1, 3)
+        mutants = x[r[:, 0]] + E.SELF_F * (x[r[:, 1]] - x[r[:, 2]])
+        mask = replay.random(mutants.shape) < E.SELF_CR
+        m = len(parents)
+        mask[np.arange(m), replay.integers(0, 3, size=m)] = True
+        expected = np.clip(np.where(mask, mutants, x[parents]), 0.0, 1.0)
+        stream = derive_rng(seed, "replay", "stream")
+        np.testing.assert_array_equal(E.self_evolve(pop, stream, parents),
+                                      expected)
+        assert stream.bit_generator.state == replay.bit_generator.state
 
     def test_offspring_inside_unit_box(self):
         state = E.init_populations(tiny_instance(2, 5), 12, seed=9, budget=10)

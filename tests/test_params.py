@@ -82,6 +82,28 @@ class TestCheckpoint:
             np.testing.assert_array_equal(loaded[name].m1, store[name].m1)
             np.testing.assert_array_equal(loaded[name].m2, store[name].m2)
 
+    def test_bytes_equal_pure_python_encoder(self, tmp_path):
+        # the written file is what json.dump, which always takes the
+        # pure-Python encoder, makes of the documented record layout
+        store = ParameterStore()
+        store.add("w", [[-0.0, 5e-324, 1.7976931348623157e308, 0.1]])
+        store.add("b", [[2.0 ** -1074 * 3, -1e-310, 123456789.0]])
+        for p in store.params.values():
+            p.m1[...] = -p.value / 3.0
+            p.m2[...] = np.abs(p.value) * 0.5
+        store.step = 7
+        path = tmp_path / "ckpt.json"
+        save_checkpoint(store, str(path))
+        records = [{"name": name, "shape": list(store[name].value.shape),
+                    "values": store[name].value.ravel().tolist(),
+                    "moment1": store[name].m1.ravel().tolist(),
+                    "moment2": store[name].m2.ravel().tolist(),
+                    "step_count": 7} for name in sorted(store.params)]
+        reference = tmp_path / "reference.json"
+        with open(reference, "w") as fh:
+            json.dump({"format_version": 1, "parameters": records}, fh)
+        assert path.read_bytes() == reference.read_bytes()
+
     def test_double_round_trip_identical_bytes(self, tmp_path):
         store = make_store()
         p1, p2 = tmp_path / "a.json", tmp_path / "b.json"
@@ -119,6 +141,23 @@ class TestCheckpoint:
         path.write_text(json.dumps({"format_version": 99, "parameters": []}))
         with pytest.raises(CheckpointError, match="format_version"):
             load_checkpoint(str(path))
+
+    @pytest.mark.parametrize("spoil,error", [
+        (lambda rec: rec.pop("moment1"), "parameter w has no 'moment1'"),
+        (lambda rec: rec.update(values=[]), "parameter w does not fit its shape"),
+        (lambda rec: rec["moment2"].append(0.5),
+         "parameter w does not fit its shape"),
+    ], ids=["missing-key", "values-size", "moment-size"])
+    def test_misfit_record_names_file_and_parameter(self, tmp_path, spoil,
+                                                    error):
+        path = tmp_path / "ckpt.json"
+        save_checkpoint(make_store(), str(path))
+        doc = json.loads(path.read_text())
+        spoil(doc["parameters"][1])   # sorted: "b", then "w"
+        path.write_text(json.dumps(doc))
+        with pytest.raises(CheckpointError, match=error) as info:
+            load_checkpoint(str(path))
+        assert str(path) in str(info.value)
 
     def test_empty_parameter_list_rejected(self, tmp_path):
         path = tmp_path / "empty.json"

@@ -2,16 +2,20 @@
 and hand-computed oracles."""
 
 import math
+from unittest import mock
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from emtlab import policy as P
+from emtlab import ppo
 from emtlab.nn import tape
 from emtlab.nn.layers import batch_norm, dense, single_head_attention
 from emtlab.nn.params import ParameterStore
 from emtlab.nn.tape import backward, constant
+from emtlab.seeds import derive_rng
 
 
 def fd_gradcheck(store, build_loss, rng, h=1e-5, rel_tol=1e-4, abs_floor=1e-7,
@@ -201,6 +205,53 @@ class TestBatchNorm:
         fd_gradcheck(store, build, rng)
 
 
+def zero_fill_accum(node, g):
+    """Reference for `tape._accum`: every adjoint is added, the first one
+    into a zero-filled buffer."""
+    if node.grad is None:
+        node.grad = np.zeros_like(node.value)
+    node.grad += g
+
+
+def id_keyed_topo_order(root):
+    """Reference for `tape._topo_order`: the same walk, with the visited set
+    keyed by id()."""
+    order, seen, stack = [], set(), [(root, False)]
+    while stack:
+        node, expanded = stack.pop()
+        if expanded:
+            order.append(node)
+            continue
+        if id(node) in seen:
+            continue
+        seen.add(id(node))
+        stack.append((node, True))
+        for p in node.parents:
+            if id(p) not in seen:
+                stack.append((p, False))
+    return order
+
+
+def ppo_loss_graph(k, n, seed, entropy_coef):
+    """A policy store and a builder of its PPO loss over n sampled K-task
+    transitions.  The graph has transposes feeding matmuls, shared nodes and
+    scattered takes; behaviour log-probabilities are off by up to 0.5
+    either way, so the ratios straddle the clip range."""
+    rng = derive_rng(seed, "accum")
+    store = P.init_policy(seed)
+    buf = []
+    for t in range(n):
+        features = rng.random((k, 5))
+        streams = [derive_rng(seed, t, j) for j in range(k)]
+        buf.append(ppo.Transition(features, P.act(store, features, streams), 0.0))
+    config = ppo.PPOConfig(entropy_coef=entropy_coef)
+    old_logp = (ppo.score_segment(store, buf)[0].value[:, 0]
+                + rng.uniform(-0.5, 0.5, size=n))
+    adv, ret = rng.normal(size=n), rng.normal(size=n)
+    return store, lambda: ppo._ppo_loss(ppo.score_segment(store, buf), adv,
+                                        ret, old_logp, config)[0]
+
+
 class TestBackward:
     def test_sum_of_parameters_gives_unit_gradients(self):
         store = ParameterStore()
@@ -248,6 +299,37 @@ class TestBackward:
             h = tape.tanh(dense(store, "l1", constant(x)))
             return tape.sum_all(tape.mul(dense(store, "l2", h), constant(w)))
         fd_gradcheck(store, build, rng)
+
+    @given(st.integers(2, 6), st.integers(1, 6), st.integers(0, 2 ** 20),
+           st.sampled_from([0.0, 0.01]))
+    @settings(max_examples=25, deadline=None)
+    def test_first_adjoint_copy_equals_zero_fill(self, k, n, seed,
+                                                 entropy_coef):
+        # parameter gradients must not move by a bit, nor a zero flip sign
+        store, build_loss = ppo_loss_graph(k, n, seed, entropy_coef)
+
+        def gradients():
+            store.zero_grads()
+            backward(build_loss())
+            return {name: p.grad.copy() for name, p in store.params.items()}
+        grads = gradients()
+        with mock.patch.object(tape, "_accum", zero_fill_accum):
+            reference = gradients()
+        for name, g in grads.items():
+            np.testing.assert_array_equal(g, reference[name], err_msg=name)
+            np.testing.assert_array_equal(np.signbit(g),
+                                          np.signbit(reference[name]),
+                                          err_msg=name)
+
+    @given(st.integers(2, 6), st.integers(1, 6), st.integers(0, 2 ** 20))
+    @settings(max_examples=10, deadline=None)
+    def test_topological_order_equals_id_keyed_walk(self, k, n, seed):
+        # adjoint sums into shared nodes follow this order, so it must not
+        # change by one node
+        loss = ppo_loss_graph(k, n, seed, 0.01)[1]()
+        order, reference = tape._topo_order(loss), id_keyed_topo_order(loss)
+        assert len(order) == len(reference)
+        assert all(a is b for a, b in zip(order, reference))
 
 
 class TestPrimitiveGradients:
