@@ -95,14 +95,9 @@ def save_checkpoint(store: ParameterStore, path: str) -> None:
         if not all(np.isfinite(a).all() for a in (p.value, p.m1, p.m2)):
             raise CheckpointError(
                 f"refusing to write {path}: parameter {name} is not finite")
-        records.append({
-            "name": name,
-            "shape": list(p.value.shape),
-            "values": p.value.ravel().tolist(),
-            "moment1": p.m1.ravel().tolist(),
-            "moment2": p.m2.ravel().tolist(),
-            "step_count": store.step,
-        })
+        records.append(dict(zip(RECORD_KEYS, (
+            name, list(p.value.shape), p.value.ravel().tolist(),
+            p.m1.ravel().tolist(), p.m2.ravel().tolist(), store.step))))
     doc = {"format_version": CHECKPOINT_VERSION, "parameters": records}
     tmp = path + ".tmp"
     with open(tmp, "w") as fh:
@@ -118,13 +113,20 @@ def load_checkpoint(path: str) -> ParameterStore:
         raise CheckpointError(f"checkpoint not found: {path}") from None
     except json.JSONDecodeError as err:
         raise CheckpointError(f"corrupt checkpoint {path}: {err}") from None
+    if not isinstance(doc, dict):
+        raise CheckpointError(f"checkpoint {path} is not a JSON object")
     version = doc.get("format_version")
     if version != CHECKPOINT_VERSION:
         raise CheckpointError(
             f"checkpoint {path} has format_version={version!r}, expected {CHECKPOINT_VERSION}")
     store = ParameterStore()
     for i, rec in enumerate(doc.get("parameters", [])):
+        if not isinstance(rec, dict):
+            raise CheckpointError(
+                f"checkpoint {path}: parameter record #{i} is not a JSON object")
         name = rec.get("name", f"#{i}")
+        if name in store.params:
+            raise CheckpointError(f"checkpoint {path}: parameter {name} appears twice")
         missing = [key for key in RECORD_KEYS if key not in rec]
         if missing:
             raise CheckpointError(

@@ -151,7 +151,7 @@ def sum_all(a: Node) -> Node:
 def mean_axis(a: Node, axis: int) -> Node:
     n = a.value.shape[axis]
     out = Node(a.value.mean(axis=axis, keepdims=True), (a,))
-    out.bprop = lambda g: _accum(a, np.broadcast_to(g / n, a.value.shape).copy())
+    out.bprop = lambda g: _accum(a, np.broadcast_to(g / n, a.value.shape))
     return out
 
 

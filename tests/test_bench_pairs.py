@@ -1,0 +1,91 @@
+"""The claim rule of tools/bench_pairs.py on hand-made pairs."""
+
+import importlib.util
+import os
+
+import pytest
+
+_PATH = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))),
+                     "tools", "bench_pairs.py")
+_spec = importlib.util.spec_from_file_location("bench_pairs", _PATH)
+bench_pairs = importlib.util.module_from_spec(_spec)
+_spec.loader.exec_module(bench_pairs)
+
+BETTER = {"cpu_s": "lower", "evals_per_s": "higher"}
+
+
+def run(cpu_s, evals_per_s, failed=0, attempted=20, correct=True):
+    return {"correct": correct, "attempted": attempted, "failed": failed,
+            "metrics": {"cpu_s": cpu_s, "evals_per_s": evals_per_s}}
+
+
+def pairs(n=10, **change):
+    """n pairs in which the change is 25% faster; `change` overrides the
+    change side's run fields."""
+    out = []
+    for i in range(n):
+        parent = run(10.0 + 0.1 * i, 100.0 + i)
+        faster = dict(dict(cpu_s=7.5 + 0.1 * i, evals_per_s=130.0 + i), **change)
+        out.append({"parent": parent, "change": run(**faster),
+                    "digests_equal": True})
+    return out
+
+
+class TestSummarize:
+    def test_clear_gain_meets_claim_rule(self):
+        summary = bench_pairs.summarize(pairs(), BETTER)
+        assert summary["outputs"]["kept"]
+        for name in BETTER:
+            s = summary["metrics"][name]
+            assert s["change_wins"] == 10 and s["parent_wins"] == 0
+            assert s["claim_rule_met"], name
+        assert summary["metrics"]["cpu_s"]["relative_change"] == pytest.approx(
+            7.95 / 10.45 - 1.0)
+
+    def test_eight_of_ten_wins_do_not_meet_it(self):
+        p = pairs()
+        for pair in p[:2]:
+            pair["change"]["metrics"]["cpu_s"] = 20.0
+        s = bench_pairs.summarize(p, BETTER)["metrics"]["cpu_s"]
+        assert s["change_wins"] == 8 and s["parent_wins"] == 2
+        assert not s["claim_rule_met"]
+
+    def test_gain_within_parent_spread_does_not_meet_it(self):
+        p = pairs()
+        for i, pair in enumerate(p):
+            pair["parent"]["metrics"]["cpu_s"] = 10.0 + 2.0 * i
+            pair["change"]["metrics"]["cpu_s"] = 9.9 + 2.0 * i
+        s = bench_pairs.summarize(p, BETTER)["metrics"]["cpu_s"]
+        assert s["change_wins"] == 10
+        assert not s["claim_rule_met"]
+
+    def test_changed_digests_void_every_claim(self):
+        p = pairs()
+        p[3]["digests_equal"] = False
+        summary = bench_pairs.summarize(p, BETTER)
+        assert not summary["outputs"]["digests_equal"]
+        assert not summary["outputs"]["kept"]
+        assert not any(s["claim_rule_met"] for s in summary["metrics"].values())
+
+    def test_larger_failed_share_voids_every_claim(self):
+        summary = bench_pairs.summarize(pairs(failed=1, attempted=30), BETTER)
+        assert summary["outputs"]["failed_share"] == {"parent": 0.0,
+                                                      "change": 1 / 30}
+        assert not summary["outputs"]["kept"]
+        assert not any(s["claim_rule_met"] for s in summary["metrics"].values())
+
+    def test_failed_run_voids_every_claim(self):
+        p = pairs()
+        p[0]["change"]["correct"] = False
+        summary = bench_pairs.summarize(p, BETTER)
+        assert summary["outputs"]["incorrect_runs"] == {"parent": 0, "change": 1}
+        assert not any(s["claim_rule_met"] for s in summary["metrics"].values())
+
+    def test_smaller_failed_share_keeps_claim(self):
+        # more episodes at the same failure count is a smaller share
+        p = pairs(failed=1, attempted=40)
+        for pair in p:
+            pair["parent"]["failed"] = 1
+        summary = bench_pairs.summarize(p, BETTER)
+        assert summary["outputs"]["kept"]
+        assert summary["metrics"]["cpu_s"]["claim_rule_met"]

@@ -159,6 +159,21 @@ class TestCheckpoint:
             load_checkpoint(str(path))
         assert str(path) in str(info.value)
 
+    @pytest.mark.parametrize("spoil, error", [
+        (lambda doc: [doc], "is not a JSON object"),
+        (lambda doc: dict(doc, parameters=[[1, 2]]),
+         "parameter record #0 is not a JSON object"),
+        (lambda doc: dict(doc, parameters=doc["parameters"] * 2),
+         "parameter b appears twice"),
+    ], ids=["document", "record", "duplicate"])
+    def test_malformed_document_names_file(self, tmp_path, spoil, error):
+        path = tmp_path / "ckpt.json"
+        save_checkpoint(make_store(), str(path))
+        path.write_text(json.dumps(spoil(json.loads(path.read_text()))))
+        with pytest.raises(CheckpointError, match=error) as info:
+            load_checkpoint(str(path))
+        assert str(path) in str(info.value)
+
     def test_empty_parameter_list_rejected(self, tmp_path):
         path = tmp_path / "empty.json"
         path.write_text(json.dumps({"format_version": 1, "parameters": []}))

@@ -8,13 +8,19 @@ exported with `git archive` into a fresh directory, so the parent side
 runs exactly what is committed and the repository's own state is not
 touched.  For every `workload=pairs` argument, each pair runs
 `perfbench/run.py --trace 0` once on the parent and once on the working
-tree, alternating which side goes first.  The JSON file written to --out
-holds each run's end-to-end metrics, whether the two runs of a pair wrote
-the same output digests, and per metric the median and quartiles of each
-side and the share of pairs the working tree won (ties count for
-neither).  The claim rule of the benchmark is evaluated per metric: the
-working tree wins at least nine tenths of the pairs, and its median is
-better than the parent's by more than the parent's inter-quartile range.
+tree, alternating which side goes first, at perfbench's own run length.
+The JSON file written to --out holds each run's end-to-end metrics, whether
+the two runs of a pair wrote the same output digests, each side's share of
+failed episodes, and per metric the median and quartiles of each side and
+the share of pairs the working tree won (ties count for neither).  The
+working tree is identified by the git tree hashes of all its files and of
+`src` alone (untracked files included, ignored ones not), which equal
+`git rev-parse COMMIT^{tree}` and `COMMIT:src` of a commit of the same
+files.  The claim rule of the benchmark is evaluated per metric: every pair
+wrote the same digests, the working tree failed no larger share of
+episodes and no more runs than the parent, it won at least nine tenths of
+the pairs, and its median is better than the parent's by more than the
+parent's inter-quartile range.
 """
 
 import argparse
@@ -28,6 +34,7 @@ import numpy as np
 
 ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
 WIN_SHARE = 0.9
+SIDES = ("parent", "change")
 
 
 def export_commit(ref, dest):
@@ -41,11 +48,25 @@ def export_commit(ref, dest):
     return commit
 
 
-def run_once(checkout, workload, seed, seconds):
+def working_tree():
+    """Git tree hashes of the working tree and of its `src`, built in a
+    throwaway index so the repository's own index is not touched."""
+    with tempfile.TemporaryDirectory() as tmp:
+        env = dict(os.environ, GIT_INDEX_FILE=os.path.join(tmp, "index"))
+        subprocess.run(["git", "add", "-A"], cwd=ROOT, env=env, check=True)
+        tree = subprocess.run(["git", "write-tree"], cwd=ROOT, env=env,
+                              check=True, capture_output=True,
+                              text=True).stdout.strip()
+    src = subprocess.run(["git", "rev-parse", tree + ":src"], cwd=ROOT,
+                         check=True, capture_output=True,
+                         text=True).stdout.strip()
+    return {"tree": tree, "src_tree": src}
+
+
+def run_once(checkout, workload, seed):
     """One untraced benchmark run; returns its result line and run record."""
     cmd = [sys.executable, os.path.join("perfbench", "run.py"), "--workload",
-           workload, "--seed", str(seed), "--seconds", str(seconds),
-           "--trace", "0"]
+           workload, "--seed", str(seed), "--trace", "0"]
     proc = subprocess.run(cmd, cwd=checkout, capture_output=True, text=True)
     try:
         result = json.loads(proc.stdout.strip().rsplit("\n", 1)[-1])
@@ -63,8 +84,29 @@ def quartiles(values):
     return {"q1": float(q1), "median": float(median), "q3": float(q3)}
 
 
+def outputs(pairs):
+    """Whether the working tree kept the parent's outputs and failed no
+    more often; a gain does not count otherwise."""
+    failed_share = {side: sum(p[side]["failed"] for p in pairs)
+                    / sum(p[side]["attempted"] for p in pairs)
+                    for side in SIDES}
+    incorrect = {side: sum(not p[side]["correct"] for p in pairs)
+                 for side in SIDES}
+    digests_equal = all(p["digests_equal"] for p in pairs)
+    return {
+        "digests_equal": digests_equal,
+        "failed_share": failed_share,
+        "incorrect_runs": incorrect,
+        "kept": (digests_equal
+                 and failed_share["change"] <= failed_share["parent"]
+                 and incorrect["change"] <= incorrect["parent"]),
+    }
+
+
 def summarize(pairs, better):
-    """Per metric: each side's quartiles, the pair wins, and the claim rule."""
+    """Per metric: each side's quartiles, the pair wins, and the claim
+    rule; also the outputs check the claim rule rests on."""
+    kept = outputs(pairs)
     summary = {}
     for name, direction in better.items():
         parent = [p["parent"]["metrics"][name] for p in pairs]
@@ -82,14 +124,14 @@ def summarize(pairs, better):
             "change_wins": wins,
             "parent_wins": losses,
             "win_fraction": wins / len(pairs),
-            "claim_rule_met": (wins >= WIN_SHARE * len(pairs)
+            "claim_rule_met": (kept["kept"]
+                               and wins >= WIN_SHARE * len(pairs)
                                and gain > before["q3"] - before["q1"]),
         }
-    return summary
+    return {"outputs": kept, "metrics": summary}
 
 
-def bench_workload(workload, n_pairs, parent_dir, seed, seconds, better,
-                   environment):
+def bench_workload(workload, n_pairs, parent_dir, seed, better, environment):
     """Runs the pairs of one workload; fills `environment` from the first
     run record."""
     pairs = []
@@ -99,7 +141,7 @@ def bench_workload(workload, n_pairs, parent_dir, seed, seconds, better,
         digests = {}
         for side in order:
             checkout = parent_dir if side == "parent" else ROOT
-            result, record = run_once(checkout, workload, seed, seconds)
+            result, record = run_once(checkout, workload, seed)
             pair[side] = {
                 "correct": result["correct"],
                 "attempted": result["attempted"],
@@ -117,7 +159,7 @@ def bench_workload(workload, n_pairs, parent_dir, seed, seconds, better,
                   f"{result['failed']}/{result['attempted']}", flush=True)
         pair["digests_equal"] = digests["parent"] == digests["change"]
         pairs.append(pair)
-    return {"pairs": pairs, "summary": summarize(pairs, better)}
+    return {"pairs": pairs, **summarize(pairs, better)}
 
 
 def parse_pairs(text):
@@ -135,49 +177,43 @@ def main(argv=None):
                         help="git ref of the parent side (default HEAD)")
     parser.add_argument("--out", required=True, help="JSON file to write")
     parser.add_argument("--seed", type=int, default=0)
-    parser.add_argument("--seconds", type=float, default=30.0)
-    parser.add_argument("--workdir", default=None,
-                        help="where to export the parent (default: a new "
-                             "temporary directory)")
     args = parser.parse_args(argv)
     with open(os.path.join(ROOT, "BENCHMARK.json")) as fh:
         spec = json.load(fh)
     better = {m["name"]: m["better"] for m in spec["end_to_end"]}
-    status = subprocess.run(["git", "status", "--porcelain"], cwd=ROOT,
-                            check=True, capture_output=True, text=True).stdout
-    head = subprocess.run(["git", "rev-parse", "HEAD"], cwd=ROOT, check=True,
-                          capture_output=True, text=True).stdout.strip()
-    with tempfile.TemporaryDirectory(prefix="bench-parent-",
-                                     dir=args.workdir) as parent_dir:
-        return run_pairs(args, better, head, bool(status.strip()), parent_dir)
+    with tempfile.TemporaryDirectory() as parent_dir:
+        return run_pairs(args, better, parent_dir)
 
 
-def run_pairs(args, better, head, uncommitted, parent_dir):
+def run_pairs(args, better, parent_dir):
     parent = export_commit(args.parent, parent_dir)
     environment = {}
     doc = {
-        "command": "perfbench/run.py --trace 0",
+        "command": f"perfbench/run.py --seed {args.seed} --trace 0",
         "parent": {"ref": args.parent, "commit": parent},
-        "change": {"head": head, "uncommitted_changes": uncommitted},
+        "change": working_tree(),
         "seed": args.seed,
-        "seconds": args.seconds,
-        "claim_rule": (f"change wins >= {WIN_SHARE} of pairs and its median "
-                       "beats the parent's by more than the parent's "
+        "claim_rule": ("every pair wrote the same digests, the change failed "
+                       "no larger share of episodes and no more runs, it "
+                       f"won >= {WIN_SHARE} of pairs, and its median beats "
+                       "the parent's by more than the parent's "
                        "inter-quartile range"),
         "environment": environment,
         "workloads": {},
     }
     for workload, n_pairs in args.runs:
         doc["workloads"][workload] = bench_workload(
-            workload, n_pairs, parent_dir, args.seed, args.seconds, better,
-            environment)
+            workload, n_pairs, parent_dir, args.seed, better, environment)
         # rewrite after every workload, so an interrupted run keeps
         # what it measured
         with open(args.out, "w") as fh:
             json.dump(doc, fh, indent=1)
             fh.write("\n")
     for workload, result in doc["workloads"].items():
-        for name, s in result["summary"].items():
+        if not result["outputs"]["kept"]:
+            print(f"{workload}: outputs changed or more failures: "
+                  f"{result['outputs']}")
+        for name, s in result["metrics"].items():
             print(f"{workload:12s} {name:14s} parent "
                   f"{s['parent']['median']:.6g} change "
                   f"{s['change']['median']:.6g} wins "
