@@ -194,6 +194,9 @@ class MTOInstance:
             if st.function not in combo:
                 raise ValueError(
                     f"sub-task function {st.function} outside combination")
+        if len({st.dim for st in self.sub_tasks}) > 1:
+            raise ValueError(f"sub-task dims {[st.dim for st in self.sub_tasks]} "
+                             "differ; an instance is one unified search space")
 
     @property
     def n_tasks(self) -> int:
@@ -236,11 +239,8 @@ def generate_awcci(level: float, seed: int, n_tasks: int = 10,
     level, fully determined by the seed."""
     name = _level_name(level)
     rng = derive_rng(seed, "awcci", name)
-    out = []
-    for i, combo in enumerate(enumerate_combinations(), start=1):
-        out.append(_build_instance(combo, level, n_tasks, dim, rng,
-                                   f"awcci-{name}-c{i:03d}"))
-    return out
+    return [_build_instance(combo, level, n_tasks, dim, rng, f"awcci-{name}-c{i:03d}")
+            for i, combo in enumerate(enumerate_combinations(), start=1)]
 
 
 def sample_instances(level: float, seed: int, n_tasks: int, dim: int,
@@ -253,11 +253,8 @@ def sample_instances(level: float, seed: int, n_tasks: int, dim: int,
     name = _level_name(level)
     rng = derive_rng(seed, "awcci-sample", name)
     picks = sorted(rng.choice(len(combos), size=count, replace=False).tolist())
-    out = []
-    for i in picks:
-        out.append(_build_instance(combos[i], level, n_tasks, dim, rng,
-                                   f"awcci-{name}-c{i + 1:03d}"))
-    return out
+    return [_build_instance(combos[i], level, n_tasks, dim, rng,
+                            f"awcci-{name}-c{i + 1:03d}") for i in picks]
 
 
 def instance_to_dict(inst: MTOInstance) -> dict:

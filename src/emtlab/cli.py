@@ -31,21 +31,22 @@ def load_train_config(path):
         doc = json.load(fh)
     for key in ("dataset", "seed"):
         if key not in doc:
-            raise ValueError(f"train config missing required key: {key}")
-    ppo_keys = {f for f in ppo.PPOConfig.__dataclass_fields__}
-    config = ppo.PPOConfig(**{k: v for k, v in doc.items() if k in ppo_keys})
-    return doc, config
+            raise ValueError(f"train config {path} missing required key: {key}")
+    ppo_keys = set(ppo.PPOConfig.__dataclass_fields__)
+    unknown = sorted(set(doc) - ppo_keys
+                     - {"dataset", "seed", "pop_size", "n_tasks", "dim"})
+    if unknown:
+        raise ValueError(f"train config {path} has unknown keys: {', '.join(unknown)}")
+    return doc, ppo.PPOConfig(**{k: v for k, v in doc.items() if k in ppo_keys})
 
 
 def _cmd_train(args):
     doc, config = load_train_config(args.config)
     instances = benchmarks.load_instances(doc["dataset"])
-    if "n_tasks" in doc and doc["n_tasks"] != instances[0].n_tasks:
-        raise ValueError(f"config n_tasks={doc['n_tasks']} but dataset has "
-                         f"{instances[0].n_tasks}")
-    if "dim" in doc and doc["dim"] != instances[0].sub_tasks[0].dim:
-        raise ValueError(f"config dim={doc['dim']} but dataset has "
-                         f"{instances[0].sub_tasks[0].dim}")
+    for key, found in (("n_tasks", instances[0].n_tasks),
+                       ("dim", instances[0].sub_tasks[0].dim)):
+        if key in doc and doc[key] != found:
+            raise ValueError(f"config {key}={doc[key]} but dataset has {found}")
     os.makedirs(args.out, exist_ok=True)
     result = ppo.train(instances, config, doc["seed"],
                        pop_size=doc.get("pop_size", 50), out_dir=args.out)

@@ -261,19 +261,13 @@ def compare_results(rows_a, rows_b, label_a: str = "A", label_b: str = "B") -> s
     instances = sorted({k[0] for k in shared})
     lines = [f"comparison: {label_a} vs {label_b} (lower perf wins)",
              f"paired runs: {len(shared)}", ""]
-    wins = ties = losses = 0
+    tally = {"win": 0, "tie": 0, "loss": 0}
     for inst in instances:
         pa = np.array([by_key_a[k] for k in shared if k[0] == inst])
         pb = np.array([by_key_b[k] for k in shared if k[0] == inst])
-        if pa.mean() < pb.mean():
-            wins += 1
-            verdict = "win"
-        elif pa.mean() > pb.mean():
-            losses += 1
-            verdict = "loss"
-        else:
-            ties += 1
-            verdict = "tie"
+        verdict = ("win" if pa.mean() < pb.mean() else
+                   "loss" if pa.mean() > pb.mean() else "tie")
+        tally[verdict] += 1
         try:
             _, p = wilcoxon_signed_rank(pa, pb)
             p_text = f"p={p:.4g}"
@@ -284,8 +278,8 @@ def compare_results(rows_a, rows_b, label_a: str = "A", label_b: str = "B") -> s
     all_a = np.array([by_key_a[k] for k in shared])
     all_b = np.array([by_key_b[k] for k in shared])
     lines.append("")
-    lines.append(f"instances: {wins} wins / {ties} ties / {losses} losses "
-                 f"for {label_a}")
+    lines.append(f"instances: {tally['win']} wins / {tally['tie']} ties / "
+                 f"{tally['loss']} losses for {label_a}")
     try:
         stat, p = wilcoxon_signed_rank(all_a, all_b)
         lines.append(f"overall signed-rank: statistic={stat:.1f}, p={p:.4g}")

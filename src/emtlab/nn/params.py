@@ -7,8 +7,9 @@ import numpy as np
 
 from .tape import Node
 
-CHECKPOINT_VERSION = 1
-RECORD_KEYS = ("name", "shape", "values", "moment1", "moment2", "step_count")
+CHECKPOINT_VERSION = 2
+READABLE_VERSIONS = (1, CHECKPOINT_VERSION)   # format 1 also held Adam state, not read
+RECORD_KEYS = ("name", "shape", "values")
 BETA1, BETA2, EPS = 0.9, 0.999, 1e-8   # Adam's decay rates and offset
 
 
@@ -29,8 +30,9 @@ class Parameter:
 class ParameterStore:
     """Mapping from unique names to parameters with grads and Adam moments.
 
-    step counts the number of adam_step applications, for bias correction
-    and checkpointing.
+    step counts the number of adam_step applications, for bias correction.
+    Moments and step live in memory only: training always starts from
+    init_policy, so a checkpoint holds parameter values alone.
     """
 
     def __init__(self):
@@ -87,8 +89,9 @@ def adam_step(store: ParameterStore, learning_rate: float) -> None:
 
 
 def save_checkpoint(store: ParameterStore, path: str) -> None:
-    """Write one JSON record per parameter; float64 values round-trip
-    exactly.  A non-finite value or moment raises CheckpointError."""
+    """Write one JSON record (name, shape, values) per parameter; float64
+    values round-trip exactly.  A non-finite value or moment raises
+    CheckpointError, since either means training blew up."""
     records = []
     for name in sorted(store.params):
         p = store.params[name]
@@ -96,8 +99,7 @@ def save_checkpoint(store: ParameterStore, path: str) -> None:
             raise CheckpointError(
                 f"refusing to write {path}: parameter {name} is not finite")
         records.append(dict(zip(RECORD_KEYS, (
-            name, list(p.value.shape), p.value.ravel().tolist(),
-            p.m1.ravel().tolist(), p.m2.ravel().tolist(), store.step))))
+            name, list(p.value.shape), p.value.ravel().tolist()))))
     doc = {"format_version": CHECKPOINT_VERSION, "parameters": records}
     tmp = path + ".tmp"
     with open(tmp, "w") as fh:
@@ -116,9 +118,9 @@ def load_checkpoint(path: str) -> ParameterStore:
     if not isinstance(doc, dict):
         raise CheckpointError(f"checkpoint {path} is not a JSON object")
     version = doc.get("format_version")
-    if version != CHECKPOINT_VERSION:
-        raise CheckpointError(
-            f"checkpoint {path} has format_version={version!r}, expected {CHECKPOINT_VERSION}")
+    if version not in READABLE_VERSIONS:
+        raise CheckpointError(f"checkpoint {path} has format_version={version!r}, "
+                              f"expected one of {READABLE_VERSIONS}")
     store = ParameterStore()
     for i, rec in enumerate(doc.get("parameters", [])):
         if not isinstance(rec, dict):
@@ -132,15 +134,11 @@ def load_checkpoint(path: str) -> ParameterStore:
             raise CheckpointError(
                 f"checkpoint {path}: parameter {name} has no {missing[0]!r}")
         try:
-            value, m1, m2 = [np.array(rec[key], dtype=np.float64).reshape(rec["shape"])
-                             for key in ("values", "moment1", "moment2")]
+            value = np.array(rec["values"], dtype=np.float64).reshape(rec["shape"])
         except (TypeError, ValueError) as err:
             raise CheckpointError(f"checkpoint {path}: parameter {name} does not "
                                   f"fit its shape: {err}") from None
-        p = store.add(name, value)
-        p.m1[...] = m1
-        p.m2[...] = m2
-        store.step = int(rec["step_count"])
+        store.add(name, value)
     if not store.params:
         raise CheckpointError(f"checkpoint {path} contains no parameters")
     return store

@@ -19,6 +19,8 @@ plus values and serve as critic targets.
 """
 
 import logging
+import math
+import numbers
 import os
 import shutil
 import time
@@ -57,12 +59,23 @@ class PPOConfig:
     budget: int = 250
 
     def __post_init__(self):
-        if self.clip_eps <= 0:
-            raise ValueError("clip_eps must be positive")
-        if not 0 < self.gamma <= 1:
-            raise ValueError("gamma must be in (0, 1]")
-        if self.t_ppo < 1:
-            raise ValueError("t_ppo must be >= 1")
+        # int fields take integers, float fields finite numbers; bools neither
+        for name, rule, ok in (
+                ("t_ppo", "an integer >= 1", lambda v: v >= 1),
+                ("k_ppo", "an integer >= 1", lambda v: v >= 1),
+                ("budget", "an integer >= 1", lambda v: v >= 1),
+                ("epochs", "an integer >= 0", lambda v: v >= 0),
+                ("clip_eps", "a finite number > 0", lambda v: v > 0),
+                ("learning_rate", "a finite number > 0", lambda v: v > 0),
+                ("gamma", "a finite number in (0, 1]", lambda v: 0 < v <= 1),
+                ("gae_lambda", "a finite number in [0, 1]", lambda v: 0 <= v <= 1),
+                ("value_coef", "a finite number >= 0", lambda v: v >= 0),
+                ("entropy_coef", "a finite number >= 0", lambda v: v >= 0)):
+            value = getattr(self, name)
+            kind = numbers.Integral if self.__annotations__[name] is int else numbers.Real
+            if (isinstance(value, bool) or not isinstance(value, kind)
+                    or not math.isfinite(value) or not ok(value)):
+                raise ValueError(f"{name} must be {rule}, got {value!r}")
 
 
 def compute_advantages(rewards, values, config: PPOConfig,

@@ -1,4 +1,5 @@
-"""The claim rule of tools/bench_pairs.py on hand-made pairs."""
+"""The claim rule and the regression verdict of tools/bench_pairs.py on
+hand-made pairs."""
 
 import importlib.util
 import os
@@ -11,7 +12,8 @@ _spec = importlib.util.spec_from_file_location("bench_pairs", _PATH)
 bench_pairs = importlib.util.module_from_spec(_spec)
 _spec.loader.exec_module(bench_pairs)
 
-BETTER = {"cpu_s": "lower", "evals_per_s": "higher"}
+SPEC = {"cpu_s": {"better": "lower", "bound": 0.25},
+        "evals_per_s": {"better": "higher", "bound": 0.25}}
 
 
 def run(cpu_s, evals_per_s, failed=0, attempted=20, correct=True):
@@ -33,9 +35,9 @@ def pairs(n=10, **change):
 
 class TestSummarize:
     def test_clear_gain_meets_claim_rule(self):
-        summary = bench_pairs.summarize(pairs(), BETTER)
+        summary = bench_pairs.summarize(pairs(), SPEC)
         assert summary["outputs"]["kept"]
-        for name in BETTER:
+        for name in SPEC:
             s = summary["metrics"][name]
             assert s["change_wins"] == 10 and s["parent_wins"] == 0
             assert s["claim_rule_met"], name
@@ -46,7 +48,7 @@ class TestSummarize:
         p = pairs()
         for pair in p[:2]:
             pair["change"]["metrics"]["cpu_s"] = 20.0
-        s = bench_pairs.summarize(p, BETTER)["metrics"]["cpu_s"]
+        s = bench_pairs.summarize(p, SPEC)["metrics"]["cpu_s"]
         assert s["change_wins"] == 8 and s["parent_wins"] == 2
         assert not s["claim_rule_met"]
 
@@ -55,20 +57,20 @@ class TestSummarize:
         for i, pair in enumerate(p):
             pair["parent"]["metrics"]["cpu_s"] = 10.0 + 2.0 * i
             pair["change"]["metrics"]["cpu_s"] = 9.9 + 2.0 * i
-        s = bench_pairs.summarize(p, BETTER)["metrics"]["cpu_s"]
+        s = bench_pairs.summarize(p, SPEC)["metrics"]["cpu_s"]
         assert s["change_wins"] == 10
         assert not s["claim_rule_met"]
 
     def test_changed_digests_void_every_claim(self):
         p = pairs()
         p[3]["digests_equal"] = False
-        summary = bench_pairs.summarize(p, BETTER)
+        summary = bench_pairs.summarize(p, SPEC)
         assert not summary["outputs"]["digests_equal"]
         assert not summary["outputs"]["kept"]
         assert not any(s["claim_rule_met"] for s in summary["metrics"].values())
 
     def test_larger_failed_share_voids_every_claim(self):
-        summary = bench_pairs.summarize(pairs(failed=1, attempted=30), BETTER)
+        summary = bench_pairs.summarize(pairs(failed=1, attempted=30), SPEC)
         assert summary["outputs"]["failed_share"] == {"parent": 0.0,
                                                       "change": 1 / 30}
         assert not summary["outputs"]["kept"]
@@ -77,7 +79,7 @@ class TestSummarize:
     def test_failed_run_voids_every_claim(self):
         p = pairs()
         p[0]["change"]["correct"] = False
-        summary = bench_pairs.summarize(p, BETTER)
+        summary = bench_pairs.summarize(p, SPEC)
         assert summary["outputs"]["incorrect_runs"] == {"parent": 0, "change": 1}
         assert not any(s["claim_rule_met"] for s in summary["metrics"].values())
 
@@ -86,6 +88,53 @@ class TestSummarize:
         p = pairs(failed=1, attempted=40)
         for pair in p:
             pair["parent"]["failed"] = 1
-        summary = bench_pairs.summarize(p, BETTER)
+        summary = bench_pairs.summarize(p, SPEC)
         assert summary["outputs"]["kept"]
         assert summary["metrics"]["cpu_s"]["claim_rule_met"]
+
+
+def set_metric(p, name, parent, change):
+    for pair, b, c in zip(p, parent, change):
+        pair["parent"]["metrics"][name] = b
+        pair["change"]["metrics"][name] = c
+
+
+class TestRegression:
+    def test_clear_gain_reads_none(self):
+        summary = bench_pairs.summarize(pairs(), SPEC)
+        assert {s["regression"] for s in summary["metrics"].values()} == {"none"}
+        assert summary["no_regression"]
+
+    def test_small_loss_within_bound_reads_none(self):
+        # 10% slower and every pair lost, but inside the 0.25 bound
+        p = pairs(3)
+        set_metric(p, "cpu_s", [10.0, 10.1, 10.2], [11.0, 11.1, 11.2])
+        summary = bench_pairs.summarize(p, SPEC)
+        assert summary["metrics"]["cpu_s"]["regression"] == "none"
+        assert summary["no_regression"]
+
+    @pytest.mark.parametrize("name, parent, change", [
+        ("cpu_s", [10.0, 10.1, 10.2], [12.6, 12.7, 12.8]),
+        ("evals_per_s", [100.0, 101.0, 102.0], [75.0, 75.5, 76.0]),
+    ])
+    def test_median_past_bound_reads_worse(self, name, parent, change):
+        p = pairs(3)
+        set_metric(p, name, parent, change)
+        summary = bench_pairs.summarize(p, SPEC)
+        assert summary["metrics"][name]["regression"] == "worse"
+        assert not summary["no_regression"]
+
+    def test_wide_parent_spread_reads_unresolved(self):
+        # the parent's quartiles span 5 s, more than 0.25 x its 10 s median
+        p = pairs(3)
+        set_metric(p, "cpu_s", [5.0, 10.0, 15.0], [9.0, 9.5, 14.0])
+        summary = bench_pairs.summarize(p, SPEC)
+        assert summary["metrics"]["cpu_s"]["regression"] == "unresolved"
+        assert not summary["no_regression"]
+
+    def test_wide_parent_spread_beaten_by_every_run_reads_none(self):
+        p = pairs(3)
+        set_metric(p, "cpu_s", [5.0, 10.0, 15.0], [3.0, 3.5, 4.0])
+        summary = bench_pairs.summarize(p, SPEC)
+        assert summary["metrics"]["cpu_s"]["regression"] == "none"
+        assert summary["no_regression"]

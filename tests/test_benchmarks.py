@@ -226,7 +226,12 @@ class TestGeneration:
                 np.testing.assert_array_equal(so.shift, sl.shift)
                 assert so.function == sl.function
 
-    @pytest.mark.parametrize("case", ["json", "key", "function", "shape"])
+    def test_sub_tasks_of_different_dims_rejected(self):
+        subs = [make_subtask(dim=3), make_subtask(dim=4, seed=1)]
+        with pytest.raises(ValueError, match=r"sub-task dims \[3, 4\] differ"):
+            B.MTOInstance("mixed", 0.1, (B.BasicFunction.SPHERE,), subs)
+
+    @pytest.mark.parametrize("case", ["json", "key", "function", "shape", "dim"])
     def test_load_errors_name_file_and_line(self, tmp_path, case):
         path = tmp_path / "d.jsonl"
         B.save_instances(B.sample_instances(0.2, seed=3, n_tasks=2, dim=3,
@@ -239,10 +244,15 @@ class TestGeneration:
             doc["sub_tasks"][1]["function"] = "sphear"
         elif case == "shape":
             doc["sub_tasks"][0]["rotation"] = doc["sub_tasks"][0]["rotation"][:-1]
+        elif case == "dim":
+            wider = B.sample_instances(0.2, seed=3, n_tasks=2, dim=4, count=1)[0]
+            doc["sub_tasks"][1] = dict(B.instance_to_dict(wider)["sub_tasks"][1],
+                                       function=doc["combination"][0])
         lines[2] = "{not json" if case == "json" else json.dumps(doc)
         path.write_text("\n".join(lines) + "\n")
         expected = {"json": "Expecting", "key": "missing key 'shift_level'",
-                    "function": "unknown function: 'sphear'", "shape": "reshape"}
+                    "function": "unknown function: 'sphear'", "shape": "reshape",
+                    "dim": r"sub-task dims \[3, 4\] differ"}
         with pytest.raises(ValueError, match=f"d.jsonl, line 3: .*{expected[case]}"):
             B.load_instances(str(path))
 

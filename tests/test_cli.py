@@ -99,6 +99,25 @@ class TestTrainEvaluatePipeline:
             run(["train", "--config", str(config_path), "--out",
                  str(tmp_path / "x")])
 
+    @pytest.mark.parametrize("extra, error", [
+        ({"learning_rte": 0.1}, "config.json has unknown keys: learning_rte$"),
+        ({"Epochs": 2, "t_pp0": 3}, "config.json has unknown keys: Epochs, t_pp0$"),
+        ({"k_ppo": 0}, "^k_ppo must be an integer >= 1, got 0$"),
+        ({"budget": 0}, "^budget must be an integer >= 1, got 0$"),
+        ({"learning_rate": -1}, "^learning_rate must be a finite number > 0, "
+                                "got -1$"),
+    ], ids=["typo", "two-unknown", "k_ppo", "budget", "learning_rate"])
+    def test_bad_config_exits_before_writing(self, tmp_path, tiny_dataset,
+                                             extra, error):
+        config = dict({"dataset": str(tiny_dataset), "seed": 3, "epochs": 1,
+                       "budget": 4}, **extra)
+        config_path = tmp_path / "config.json"
+        config_path.write_text(json.dumps(config))
+        out = tmp_path / "run"
+        with pytest.raises(ValueError, match=error):
+            run(["train", "--config", str(config_path), "--out", str(out)])
+        assert not out.exists()
+
     def test_epoch_without_episode_exits_nonzero(self, tmp_path, tiny_dataset,
                                                   monkeypatch):
         # two instances, two epochs: both episodes of epoch 2 fail

@@ -5,24 +5,40 @@ deliberate behaviour change (a new RNG stream contract, a different
 network) updates the digests in the same change and says so in
 CHANGES.md.  The digests are of float64 results written with repr, so a
 numpy or BLAS build that rounds a matrix product differently changes
-them too.
+them too.  TRAIN_VALUES_SHA256 covers the trained parameter values
+alone, so it holds across checkpoint format versions; the checkpoint
+digest covers the written bytes.
 """
 
 import hashlib
 
+import numpy as np
+
 from emtlab import benchmarks as B
 from emtlab import harness as H
 from emtlab import ppo
+from emtlab.nn.params import load_checkpoint
 from emtlab.policy import init_policy
 
 EVAL_TRACE_SHA256 = "ada930f8fea7990c3a972132023cc8706982091bbf9cf8321cd817d3c1e24bd8"
 RANDOM_ALL_TRACE_SHA256 = "abe27735e2681c6a6bf1f6727c427d22b64cc755d38e4aff7c1f8e4fa4c40182"
-TRAIN_CHECKPOINT_SHA256 = "53357f70e6de6190bfe83be8fcf3fda5905b3c85dec9658a43e01c2d77238bc2"
+TRAIN_VALUES_SHA256 = "84e5ec3a7bca64e3488ab7c86009319d0c04d62844a42e8ed0484f3d482a6d14"
+TRAIN_CHECKPOINT_SHA256 = "adafb1786b041dbf5c7bda59012436a29df728f39582a5ba13aa6187c54dcbbf"
 
 
 def _sha256(path):
     with open(path, "rb") as fh:
         return hashlib.sha256(fh.read()).hexdigest()
+
+
+def _values_sha256(store):
+    """SHA-256 over the sorted names of each UTF-8 name followed by the
+    raw bytes of its C-ordered float64 values."""
+    digest = hashlib.sha256()
+    for name in sorted(store.params):
+        digest.update(name.encode("utf-8"))
+        digest.update(np.ascontiguousarray(store[name].value).tobytes())
+    return digest.hexdigest()
 
 
 def _instances(count):
@@ -58,4 +74,6 @@ def test_one_epoch_training_checkpoint(tmp_path):
     result = ppo.train(_instances(1), config, seed=0, pop_size=8,
                        out_dir=str(tmp_path))
     assert len(result.log) == 1
-    assert _sha256(tmp_path / "checkpoint.json") == TRAIN_CHECKPOINT_SHA256
+    path = tmp_path / "checkpoint.json"
+    assert _values_sha256(load_checkpoint(str(path))) == TRAIN_VALUES_SHA256
+    assert _sha256(path) == TRAIN_CHECKPOINT_SHA256

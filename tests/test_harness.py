@@ -319,6 +319,27 @@ class TestWilcoxon:
         with pytest.raises(ValueError, match="equal length"):
             wilcoxon_signed_rank(np.ones(3), np.ones(4))
 
+    @pytest.mark.parametrize("side, bad", [("x", np.nan), ("y", np.nan),
+                                           ("x", np.inf), ("y", -np.inf)])
+    def test_non_finite_input_rejected(self, side, bad):
+        # a NaN difference counts in n but falls in neither rank sum, so
+        # it would give a wrong p-value (0.0117 here) instead of failing
+        x = np.array([0.1, 0.2, 0.3, 0.4, 0.5, 0.6, 0.7, 0.8])
+        y = np.zeros(8)
+        {"x": x, "y": y}[side][-1] = bad
+        with pytest.raises(ValueError, match="finite"):
+            wilcoxon_signed_rank(x, y)
+
+    def test_non_finite_perf_reads_n_a_in_comparison(self):
+        rows_a = [H.EvaluationRow("i", r, 0.1 * (r + 1), np.array([0.5]), 0.0)
+                  for r in range(8)]
+        rows_b = [H.EvaluationRow("i", r, 0.0, np.array([0.5]), 0.0)
+                  for r in range(8)]
+        rows_a[-1].perf = np.nan
+        text = H.compare_results(rows_a, rows_b)
+        assert "p=n/a (inputs must be finite)" in text
+        assert "overall signed-rank: n/a (inputs must be finite)" in text
+
 
 class TestCompare:
     def test_summary_content(self, tmp_path):

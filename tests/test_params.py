@@ -5,7 +5,8 @@ import json
 import numpy as np
 import pytest
 
-from emtlab.nn.params import (CheckpointError, ParameterStore, adam_step,
+from emtlab.nn.params import (CHECKPOINT_VERSION, RECORD_KEYS,
+                              CheckpointError, ParameterStore, adam_step,
                               load_checkpoint, save_checkpoint)
 
 
@@ -14,6 +15,16 @@ def make_store():
     store.add("w", np.array([[0.5, -0.25], [1.5, 0.0]]))
     store.add("b", np.array([[0.1]]))
     return store
+
+
+def write_format1(store, path):
+    """A format-1 checkpoint, laid out as the format-1 writer laid it out."""
+    records = [{"name": name, "shape": list(p.value.shape),
+                "values": p.value.ravel().tolist(),
+                "moment1": p.m1.ravel().tolist(),
+                "moment2": p.m2.ravel().tolist(), "step_count": store.step}
+               for name, p in sorted(store.params.items())]
+    path.write_text(json.dumps({"format_version": 1, "parameters": records}))
 
 
 class TestStore:
@@ -75,12 +86,15 @@ class TestCheckpoint:
         store.step = 42
         path = tmp_path / "ckpt.json"
         save_checkpoint(store, str(path))
+        doc = json.loads(path.read_text())
+        assert doc["format_version"] == CHECKPOINT_VERSION == 2
+        assert [tuple(rec) for rec in doc["parameters"]] == [RECORD_KEYS] * 2
         loaded = load_checkpoint(str(path))
-        assert loaded.step == 42
+        assert list(loaded.params) == ["x", "y"]
         for name in list(store.params):
             np.testing.assert_array_equal(loaded[name].value, store[name].value)
-            np.testing.assert_array_equal(loaded[name].m1, store[name].m1)
-            np.testing.assert_array_equal(loaded[name].m2, store[name].m2)
+            assert np.array_equal(np.signbit(loaded[name].value),
+                                  np.signbit(store[name].value))
 
     def test_bytes_equal_pure_python_encoder(self, tmp_path):
         # the written file is what json.dump, which always takes the
@@ -95,14 +109,43 @@ class TestCheckpoint:
         path = tmp_path / "ckpt.json"
         save_checkpoint(store, str(path))
         records = [{"name": name, "shape": list(store[name].value.shape),
-                    "values": store[name].value.ravel().tolist(),
-                    "moment1": store[name].m1.ravel().tolist(),
-                    "moment2": store[name].m2.ravel().tolist(),
-                    "step_count": 7} for name in sorted(store.params)]
+                    "values": store[name].value.ravel().tolist()}
+                   for name in sorted(store.params)]
         reference = tmp_path / "reference.json"
         with open(reference, "w") as fh:
-            json.dump({"format_version": 1, "parameters": records}, fh)
+            json.dump({"format_version": 2, "parameters": records}, fh)
         assert path.read_bytes() == reference.read_bytes()
+
+    def test_format1_file_loads_bit_equal_values(self, tmp_path):
+        # format 1 also held Adam's moments and a per-record step count
+        rng = np.random.default_rng(11)
+        store = ParameterStore()
+        store.add("x", rng.standard_normal((4, 3)))
+        store.add("y", [[-0.0, 5e-324, 1.7976931348623157e308]])
+        for p in store.params.values():
+            p.m1[...] = rng.standard_normal(p.value.shape)
+            p.m2[...] = rng.random(p.value.shape)
+        store.step = 9
+        path = tmp_path / "v1.json"
+        write_format1(store, path)
+        loaded = load_checkpoint(str(path))
+        assert list(loaded.params) == ["x", "y"]
+        for name in list(store.params):
+            np.testing.assert_array_equal(loaded[name].value, store[name].value)
+            assert np.array_equal(np.signbit(loaded[name].value),
+                                  np.signbit(store[name].value))
+
+    def test_format1_misfit_moments_still_load(self, tmp_path):
+        # moments are not read, so a moment that does not fit its shape
+        # cannot stop the parameter values from loading
+        store = make_store()
+        path = tmp_path / "v1.json"
+        write_format1(store, path)
+        doc = json.loads(path.read_text())
+        doc["parameters"][1]["moment2"].append(0.5)   # sorted: "b", then "w"
+        path.write_text(json.dumps(doc))
+        loaded = load_checkpoint(str(path))
+        np.testing.assert_array_equal(loaded["w"].value, store["w"].value)
 
     def test_double_round_trip_identical_bytes(self, tmp_path):
         store = make_store()
@@ -143,11 +186,9 @@ class TestCheckpoint:
             load_checkpoint(str(path))
 
     @pytest.mark.parametrize("spoil,error", [
-        (lambda rec: rec.pop("moment1"), "parameter w has no 'moment1'"),
+        (lambda rec: rec.pop("values"), "parameter w has no 'values'"),
         (lambda rec: rec.update(values=[]), "parameter w does not fit its shape"),
-        (lambda rec: rec["moment2"].append(0.5),
-         "parameter w does not fit its shape"),
-    ], ids=["missing-key", "values-size", "moment-size"])
+    ], ids=["missing-key", "values-size"])
     def test_misfit_record_names_file_and_parameter(self, tmp_path, spoil,
                                                     error):
         path = tmp_path / "ckpt.json"

@@ -80,6 +80,41 @@ class TestConfig:
         with pytest.raises(ValueError):
             ppo.PPOConfig(t_ppo=0)
 
+    @pytest.mark.parametrize("field, value, rule", [
+        ("t_ppo", 0, "an integer >= 1"),
+        ("t_ppo", 2.0, "an integer >= 1"),
+        ("k_ppo", 0, "an integer >= 1"),
+        ("k_ppo", True, "an integer >= 1"),
+        ("budget", 0, "an integer >= 1"),
+        ("epochs", -1, "an integer >= 0"),
+        ("epochs", "3", "an integer >= 0"),
+        ("clip_eps", 0.0, "a finite number > 0"),
+        ("clip_eps", float("nan"), "a finite number > 0"),
+        ("clip_eps", float("inf"), "a finite number > 0"),
+        ("learning_rate", -1.0, "a finite number > 0"),
+        ("learning_rate", 0.0, "a finite number > 0"),
+        ("gamma", 0.0, r"a finite number in \(0, 1\]"),
+        ("gamma", 1.01, r"a finite number in \(0, 1\]"),
+        ("gae_lambda", 1.5, r"a finite number in \[0, 1\]"),
+        ("gae_lambda", -0.1, r"a finite number in \[0, 1\]"),
+        ("value_coef", float("nan"), "a finite number >= 0"),
+        ("value_coef", -0.5, "a finite number >= 0"),
+        ("entropy_coef", -0.01, "a finite number >= 0"),
+        ("entropy_coef", float("-inf"), "a finite number >= 0"),
+    ])
+    def test_rejects_field_naming_it_and_its_value(self, field, value, rule):
+        with pytest.raises(ValueError,
+                           match=rf"^{field} must be {rule}, got {value!r}$"):
+            ppo.PPOConfig(**{field: value})
+
+    @pytest.mark.parametrize("field, value", [
+        ("epochs", 0), ("gamma", 1.0), ("gae_lambda", 0.0), ("gae_lambda", 1),
+        ("value_coef", 0.0), ("entropy_coef", 0), ("k_ppo", np.int64(2)),
+        ("learning_rate", np.float64(1e-3)),
+    ])
+    def test_accepts_values_on_the_bounds(self, field, value):
+        assert getattr(ppo.PPOConfig(**{field: value}), field) == value
+
 
 class TestAdvantages:
     def test_all_zero(self):

@@ -20,7 +20,12 @@ files.  The claim rule of the benchmark is evaluated per metric: every pair
 wrote the same digests, the working tree failed no larger share of
 episodes and no more runs than the parent, it won at least nine tenths of
 the pairs, and its median is better than the parent's by more than the
-parent's inter-quartile range.
+parent's inter-quartile range.  Each metric also gets a regression verdict
+from its `bound` in BENCHMARK.json: `worse` when the working tree's median
+is worse than the parent's by more than bound x the parent's median,
+`unresolved` when the parent's inter-quartile range exceeds bound x its
+median and not every working-tree run beats every parent run, and `none`
+otherwise.  A workload has `no_regression` when every metric reads `none`.
 """
 
 import argparse
@@ -103,12 +108,30 @@ def outputs(pairs):
     }
 
 
-def summarize(pairs, better):
-    """Per metric: each side's quartiles, the pair wins, and the claim
-    rule; also the outputs check the claim rule rests on."""
+def regression(parent, change, direction, bound):
+    """`worse`, `unresolved` or `none`: whether the change's runs show a
+    regression beyond `bound`, a share of the parent's median."""
+    sign = 1.0 if direction == "lower" else -1.0
+    before = quartiles(parent)
+    allowed = bound * abs(before["median"])
+    if sign * (float(np.median(change)) - before["median"]) > allowed:
+        return "worse"
+    beats_all = (max(change) < min(parent) if direction == "lower"
+                 else min(change) > max(parent))
+    if before["q3"] - before["q1"] > allowed and not beats_all:
+        return "unresolved"
+    return "none"
+
+
+def summarize(pairs, spec):
+    """Per metric of `spec` ({name: {"better", "bound"}}): each side's
+    quartiles, the pair wins, the claim rule and the regression verdict;
+    also the outputs check the claim rule rests on and whether the
+    workload shows no regression."""
     kept = outputs(pairs)
     summary = {}
-    for name, direction in better.items():
+    for name, metric in spec.items():
+        direction = metric["better"]
         parent = [p["parent"]["metrics"][name] for p in pairs]
         change = [p["change"]["metrics"][name] for p in pairs]
         sign = 1.0 if direction == "lower" else -1.0
@@ -118,6 +141,7 @@ def summarize(pairs, better):
         gain = sign * (before["median"] - after["median"])
         summary[name] = {
             "better": direction,
+            "bound": metric["bound"],
             "parent": before,
             "change": after,
             "relative_change": after["median"] / before["median"] - 1.0,
@@ -127,11 +151,15 @@ def summarize(pairs, better):
             "claim_rule_met": (kept["kept"]
                                and wins >= WIN_SHARE * len(pairs)
                                and gain > before["q3"] - before["q1"]),
+            "regression": regression(parent, change, direction,
+                                     metric["bound"]),
         }
-    return {"outputs": kept, "metrics": summary}
+    return {"outputs": kept, "metrics": summary,
+            "no_regression": all(s["regression"] == "none"
+                                 for s in summary.values())}
 
 
-def bench_workload(workload, n_pairs, parent_dir, seed, better, environment):
+def bench_workload(workload, n_pairs, parent_dir, seed, spec, environment):
     """Runs the pairs of one workload; fills `environment` from the first
     run record."""
     pairs = []
@@ -159,7 +187,7 @@ def bench_workload(workload, n_pairs, parent_dir, seed, better, environment):
                   f"{result['failed']}/{result['attempted']}", flush=True)
         pair["digests_equal"] = digests["parent"] == digests["change"]
         pairs.append(pair)
-    return {"pairs": pairs, **summarize(pairs, better)}
+    return {"pairs": pairs, **summarize(pairs, spec)}
 
 
 def parse_pairs(text):
@@ -180,12 +208,13 @@ def main(argv=None):
     args = parser.parse_args(argv)
     with open(os.path.join(ROOT, "BENCHMARK.json")) as fh:
         spec = json.load(fh)
-    better = {m["name"]: m["better"] for m in spec["end_to_end"]}
+    metrics = {m["name"]: {"better": m["better"], "bound": m["bound"]}
+               for m in spec["end_to_end"]}
     with tempfile.TemporaryDirectory() as parent_dir:
-        return run_pairs(args, better, parent_dir)
+        return run_pairs(args, metrics, parent_dir)
 
 
-def run_pairs(args, better, parent_dir):
+def run_pairs(args, spec, parent_dir):
     parent = export_commit(args.parent, parent_dir)
     environment = {}
     doc = {
@@ -198,12 +227,17 @@ def run_pairs(args, better, parent_dir):
                        f"won >= {WIN_SHARE} of pairs, and its median beats "
                        "the parent's by more than the parent's "
                        "inter-quartile range"),
+        "regression_rule": ("worse: the change's median is worse than the "
+                            "parent's by more than bound x the parent's "
+                            "median; unresolved: the parent's inter-quartile "
+                            "range exceeds bound x its median and not every "
+                            "change run beats every parent run"),
         "environment": environment,
         "workloads": {},
     }
     for workload, n_pairs in args.runs:
         doc["workloads"][workload] = bench_workload(
-            workload, n_pairs, parent_dir, args.seed, better, environment)
+            workload, n_pairs, parent_dir, args.seed, spec, environment)
         # rewrite after every workload, so an interrupted run keeps
         # what it measured
         with open(args.out, "w") as fh:
@@ -218,7 +252,9 @@ def run_pairs(args, better, parent_dir):
                   f"{s['parent']['median']:.6g} change "
                   f"{s['change']['median']:.6g} wins "
                   f"{s['change_wins']}/{len(result['pairs'])} "
-                  f"claim {s['claim_rule_met']}")
+                  f"claim {s['claim_rule_met']} "
+                  f"regression {s['regression']}")
+        print(f"{workload:12s} no_regression {result['no_regression']}")
     return 0
 
 
