@@ -208,8 +208,7 @@ def main(argv=None):
     args = parser.parse_args(argv)
     with open(os.path.join(ROOT, "BENCHMARK.json")) as fh:
         spec = json.load(fh)
-    metrics = {m["name"]: {"better": m["better"], "bound": m["bound"]}
-               for m in spec["end_to_end"]}
+    metrics = {m["name"]: m for m in spec["end_to_end"]}
     with tempfile.TemporaryDirectory() as parent_dir:
         return run_pairs(args, metrics, parent_dir)
 
