@@ -37,6 +37,13 @@ def load_train_config(path):
                      - {"dataset", "seed", "pop_size", "n_tasks", "dim"})
     if unknown:
         raise ValueError(f"train config {path} has unknown keys: {', '.join(unknown)}")
+    if type(doc["seed"]) is not int:
+        raise ValueError(f"train config {path}: seed must be an integer, "
+                         f"got {doc['seed']!r}")
+    pop_size = doc.get("pop_size", 50)
+    if type(pop_size) is not int or pop_size < 4:
+        raise ValueError(f"train config {path}: pop_size must be an integer >= 4, "
+                         f"got {pop_size!r}")
     return doc, ppo.PPOConfig(**{k: v for k, v in doc.items() if k in ppo_keys})
 
 

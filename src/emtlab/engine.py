@@ -28,6 +28,10 @@ per-offspring operator indices, then the transfer crossover mask matrix
 and j_rand vector, then per-parent self-evolution partner indices, then
 the self crossover mask matrix and j_rand vector.  With a2 = 0 the stream
 consumption is exactly that of an independent single-task DE/rand/1/bin.
+Each row's indices are the numbers one rng.choice per row would draw, in
+the same stream order, but all operator indices of a task-generation
+come from one bounded-integer call, and so do all its partner indices
+(_pick_rows).
 
 Known fault, kept for reproducibility: emt_step advances the tasks in
 index order, each through selection before the next starts.  A transfer
@@ -134,11 +138,44 @@ def extract_state(state: EMTState) -> np.ndarray:
     return feats
 
 
-def _pick(rng, pool_size, count):
-    """Positions into a pool of pool_size rows; the caller indexes its pool.
-    rng.choice(pool, ...) is pool[rng.choice(len(pool), ...)], so this is
-    the same stream and the same rows."""
-    return rng.choice(pool_size, size=count, replace=pool_size < count)
+def _pick_rows(rng, rows, segments):
+    """Positions into pools of the given sizes; the caller indexes its pool.
+
+    Equals `rows` successive rows that each call, in segment order,
+    rng.choice(pool, size=count, replace=pool < count) for every (pool,
+    count) segment, with count <= 3; returns one (rows, count) array per
+    segment.  Same numbers and same stream, from one integers() call:
+    choice without replacement is Floyd's algorithm whenever count <= 3
+    (numpy shuffles instead only when pool > 10000 and count > pool // 50).  Floyd
+    draws on [0, j] for j = pool-count .. pool-1 and takes j itself when
+    the value is already taken, then a Fisher-Yates shuffle draws on
+    [0, i] for i = count-1 .. 1; with replacement choice draws count times
+    on [0, pool-1].  integers() over an array of exclusive bounds makes
+    those bounded draws element by element in C order, rejection sampling
+    included, and a bound of 1 consumes nothing.
+    """
+    spans = [[pool] * count if pool < count else
+             list(range(pool - count + 1, pool + 1)) + list(range(count, 1, -1))
+             for pool, count in segments]
+    bounds = np.empty((rows, sum(map(len, spans))), dtype=np.int64)
+    bounds[:] = [b for span in spans for b in span]
+    draws = rng.integers(0, bounds)
+    every_row = np.arange(rows)
+    out, start = [], 0
+    for (pool, count), span in zip(segments, spans):
+        pos = draws[:, start:start + count]
+        if pool >= count:
+            for i in range(1, count):
+                taken = (pos[:, :i] == pos[:, i:i + 1]).any(axis=1)
+                pos[taken, i] = pool - count + i
+            for k, i in enumerate(range(count - 1, 0, -1)):
+                j = draws[:, start + count + k]
+                swap = pos[:, i].copy()
+                pos[:, i] = pos[every_row, j]
+                pos[every_row, j] = swap
+        out.append(pos)
+        start += len(span)
+    return out
 
 
 def _binomial_crossover(rng, base, mutants, cr):
@@ -154,9 +191,7 @@ def self_evolve(pop: Population, rng: np.random.Generator, parents,
     """DE/rand/1/bin offspring for the given parent indices, clamped to [0, 1]."""
     parents = np.asarray(parents, dtype=int)
     x = pop.positions
-    r = np.empty((len(parents), 3), dtype=int)
-    for i in range(len(parents)):
-        r[i] = _pick(rng, pop.size - 1, 3)
+    r, = _pick_rows(rng, len(parents), [(pop.size - 1, 3)])
     # positions into "every row but the parent" become row indices
     r += r >= parents[:, None]
     mutants = x[r[:, 0]] + f * (x[r[:, 1]] - x[r[:, 2]])
@@ -190,12 +225,15 @@ def transfer_evolve(target: Population, source: Population, a2: float,
     pools = {"target": (target, np.arange(n)), "source": (source, elites)}
     base_name, base_is_best, diff_name = OPERATORS[op_id]
     (base, base_pool), (diff, diff_pool) = pools[base_name], pools[diff_name]
-    base_rows = np.full(m_kt, np.argmin(base.fitness))
-    pairs = np.empty((m_kt, 2), dtype=int)
-    for i in range(m_kt):
-        if not base_is_best:
-            base_rows[i] = base_pool[_pick(rng, len(base_pool), 1)[0]]
-        pairs[i] = diff_pool[_pick(rng, len(diff_pool), 2)]
+    # per offspring: the random base position (unless the base is the
+    # best row), then the difference pair
+    segments = [(len(diff_pool), 2)]
+    if not base_is_best:
+        segments.insert(0, (len(base_pool), 1))
+    picks = _pick_rows(rng, m_kt, segments)
+    base_rows = (np.full(m_kt, np.argmin(base.fitness)) if base_is_best
+                 else base_pool[picks[0][:, 0]])
+    pairs = diff_pool[picks[-1]]
     mutants = (base.positions[base_rows]
                + f * (diff.positions[pairs[:, 0]] - diff.positions[pairs[:, 1]]))
     trials = _binomial_crossover(rng, target.positions[hosts], mutants, cr)

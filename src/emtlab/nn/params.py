@@ -118,7 +118,7 @@ def load_checkpoint(path: str) -> ParameterStore:
     if not isinstance(doc, dict):
         raise CheckpointError(f"checkpoint {path} is not a JSON object")
     version = doc.get("format_version")
-    if version not in READABLE_VERSIONS:
+    if type(version) is not int or version not in READABLE_VERSIONS:
         raise CheckpointError(f"checkpoint {path} has format_version={version!r}, "
                               f"expected one of {READABLE_VERSIONS}")
     store = ParameterStore()

@@ -106,7 +106,13 @@ class TestTrainEvaluatePipeline:
         ({"budget": 0}, "^budget must be an integer >= 1, got 0$"),
         ({"learning_rate": -1}, "^learning_rate must be a finite number > 0, "
                                 "got -1$"),
-    ], ids=["typo", "two-unknown", "k_ppo", "budget", "learning_rate"])
+        ({"pop_size": 2}, "config.json: pop_size must be an integer >= 4, got 2$"),
+        ({"pop_size": 30.0}, "config.json: pop_size must be an integer >= 4, "
+                             "got 30.0$"),
+        ({"seed": True}, "config.json: seed must be an integer, got True$"),
+        ({"seed": "3"}, "config.json: seed must be an integer, got '3'$"),
+    ], ids=["typo", "two-unknown", "k_ppo", "budget", "learning_rate",
+            "pop_size", "pop_size-float", "seed-bool", "seed-str"])
     def test_bad_config_exits_before_writing(self, tmp_path, tiny_dataset,
                                              extra, error):
         config = dict({"dataset": str(tiny_dataset), "seed": 3, "epochs": 1,

@@ -165,6 +165,31 @@ class TestSelfEvolve:
             assert (off >= 0.0).all() and (off <= 1.0).all()
 
 
+class TestPickRows:
+    # 2**31 + 1 and 3 * 2**30 make numpy's bounded draw reject about half
+    # and a quarter of all raw 32-bit words, so rejections are replayed too
+    POOLS = st.one_of(st.integers(1, 60), st.sampled_from([2 ** 31 + 1, 3 * 2 ** 30]))
+
+    @given(st.lists(st.tuples(POOLS, st.integers(1, 3)), min_size=1, max_size=2),
+           st.integers(0, 60), st.integers(0, 2 ** 32 - 1))
+    @example([(1, 1)], 5, 0)
+    @example([(1, 2), (2, 3)], 5, 0)
+    @example([(2 ** 31 + 1, 3)], 60, 0)
+    @example([(3 * 2 ** 30, 1), (3 * 2 ** 30, 2)], 60, 1)
+    @settings(max_examples=200, deadline=None)
+    def test_equals_successive_choice_calls(self, segments, rows, seed):
+        rng = derive_rng(seed, "pick")
+        picks = E._pick_rows(rng, rows, segments)
+        replay = derive_rng(seed, "pick")
+        for (pool, count), pick in zip(segments, picks):
+            assert pick.shape == (rows, count)
+        for i in range(rows):
+            for (pool, count), pick in zip(segments, picks):
+                np.testing.assert_array_equal(
+                    pick[i], replay.choice(pool, size=count, replace=pool < count))
+        assert rng.bit_generator.state == replay.bit_generator.state
+
+
 class TestTransferEvolve:
     @staticmethod
     def _two_pops(seed=11, n=10, d=4):
@@ -211,32 +236,47 @@ class TestTransferEvolve:
     @pytest.mark.parametrize("op_id", [1, 2, 3, 4])
     def test_each_operator_replays_documented_draws(self, op_id):
         # per offspring: the random base index (operators 2 and 3), then
-        # the difference pair; Cr = 1 makes every trial the raw mutant
-        target, source = self._two_pops(n=12)
-        off, hosts = E.transfer_evolve(target, source, 0.5, op_id, 0.3, 1.0,
-                                       derive_rng(6, "t"))
-        m = len(hosts)
-        replay = derive_rng(6, "t")
-        np.testing.assert_array_equal(hosts, replay.choice(12, size=m, replace=False))
-        elites = np.argsort(source.fitness, kind="stable")[:m]
-        src, tgt = source.positions, target.positions
-        mutants = np.empty((m, 4))
-        for i in range(m):
+        # the difference pair; Cr = 1 makes every trial the raw mutant.
+        # m_kt = 1 leaves one elite, and draws from it consume nothing.
+        for m_kt in (1, 6, 12):
+            target, source = self._two_pops(n=12)
+            rng = derive_rng(6, "t")
+            off, hosts = E.transfer_evolve(target, source, m_kt / 12, op_id,
+                                           0.3, 1.0, rng)
+            assert len(hosts) == m_kt
+            replay = derive_rng(6, "t")
+            np.testing.assert_array_equal(hosts, replay.choice(12, size=m_kt,
+                                                               replace=False))
+            elites = np.argsort(source.fitness, kind="stable")[:m_kt]
+            mutants = self._replay_mutants(op_id, target, source, elites, replay)
+            np.testing.assert_array_equal(off, np.clip(mutants, 0.0, 1.0))
+            replay.random((m_kt, 4))                  # crossover mask
+            replay.integers(0, 4, size=m_kt)          # j_rand
+            assert rng.bit_generator.state == replay.bit_generator.state
+
+    @staticmethod
+    def _replay_mutants(op_id, target, source, elites, replay):
+        def pick(pool, count):
+            return replay.choice(pool, size=count, replace=len(pool) < count)
+
+        src, tgt, everyone = source.positions, target.positions, np.arange(12)
+        mutants = np.empty((len(elites), 4))
+        for i in range(len(elites)):
             if op_id == 1:
-                r1, r2 = replay.choice(elites, size=2, replace=False)
+                r1, r2 = pick(elites, 2)
                 mutants[i] = tgt[np.argmin(target.fitness)] + 0.3 * (src[r1] - src[r2])
             elif op_id == 2:
-                t1 = replay.choice(12, size=1, replace=False)[0]
-                r2, r3 = replay.choice(elites, size=2, replace=False)
+                t1, = pick(everyone, 1)
+                r2, r3 = pick(elites, 2)
                 mutants[i] = tgt[t1] + 0.3 * (src[r2] - src[r3])
             elif op_id == 3:
-                r1 = replay.choice(elites, size=1, replace=False)[0]
-                t2, t3 = replay.choice(12, size=2, replace=False)
+                r1, = pick(elites, 1)
+                t2, t3 = pick(everyone, 2)
                 mutants[i] = src[r1] + 0.3 * (tgt[t2] - tgt[t3])
             else:
-                t1, t2 = replay.choice(12, size=2, replace=False)
+                t1, t2 = pick(everyone, 2)
                 mutants[i] = src[np.argmin(source.fitness)] + 0.3 * (tgt[t1] - tgt[t2])
-        np.testing.assert_array_equal(off, np.clip(mutants, 0.0, 1.0))
+        return mutants
 
     def test_operator_three_f_zero_injects_source(self):
         target, source = self._two_pops(n=10)

@@ -185,6 +185,17 @@ class TestCheckpoint:
         with pytest.raises(CheckpointError, match="format_version"):
             load_checkpoint(str(path))
 
+    @pytest.mark.parametrize("version", [True, 1.0, 2.0])
+    def test_version_must_be_an_integer(self, tmp_path, version):
+        # True == 1 and 2.0 == 2, so a membership test alone accepts them
+        path = tmp_path / "ckpt.json"
+        save_checkpoint(make_store(), str(path))
+        doc = dict(json.loads(path.read_text()), format_version=version)
+        path.write_text(json.dumps(doc))
+        with pytest.raises(CheckpointError, match="format_version") as info:
+            load_checkpoint(str(path))
+        assert str(path) in str(info.value)
+
     @pytest.mark.parametrize("spoil,error", [
         (lambda rec: rec.pop("values"), "parameter w has no 'values'"),
         (lambda rec: rec.update(values=[]), "parameter w does not fit its shape"),
