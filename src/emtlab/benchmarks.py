@@ -89,10 +89,11 @@ def evaluate_basic_batch(fid: BasicFunction, z: np.ndarray) -> np.ndarray:
         return (1.0 + np.sum(z * z, axis=1) / 4000.0
                 - np.prod(np.cos(z / idx), axis=1))
     if fid is BasicFunction.WEIERSTRASS:
-        # inner sum over k vectorized as (n, D, k_max+1)
+        # inner sum over k vectorized as (n, D, k_max+1), in place
         phase = 2.0 * np.pi * _W_POWERS_B * (z[..., None] + 0.5)
-        inner = np.sum(_W_POWERS_A * np.cos(phase), axis=2)
-        return np.sum(inner, axis=1) - d * _W_OFFSET
+        np.cos(phase, out=phase)
+        phase *= _W_POWERS_A
+        return np.sum(phase.sum(axis=2), axis=1) - d * _W_OFFSET
     if fid is BasicFunction.SCHWEFEL:
         return 418.9829 * d - np.sum(z * np.sin(np.sqrt(np.abs(z))), axis=1)
     raise ValueError(f"unknown function: {fid}")

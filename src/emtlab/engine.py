@@ -2,7 +2,9 @@
 cross-task knowledge transfer.
 
 Each of the K sub-tasks owns a population of N individuals in the unified
-[0, 1]^D space.  One generation, driven by a per-step action bundle:
+[0, 1]^D space; EMTState stacks them as positions (K, N, D) and fitness
+(K, N), and state.populations[j] views task j's rows.  One generation,
+driven by a per-step action bundle:
 
   1. per task j, m_kt = round(a2_j * N) transfer offspring are built from
      the m_kt best individuals of the source population a1_j using one of
@@ -31,18 +33,30 @@ consumption is exactly that of an independent single-task DE/rand/1/bin.
 Each row's indices are the numbers one rng.choice per row would draw, in
 the same stream order, but all operator indices of a task-generation
 come from one bounded-integer call, and so do all its partner indices
-(_pick_rows).
+(_draw_rows, then _fix_rows).
 
-Known fault, kept for reproducibility: emt_step advances the tasks in
-index order, each through selection before the next starts.  A transfer
-into task j from a source a1_j < j therefore reads that source's
+emt_step runs a generation in three phases.  First, per task in index
+order, it makes every draw of the generation from that task's stream, in
+the order above; every count depends only on the action, N and D, so no
+draw waits for an offspring.  Second, one array pass (self_evolve) builds
+the self-evolution offspring of all K tasks from the positions before
+the generation.  Third, per task in index order, it builds the transfer
+offspring from the source population as it stands then, evaluates the
+task's offspring and selects.  Every stream is consumed as when each task
+ran all its steps before the next began.
+
+Known fault, kept for reproducibility: the third phase is sequential, so
+a transfer into task j from a source a1_j < j reads that source's
 population after this generation's selection, and one from a1_j > j the
 population before it.  The engine is not permutation-equivariant in the
 task axis, although the controller is: relabelling the tasks of an
 instance (same streams, positions and routing) changes the results.
 """
 
+import math
 from dataclasses import dataclass, field
+from functools import lru_cache
+from typing import NamedTuple
 
 import numpy as np
 
@@ -51,7 +65,7 @@ from .seeds import derive_rng
 
 SELF_F = 0.5
 SELF_CR = 0.7
-# accepted action ranges; transfer_evolve caps the transfer count at N
+# accepted action ranges; the transfer count is capped at N
 ACTION_RANGES = {"a2": (0.0, np.inf), "a32": (0.0, 1.0), "a33": (0.0, 1.0)}
 # op_id: (base population, whether the base is that population's best row,
 #         difference-pair population)
@@ -61,37 +75,69 @@ OPERATORS = {1: ("target", True, "source"),
              4: ("source", True, "target")}
 
 
-@dataclass
+class _Entry:
+    """Population attribute held in a one-element view of a (K,) EMTState
+    array, so the population refers to the state's arrays, not the state."""
+
+    def __init__(self, view, cast):
+        self.view, self.cast = view, cast
+
+    def __get__(self, pop, owner=None):
+        return self.cast(getattr(pop, self.view)[0])
+
+    def __set__(self, pop, value):
+        getattr(pop, self.view)[0] = value
+
+
 class Population:
-    positions: np.ndarray          # (N, D) in [0, 1]
-    fitness: np.ndarray            # (N,)
-    best_value: float
-    stagnation: int = 0            # cumulative generations without best improvement
-    improved_last: bool = False    # best-so-far updated in the last generation
+    """Task j of an EMTState.  positions (N, D) and fitness (N,) are views
+    of its rows of the stacked arrays; the other attributes read and write
+    its entries of the per-task arrays."""
+
+    best_value = _Entry("_best", float)
+    # cumulative generations without best improvement
+    stagnation = _Entry("_stagnation", int)
+    # best-so-far updated in the last generation
+    improved_last = _Entry("_improved", bool)
+
+    def __init__(self, state, j):
+        self.positions = state.positions[j]
+        self.fitness = state.fitness[j]
+        self._best, self._stagnation, self._improved = (
+            a[j:j + 1] for a in (state.best, state.stagnation, state.improved))
 
     @property
     def size(self) -> int:
-        return self.positions.shape[0]
+        return len(self.fitness)
 
 
 @dataclass
 class EMTState:
     instance: MTOInstance
-    populations: list
-    f0: np.ndarray                 # best fitness of each initial population
-    fmax0: np.ndarray              # worst fitness of each initial population
+    positions: np.ndarray          # (K, N, D) in [0, 1]
+    fitness: np.ndarray            # (K, N)
     budget: int                    # total generations G, for the stagnation feature
     task_rngs: list
     evaluations: int = 0
     # one (n_transfer, n_success) pair of (K,) arrays per completed generation
     transfers: list = field(default_factory=list)
 
+    def __post_init__(self):
+        k = len(self.positions)
+        # (K,) per task: best-so-far, best and worst initial fitness
+        self.best = self.fitness.min(axis=1)
+        self.f0 = self.best.copy()
+        self.fmax0 = self.fitness.max(axis=1)
+        self.stagnation = np.zeros(k, dtype=int)
+        self.improved = np.zeros(k, dtype=bool)
+        self.populations = [Population(self, j) for j in range(k)]
+
     @property
     def n_tasks(self) -> int:
         return len(self.populations)
 
     def best_values(self) -> np.ndarray:
-        return np.array([p.best_value for p in self.populations])
+        return self.best.copy()
 
 
 def init_populations(instance: MTOInstance, pop_size: int, seed: int,
@@ -101,17 +147,12 @@ def init_populations(instance: MTOInstance, pop_size: int, seed: int,
     if pop_size < 4:
         raise ValueError("population size must be >= 4 for DE/rand/1")
     rngs = [derive_rng(seed, "task", j) for j in range(instance.n_tasks)]
-    pops = []
-    evaluations = 0
-    for defn, rng in zip(instance.sub_tasks, rngs):
-        positions = rng.random((pop_size, defn.dim))
-        fitness = evaluate_subtask_batch(defn, positions)
-        evaluations += pop_size
-        pops.append(Population(positions, fitness, float(fitness.min())))
-    f0 = np.array([p.best_value for p in pops])
-    fmax0 = np.array([p.fitness.max() for p in pops])
-    return EMTState(instance, pops, f0, fmax0, budget, rngs,
-                    evaluations=evaluations)
+    positions = np.stack([rng.random((pop_size, defn.dim))
+                          for defn, rng in zip(instance.sub_tasks, rngs)])
+    fitness = np.stack([evaluate_subtask_batch(defn, x)
+                        for defn, x in zip(instance.sub_tasks, positions)])
+    return EMTState(instance, positions, fitness, budget, rngs,
+                    evaluations=fitness.size)
 
 
 def extract_state(state: EMTState) -> np.ndarray:
@@ -123,120 +164,166 @@ def extract_state(state: EMTState) -> np.ndarray:
     s4  1 if the best-so-far value improved in the last generation
     s5  survival rate of the last generation's transferred solutions
     """
-    k = state.n_tasks
-    feats = np.zeros((k, 5))
-    last = state.transfers[-1] if state.transfers else None
-    for j, pop in enumerate(state.populations):
-        feats[j, 0] = pop.positions.std(axis=0).mean()
-        denom = state.fmax0[j]  # f* = 0 for all generated sub-tasks
-        if abs(denom) > 1e-12:
-            feats[j, 1] = min((pop.fitness / denom).std(), 1.0)
-        feats[j, 2] = min(pop.stagnation / state.budget, 1.0)
-        feats[j, 3] = 1.0 if pop.improved_last else 0.0
-        if last is not None and last[0][j] > 0:
-            feats[j, 4] = last[1][j] / last[0][j]
+    valid = np.abs(state.fmax0) > 1e-12  # f* = 0 for all generated sub-tasks
+    spread = (state.fitness / np.where(valid, state.fmax0, 1.0)[:, None]).std(axis=1)
+    feats = np.zeros((state.n_tasks, 5))
+    feats[:, 0] = state.positions.std(axis=1).mean(axis=1)
+    feats[:, 1] = np.where(valid, np.minimum(spread, 1.0), 0.0)
+    feats[:, 2] = np.minimum(state.stagnation / state.budget, 1.0)
+    feats[:, 3] = state.improved
+    if state.transfers:
+        n_transfer, n_success = state.transfers[-1]
+        # no transfer means no survivor: 0 / 1
+        feats[:, 4] = n_success / np.maximum(n_transfer, 1)
     return feats
 
 
-def _pick_rows(rng, rows, segments):
-    """Positions into pools of the given sizes; the caller indexes its pool.
+@lru_cache(maxsize=4096)
+def _bounds(segments, rows):
+    """Exclusive bounds of `rows` rows of draws for (pool, count) segments,
+    read-only."""
+    row = [b for pool, count in segments for b in
+           ([pool] * count if pool < count else
+            [*range(pool - count + 1, pool + 1), *range(count, 1, -1)])]
+    bounds = np.empty((rows, len(row)), dtype=np.int64)
+    bounds[:] = row
+    bounds.flags.writeable = False
+    return bounds
 
-    Equals `rows` successive rows that each call, in segment order,
-    rng.choice(pool, size=count, replace=pool < count) for every (pool,
-    count) segment, with count <= 3; returns one (rows, count) array per
-    segment.  Same numbers and same stream, from one integers() call:
-    choice without replacement is Floyd's algorithm whenever count <= 3
-    (numpy shuffles instead only when pool > 10000 and count > pool // 50).  Floyd
-    draws on [0, j] for j = pool-count .. pool-1 and takes j itself when
-    the value is already taken, then a Fisher-Yates shuffle draws on
-    [0, i] for i = count-1 .. 1; with replacement choice draws count times
-    on [0, pool-1].  integers() over an array of exclusive bounds makes
-    those bounded draws element by element in C order, rejection sampling
-    included, and a bound of 1 consumes nothing.
+
+def _draw_rows(rng, rows, segments):
+    """Raw draws of `rows` rows of positions into pools of the given sizes,
+    made by one integers() call; _fix_rows turns them into positions.
+
+    The two steps together equal `rows` successive rows that each call, in
+    segment order, rng.choice(pool, size=count, replace=pool < count) for
+    every (pool, count) segment, with count <= 3: same numbers and same
+    stream.  choice without replacement is Floyd's algorithm whenever
+    count <= 3 (numpy shuffles instead only when pool > 10000 and count >
+    pool // 50).  Floyd draws on [0, j] for j = pool-count .. pool-1 and
+    takes j itself when the value is already taken, then a Fisher-Yates
+    shuffle draws on [0, i] for i = count-1 .. 1; with replacement choice
+    draws count times on [0, pool-1].  integers() over an array of
+    exclusive bounds makes those bounded draws element by element in C
+    order, rejection sampling included, and a bound of 1 consumes nothing.
     """
-    spans = [[pool] * count if pool < count else
-             list(range(pool - count + 1, pool + 1)) + list(range(count, 1, -1))
-             for pool, count in segments]
-    bounds = np.empty((rows, sum(map(len, spans))), dtype=np.int64)
-    bounds[:] = [b for span in spans for b in span]
-    draws = rng.integers(0, bounds)
-    every_row = np.arange(rows)
+    return rng.integers(0, _bounds(tuple(segments), rows))
+
+
+def _fix_rows(draws, segments):
+    """Positions from _draw_rows' draws, one (rows, count) array per
+    segment; the caller indexes its pool.  Overwrites `draws`."""
+    every_row = np.arange(len(draws))
     out, start = [], 0
-    for (pool, count), span in zip(segments, spans):
+    for pool, count in segments:
         pos = draws[:, start:start + count]
         if pool >= count:
             for i in range(1, count):
-                taken = (pos[:, :i] == pos[:, i:i + 1]).any(axis=1)
+                taken = pos[:, 0] == pos[:, i]
+                for c in range(1, i):
+                    taken |= pos[:, c] == pos[:, i]
                 pos[taken, i] = pool - count + i
             for k, i in enumerate(range(count - 1, 0, -1)):
                 j = draws[:, start + count + k]
                 swap = pos[:, i].copy()
                 pos[:, i] = pos[every_row, j]
                 pos[every_row, j] = swap
+            start += count - 1
         out.append(pos)
-        start += len(span)
+        start += count
     return out
 
 
-def _binomial_crossover(rng, base, mutants, cr):
-    m, d = mutants.shape
-    mask = rng.random((m, d)) < cr
-    j_rand = rng.integers(0, d, size=m)
-    mask[np.arange(m), j_rand] = True
-    return np.where(mask, mutants, base)
+def _crossover_mask(rng, rows, d, cr):
+    """Binomial crossover mask: each gene from the mutant with probability
+    cr, and one j_rand gene per row always."""
+    mask = rng.random((rows, d)) < cr
+    mask[np.arange(rows), rng.integers(0, d, size=rows)] = True
+    return mask
 
 
-def self_evolve(pop: Population, rng: np.random.Generator, parents,
-                f: float = SELF_F, cr: float = SELF_CR) -> np.ndarray:
-    """DE/rand/1/bin offspring for the given parent indices, clamped to [0, 1]."""
+def _draw_self(rng, rows, n, d, cr=SELF_CR):
+    """Self-evolution draws of `rows` parents in a population of n: (raw
+    draws of three distinct partners among the N - 1 rows other than the
+    parent, crossover mask)."""
+    return (_draw_rows(rng, rows, ((n - 1, 3),)),
+            _crossover_mask(rng, rows, d, cr))
+
+
+def self_evolve(positions, partners, parents, mask, f: float = SELF_F) -> np.ndarray:
+    """DE/rand/1/bin offspring, clamped to [0, 1], in one array pass.
+
+    positions is (K, N, D); parents are row indices into its (K*N, D)
+    reshape; partners and mask are each parent's draws from _draw_self,
+    its partners taken from its own population.
+    """
+    k, n, d = positions.shape
     parents = np.asarray(parents, dtype=int)
-    x = pop.positions
-    r, = _pick_rows(rng, len(parents), [(pop.size - 1, 3)])
-    # positions into "every row but the parent" become row indices
-    r += r >= parents[:, None]
+    r, = _fix_rows(partners, ((n - 1, 3),))
+    local = parents % n
+    # positions into "every row but the parent" become rows of the stack
+    r += (r >= local[:, None]) + (parents - local)[:, None]
+    x = positions.reshape(k * n, d)
     mutants = x[r[:, 0]] + f * (x[r[:, 1]] - x[r[:, 2]])
-    trials = _binomial_crossover(rng, x[parents], mutants, cr)
-    return np.clip(trials, 0.0, 1.0)
+    return np.clip(np.where(mask, mutants, x[parents]), 0.0, 1.0)
 
 
-def _round_half_up(x: float) -> int:
-    return int(np.floor(x + 0.5))
+@lru_cache(maxsize=4096)
+def _transfer_segments(op_id, n, m_kt):
+    """Per offspring: the random base position (unless the base is the
+    best row), then the difference pair."""
+    base_name, base_is_best, diff_name = OPERATORS[op_id]
+    pools = {"target": n, "source": m_kt}
+    segments = ((pools[diff_name], 2),)
+    return segments if base_is_best else ((pools[base_name], 1),) + segments
 
 
-def transfer_evolve(target: Population, source: Population, a2: float,
-                    op_id: int, f: float, cr: float,
-                    rng: np.random.Generator):
+class TransferDraws(NamedTuple):
+    """One task-generation's transfer draws, made by _draw_transfer."""
+    hosts: np.ndarray              # (m_kt,) target parents paired with the offspring
+    indices: np.ndarray            # (m_kt, ·) raw operator index draws
+    mask: np.ndarray               # (m_kt, D) crossover mask
+
+
+def _draw_transfer(rng, n, d, a2, op_id, cr) -> TransferDraws:
+    """Transfer draws of a target of n rows.  m_kt = round(a2 * N), capped
+    at N; zero means no transfer and no stream consumption."""
+    m_kt = math.floor(min(a2, 1.0) * n + 0.5)  # round half up, at most N
+    if m_kt <= 0:
+        return TransferDraws(np.empty(0, dtype=int), np.empty((0, 0), dtype=int),
+                             np.empty((0, d), dtype=bool))
+    hosts = rng.choice(n, size=m_kt, replace=False)
+    return TransferDraws(hosts,
+                         _draw_rows(rng, m_kt, _transfer_segments(op_id, n, m_kt)),
+                         _crossover_mask(rng, m_kt, d, cr))
+
+
+def transfer_evolve(target: Population, source: Population, op_id: int,
+                    f: float, draws: TransferDraws):
     """Knowledge-transfer offspring for one target task.
 
     Returns (offspring, hosts): hosts are the uniformly sampled target
     parents each offspring is paired with for crossover and selection.
-    m_kt = round(a2 * N) offspring are built; zero means no transfer and
-    no stream consumption.
     """
-    if op_id not in OPERATORS:
-        raise ValueError(f"unknown operator id: {op_id}")
-    n = target.size
-    m_kt = min(_round_half_up(a2 * n), n)
-    if m_kt <= 0:
-        return np.empty((0, target.positions.shape[1])), np.empty(0, dtype=int)
-    hosts = rng.choice(n, size=m_kt, replace=False)
+    hosts = draws.hosts
+    m_kt, n = len(hosts), target.size
+    if m_kt == 0:
+        return np.empty((0, target.positions.shape[1])), hosts
     # elite set: the m_kt lowest-fitness source individuals
-    elites = np.argsort(source.fitness, kind="stable")[:m_kt]
-    pools = {"target": (target, np.arange(n)), "source": (source, elites)}
+    elites = source.fitness.argsort(kind="stable")[:m_kt]
+    # each pool's rows; None: every target row, in order
+    pools = {"target": (target, None), "source": (source, elites)}
     base_name, base_is_best, diff_name = OPERATORS[op_id]
     (base, base_pool), (diff, diff_pool) = pools[base_name], pools[diff_name]
-    # per offspring: the random base position (unless the base is the
-    # best row), then the difference pair
-    segments = [(len(diff_pool), 2)]
-    if not base_is_best:
-        segments.insert(0, (len(base_pool), 1))
-    picks = _pick_rows(rng, m_kt, segments)
-    base_rows = (np.full(m_kt, np.argmin(base.fitness)) if base_is_best
-                 else base_pool[picks[0][:, 0]])
-    pairs = diff_pool[picks[-1]]
-    mutants = (base.positions[base_rows]
-               + f * (diff.positions[pairs[:, 0]] - diff.positions[pairs[:, 1]]))
-    trials = _binomial_crossover(rng, target.positions[hosts], mutants, cr)
+    picks = _fix_rows(draws.indices, _transfer_segments(op_id, n, m_kt))
+    if base_is_best:
+        base_rows = base.fitness.argmin()
+    else:
+        base_rows = picks[0][:, 0] if base_pool is None else base_pool[picks[0][:, 0]]
+    pairs = picks[-1] if diff_pool is None else diff_pool[picks[-1]]
+    x = diff.positions
+    mutants = base.positions[base_rows] + f * (x[pairs[:, 0]] - x[pairs[:, 1]])
+    trials = np.where(draws.mask, mutants, target.positions[hosts])
     return np.clip(trials, 0.0, 1.0), hosts
 
 
@@ -248,9 +335,9 @@ def greedy_select(pop: Population, offspring: np.ndarray,
     number of surviving transfer offspring."""
     accept = offspring_fitness <= pop.fitness
     n_success = int(np.count_nonzero(accept & transfer_mask))
-    pop.positions[accept] = offspring[accept]
-    pop.fitness[accept] = offspring_fitness[accept]
-    best = int(np.argmin(pop.fitness))
+    np.copyto(pop.positions, offspring, where=accept[:, None])
+    np.copyto(pop.fitness, offspring_fitness, where=accept)
+    best = pop.fitness.argmin()
     improved = pop.fitness[best] < pop.best_value
     if improved:
         pop.best_value = float(pop.fitness[best])
@@ -280,8 +367,9 @@ def emt_step(state: EMTState, action):
     """Advance every population by one generation under the action bundle.
 
     Mutates the state in place; returns (reward, info) where info carries
-    the per-task reward components for logging.  A bad routing or a value
-    outside ACTION_RANGES raises ValueError before anything changes.
+    the per-task reward components for logging.  A bad routing, an unknown
+    operator id or a value outside ACTION_RANGES raises ValueError before
+    anything changes.
     """
     k = state.n_tasks
     a1 = np.asarray(action.a1, dtype=int)
@@ -289,33 +377,47 @@ def emt_step(state: EMTState, action):
         raise ValueError("action has wrong number of tasks")
     if np.any(a1 == np.arange(k)) or a1.min() < 0 or a1.max() >= k:
         raise ValueError("source task indices must differ from the target")
+    a31 = action.a31
+    bad = [j for j, op in enumerate(a31) if op not in OPERATORS]
+    if bad:
+        raise ValueError(f"action a31 of task {bad[0]} is {a31[bad[0]]}, "
+                         f"expected an operator id in {sorted(OPERATORS)}")
     for name, (lo, hi) in ACTION_RANGES.items():
         values = np.asarray(getattr(action, name), dtype=np.float64)
         bad = np.flatnonzero(~(np.isfinite(values) & (values >= lo) & (values <= hi)))
         if len(bad):
             raise ValueError(f"action {name} of task {bad[0]} is {values[bad[0]]}, "
                              f"expected a finite value in [{lo}, {hi}]")
+    _, n, d = state.positions.shape
+    # phase 1: every draw of the generation, task by task
+    transfers, selfs = [], []
+    transfer_mask = np.zeros((k, n), dtype=bool)
+    for j, rng in enumerate(state.task_rngs):
+        draws = _draw_transfer(rng, n, d, float(action.a2[j]), int(a31[j]),
+                               float(action.a33[j]))
+        transfer_mask[j, draws.hosts] = True
+        transfers.append(draws)
+        selfs.append(_draw_self(rng, n - len(draws.hosts), n, d))
+    # phase 2: the self-evolution offspring of every task at once
+    partners, masks = zip(*selfs)
+    combined = np.empty_like(state.positions)
+    self_parents = np.flatnonzero(~transfer_mask)
+    combined.reshape(k * n, d)[self_parents] = self_evolve(
+        state.positions, np.concatenate(partners), self_parents,
+        np.concatenate(masks))
+    # phase 3: transfer, evaluation and selection, task by task
     best_before = state.best_values()
     n_transfer = np.zeros(k, dtype=int)
     n_success = np.zeros(k, dtype=int)
-    for j in range(k):
-        pop = state.populations[j]
-        rng = state.task_rngs[j]
-        n = pop.size
+    for j, pop in enumerate(state.populations):
         offspring, hosts = transfer_evolve(
-            pop, state.populations[a1[j]], float(action.a2[j]),
-            int(action.a31[j]), float(action.a32[j]), float(action.a33[j]), rng)
-        transfer_mask = np.zeros(n, dtype=bool)
-        transfer_mask[hosts] = True
-        self_parents = np.flatnonzero(~transfer_mask)
-        combined = np.empty_like(pop.positions)
-        if len(hosts):
-            combined[hosts] = offspring
-        combined[self_parents] = self_evolve(pop, rng, self_parents)
-        fitness = evaluate_subtask_batch(state.instance.sub_tasks[j], combined)
+            pop, state.populations[a1[j]], int(a31[j]), float(action.a32[j]),
+            transfers[j])
+        combined[j, hosts] = offspring
+        fitness = evaluate_subtask_batch(state.instance.sub_tasks[j], combined[j])
         state.evaluations += n
         n_transfer[j] = len(hosts)
-        n_success[j] = greedy_select(pop, combined, fitness, transfer_mask)
+        n_success[j] = greedy_select(pop, combined[j], fitness, transfer_mask[j])
     reward, rc, rk = compute_reward(best_before, state.best_values(), state.f0,
                                     n_transfer, n_success)
     state.transfers.append((n_transfer, n_success))

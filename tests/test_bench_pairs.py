@@ -138,3 +138,43 @@ class TestRegression:
         summary = bench_pairs.summarize(p, SPEC)
         assert summary["metrics"]["cpu_s"]["regression"] == "none"
         assert summary["no_regression"]
+
+
+COUNTS = ["engine.self_evolve.offspring", "trace.spans"]
+
+
+class TestTraceCounts:
+    def test_equal_counts_differ_in_nothing(self):
+        parent = {"engine.self_evolve.offspring": 10.0, "trace.spans": 5.0,
+                  "engine.self_evolve.s": 1.0}
+        change = dict(parent, **{"engine.self_evolve.s": 0.5})
+        assert bench_pairs.counts_differ(parent, change, COUNTS) == []
+
+    def test_names_each_differing_count(self):
+        parent = {"engine.self_evolve.offspring": 10.0, "trace.spans": 5.0}
+        change = {"engine.self_evolve.offspring": 10.0, "trace.spans": 4.0}
+        assert bench_pairs.counts_differ(parent, change, COUNTS) == ["trace.spans"]
+
+    def test_missing_count_differs(self):
+        parent = {"engine.self_evolve.offspring": 10.0, "trace.spans": 5.0}
+        change = {"trace.spans": 5.0}
+        assert bench_pairs.counts_differ(parent, change, COUNTS) == [
+            "engine.self_evolve.offspring"]
+
+    def test_one_traced_run_per_side(self, monkeypatch):
+        calls = []
+
+        def run_once(checkout, workload, seed, trace=False):
+            calls.append((checkout, workload, seed, trace))
+            spans = 5.0 if checkout == "parent-dir" else 4.0
+            metrics = {"engine.self_evolve.offspring": 10.0, "trace.spans": spans}
+            return {"metrics": {name: {"value": value, "unit": "count/round"}
+                                for name, value in metrics.items()}}, {}
+
+        monkeypatch.setattr(bench_pairs, "run_once", run_once)
+        result = bench_pairs.trace_workload("eval-paper", "parent-dir", 1, COUNTS)
+        assert calls == [("parent-dir", "eval-paper", 1, True),
+                         (bench_pairs.ROOT, "eval-paper", 1, True)]
+        assert not result["counts_equal"]
+        assert result["counts_differ"] == ["trace.spans"]
+        assert result["metrics"]["change"]["trace.spans"] == 4.0

@@ -1,5 +1,8 @@
 """Transfer engine: state features, offspring generation, selection,
-reward, and the no-transfer reduction to independent per-task DE."""
+reward, the no-transfer reduction to independent per-task DE, and the
+three-phase generation against a sequential per-task reference."""
+
+import copy
 
 import numpy as np
 import pytest
@@ -20,6 +23,78 @@ def tiny_instance(n_tasks=2, dim=3, seed=0, level=0.1,
                                 B.make_shift(level, lb, ub, dim, rng), lb, ub)
             for _ in range(n_tasks)]
     return B.MTOInstance(f"tiny-{seed}", level, (fid,), subs)
+
+
+def population(positions, fitness):
+    """Task 0 of a one-task state over the given rows."""
+    return E.EMTState(None, positions[None].copy(), fitness[None].copy(),
+                      10, []).populations[0]
+
+
+def replay_self(x, parents, rng, f=E.SELF_F, cr=E.SELF_CR):
+    """Self-evolution reference: each parent's partners are drawn with one
+    rng.choice from the population with the parent deleted, then
+    crossover as documented."""
+    n, d = x.shape
+    everyone = np.arange(n)
+    r = np.array([rng.choice(np.delete(everyone, p), size=3, replace=False)
+                  for p in parents], dtype=int).reshape(-1, 3)
+    mutants = x[r[:, 0]] + f * (x[r[:, 1]] - x[r[:, 2]])
+    m = len(parents)
+    mask = rng.random(mutants.shape) < cr
+    mask[np.arange(m), rng.integers(0, d, size=m)] = True
+    return np.clip(np.where(mask, mutants, x[parents]), 0.0, 1.0)
+
+
+def replay_mutants(op_id, tgt, tgt_fit, src, src_fit, elites, f, replay):
+    """Transfer mutants from one rng.choice per pool and offspring: the
+    random base index (operators 2 and 3), then the difference pair."""
+    def pick(pool, count):
+        return replay.choice(pool, size=count, replace=len(pool) < count)
+
+    everyone = np.arange(len(tgt))
+    mutants = np.empty((len(elites), tgt.shape[1]))
+    for i in range(len(elites)):
+        if op_id == 1:
+            r1, r2 = pick(elites, 2)
+            mutants[i] = tgt[np.argmin(tgt_fit)] + f * (src[r1] - src[r2])
+        elif op_id == 2:
+            t1, = pick(everyone, 1)
+            r2, r3 = pick(elites, 2)
+            mutants[i] = tgt[t1] + f * (src[r2] - src[r3])
+        elif op_id == 3:
+            r1, = pick(elites, 1)
+            t2, t3 = pick(everyone, 2)
+            mutants[i] = src[r1] + f * (tgt[t2] - tgt[t3])
+        else:
+            t1, t2 = pick(everyone, 2)
+            mutants[i] = src[np.argmin(src_fit)] + f * (tgt[t1] - tgt[t2])
+    return mutants
+
+
+def snapshot(state):
+    """Copies of everything a generation changes."""
+    return {"positions": state.positions.copy(),
+            "fitness": state.fitness.copy(),
+            "best": [p.best_value for p in state.populations],
+            "stagnation": [p.stagnation for p in state.populations],
+            "improved": [p.improved_last for p in state.populations],
+            "evaluations": state.evaluations,
+            "transfers": copy.deepcopy(state.transfers),
+            "streams": [rng.bit_generator.state for rng in state.task_rngs]}
+
+
+def assert_same_state(actual, expected):
+    """Bit equality of two snapshots."""
+    assert actual.keys() == expected.keys()
+    for key in ("positions", "fitness"):
+        assert actual[key].tobytes() == expected[key].tobytes(), key
+    for key in ("best", "stagnation", "improved", "evaluations", "streams"):
+        assert actual[key] == expected[key], key
+    assert len(actual["transfers"]) == len(expected["transfers"])
+    for (a_n, a_s), (e_n, e_s) in zip(actual["transfers"], expected["transfers"]):
+        np.testing.assert_array_equal(a_n, e_n)
+        np.testing.assert_array_equal(a_s, e_s)
 
 
 def bundle_for(state, a1=None, a2=0.0, op=1, f=0.5, cr=0.7):
@@ -103,15 +178,17 @@ class TestSelfEvolve:
         state = E.init_populations(tiny_instance(2, 3), 5, seed=7, budget=10)
         pop = state.populations[0]
         pop.positions[:] = 0.25  # identical population: x_r1 + F(x_r2-x_r3) = x_r1
-        off = E.self_evolve(pop, derive_rng(1, "se"), np.arange(5))
+        partners, mask = E._draw_self(derive_rng(1, "se"), 5, 5, 3)
+        off = E.self_evolve(state.positions, partners, np.arange(5), mask)
         np.testing.assert_allclose(off, 0.25)
 
     def test_cr_one_gives_pure_mutant(self):
+        # task 1's parents are rows 6..11 of the stacked populations
         state = E.init_populations(tiny_instance(2, 6), 6, seed=8, budget=10)
-        pop = state.populations[0]
-        rng_a = derive_rng(2, "se")
+        pop = state.populations[1]
         rng_b = derive_rng(2, "se")
-        off = E.self_evolve(pop, rng_a, np.arange(6), cr=1.0)
+        partners, mask = E._draw_self(derive_rng(2, "se"), 6, 6, 6, cr=1.0)
+        off = E.self_evolve(state.positions, partners, 6 + np.arange(6), mask)
         # replicate the mutants with the documented draw order
         n, d = pop.positions.shape
         mutants = np.empty((6, d))
@@ -128,7 +205,8 @@ class TestSelfEvolve:
         state = E.init_populations(tiny_instance(2, 3), 5, seed=7, budget=10)
         rng = derive_rng(1, "se")
         before = rng.bit_generator.state
-        off = E.self_evolve(state.populations[0], rng, parents)
+        partners, mask = E._draw_self(rng, len(parents), 5, 3)
+        off = E.self_evolve(state.positions, partners, parents, mask)
         assert off.shape == (0, 3)
         assert rng.bit_generator.state == before
 
@@ -138,30 +216,25 @@ class TestSelfEvolve:
     @settings(max_examples=40, deadline=None)
     def test_partner_positions_replay_delete_and_choose(self, n, share, seed):
         # reference: each parent's partners are drawn from the population
-        # with the parent deleted, then crossover as documented
+        # with the parent deleted, then crossover as documented; the
+        # population is task 1 of two, so its rows start at n
         rng = derive_rng(seed, "replay")
-        pop = E.Population(rng.random((n, 3)), np.zeros(n), 0.0)
+        x = rng.random((n, 3))
+        positions = np.stack([rng.random((n, 3)), x])
         parents = np.sort(rng.choice(n, size=round(share * n), replace=False))
         replay = derive_rng(seed, "replay", "stream")
-        x, everyone = pop.positions, np.arange(n)
-        r = np.array([replay.choice(np.delete(everyone, p), size=3,
-                                    replace=False) for p in parents],
-                     dtype=int).reshape(-1, 3)
-        mutants = x[r[:, 0]] + E.SELF_F * (x[r[:, 1]] - x[r[:, 2]])
-        mask = replay.random(mutants.shape) < E.SELF_CR
-        m = len(parents)
-        mask[np.arange(m), replay.integers(0, 3, size=m)] = True
-        expected = np.clip(np.where(mask, mutants, x[parents]), 0.0, 1.0)
+        expected = replay_self(x, parents, replay)
         stream = derive_rng(seed, "replay", "stream")
-        np.testing.assert_array_equal(E.self_evolve(pop, stream, parents),
-                                      expected)
+        partners, mask = E._draw_self(stream, len(parents), n, 3)
         assert stream.bit_generator.state == replay.bit_generator.state
+        np.testing.assert_array_equal(
+            E.self_evolve(positions, partners, n + parents, mask), expected)
 
     def test_offspring_inside_unit_box(self):
         state = E.init_populations(tiny_instance(2, 5), 12, seed=9, budget=10)
         for _ in range(10):
-            off = E.self_evolve(state.populations[0], derive_rng(3, "se"),
-                                np.arange(12))
+            partners, mask = E._draw_self(derive_rng(3, "se"), 12, 12, 5)
+            off = E.self_evolve(state.positions, partners, np.arange(12), mask)
             assert (off >= 0.0).all() and (off <= 1.0).all()
 
 
@@ -179,7 +252,7 @@ class TestPickRows:
     @settings(max_examples=200, deadline=None)
     def test_equals_successive_choice_calls(self, segments, rows, seed):
         rng = derive_rng(seed, "pick")
-        picks = E._pick_rows(rng, rows, segments)
+        picks = E._fix_rows(E._draw_rows(rng, rows, segments), segments)
         replay = derive_rng(seed, "pick")
         for (pool, count), pick in zip(segments, picks):
             assert pick.shape == (rows, count)
@@ -196,20 +269,27 @@ class TestTransferEvolve:
         state = E.init_populations(tiny_instance(2, d), n, seed=seed, budget=10)
         return state.populations[0], state.populations[1]
 
+    @staticmethod
+    def _transfer(target, source, a2, op_id, f, cr, rng):
+        """The transfer draws of one task, then its offspring."""
+        n, d = target.positions.shape
+        draws = E._draw_transfer(rng, n, d, a2, op_id, cr)
+        return E.transfer_evolve(target, source, op_id, f, draws)
+
     def test_transfer_count_rounding(self):
         target, source = self._two_pops(n=50)
-        off, hosts = E.transfer_evolve(target, source, 0.2, 1, 0.5, 0.7,
-                                       derive_rng(4, "t"))
+        off, hosts = self._transfer(target, source, 0.2, 1, 0.5, 0.7,
+                                    derive_rng(4, "t"))
         assert len(off) == 10 and len(hosts) == 10
-        off, hosts = E.transfer_evolve(target, source, 0.25, 1, 0.5, 0.7,
-                                       derive_rng(4, "t"))
+        off, hosts = self._transfer(target, source, 0.25, 1, 0.5, 0.7,
+                                    derive_rng(4, "t"))
         assert len(off) == 13  # round half up: 12.5 -> 13
 
     def test_zero_proportion_no_output_no_draws(self):
         target, source = self._two_pops()
         rng = derive_rng(5, "t")
         state_before = rng.bit_generator.state
-        off, hosts = E.transfer_evolve(target, source, 0.0, 2, 0.5, 0.7, rng)
+        off, hosts = self._transfer(target, source, 0.0, 2, 0.5, 0.7, rng)
         assert off.shape == (0, 4) and len(hosts) == 0
         assert rng.bit_generator.state == state_before
 
@@ -217,8 +297,8 @@ class TestTransferEvolve:
         # Cr = 1 makes every trial the raw mutant, so a replay of the
         # documented draw order checks the operator formula row by row
         target, source = self._two_pops(n=12)
-        off, hosts = E.transfer_evolve(target, source, 0.5, 1, 0.3, 1.0,
-                                       derive_rng(6, "t"))
+        off, hosts = self._transfer(target, source, 0.5, 1, 0.3, 1.0,
+                                    derive_rng(6, "t"))
         m = len(hosts)
         assert m == 6
         replay = derive_rng(6, "t")
@@ -241,47 +321,25 @@ class TestTransferEvolve:
         for m_kt in (1, 6, 12):
             target, source = self._two_pops(n=12)
             rng = derive_rng(6, "t")
-            off, hosts = E.transfer_evolve(target, source, m_kt / 12, op_id,
-                                           0.3, 1.0, rng)
+            off, hosts = self._transfer(target, source, m_kt / 12, op_id,
+                                        0.3, 1.0, rng)
             assert len(hosts) == m_kt
             replay = derive_rng(6, "t")
             np.testing.assert_array_equal(hosts, replay.choice(12, size=m_kt,
                                                                replace=False))
             elites = np.argsort(source.fitness, kind="stable")[:m_kt]
-            mutants = self._replay_mutants(op_id, target, source, elites, replay)
+            mutants = replay_mutants(op_id, target.positions, target.fitness,
+                                     source.positions, source.fitness, elites,
+                                     0.3, replay)
             np.testing.assert_array_equal(off, np.clip(mutants, 0.0, 1.0))
             replay.random((m_kt, 4))                  # crossover mask
             replay.integers(0, 4, size=m_kt)          # j_rand
             assert rng.bit_generator.state == replay.bit_generator.state
 
-    @staticmethod
-    def _replay_mutants(op_id, target, source, elites, replay):
-        def pick(pool, count):
-            return replay.choice(pool, size=count, replace=len(pool) < count)
-
-        src, tgt, everyone = source.positions, target.positions, np.arange(12)
-        mutants = np.empty((len(elites), 4))
-        for i in range(len(elites)):
-            if op_id == 1:
-                r1, r2 = pick(elites, 2)
-                mutants[i] = tgt[np.argmin(target.fitness)] + 0.3 * (src[r1] - src[r2])
-            elif op_id == 2:
-                t1, = pick(everyone, 1)
-                r2, r3 = pick(elites, 2)
-                mutants[i] = tgt[t1] + 0.3 * (src[r2] - src[r3])
-            elif op_id == 3:
-                r1, = pick(elites, 1)
-                t2, t3 = pick(everyone, 2)
-                mutants[i] = src[r1] + 0.3 * (tgt[t2] - tgt[t3])
-            else:
-                t1, t2 = pick(everyone, 2)
-                mutants[i] = src[np.argmin(source.fitness)] + 0.3 * (tgt[t1] - tgt[t2])
-        return mutants
-
     def test_operator_three_f_zero_injects_source(self):
         target, source = self._two_pops(n=10)
-        off, hosts = E.transfer_evolve(target, source, 0.3, 3, 0.0, 1.0,
-                                       derive_rng(7, "t"))
+        off, hosts = self._transfer(target, source, 0.3, 3, 0.0, 1.0,
+                                    derive_rng(7, "t"))
         # with F=0 and Cr=1 every offspring is an elite source individual
         elite_rows = source.positions[np.argsort(source.fitness, kind="stable")[:3]]
         for row in off:
@@ -290,15 +348,15 @@ class TestTransferEvolve:
     def test_single_elite_degenerates_gracefully(self):
         target, source = self._two_pops(n=10)
         for op in (1, 2, 3, 4):
-            off, hosts = E.transfer_evolve(target, source, 0.1, op, 0.5, 0.7,
-                                           derive_rng(op, "t1"))
+            off, hosts = self._transfer(target, source, 0.1, op, 0.5, 0.7,
+                                        derive_rng(op, "t1"))
             assert off.shape == (1, 4)
             assert (off >= 0).all() and (off <= 1).all()
 
     def test_unknown_operator(self):
-        target, source = self._two_pops()
-        with pytest.raises(ValueError, match="operator"):
-            E.transfer_evolve(target, source, 0.2, 5, 0.5, 0.7, derive_rng(0, "t"))
+        state = E.init_populations(tiny_instance(2, 4), 10, seed=11, budget=10)
+        with pytest.raises(ValueError, match="operator id"):
+            E.emt_step(state, bundle_for(state, a2=0.2, op=5))
 
 
 class TestGreedySelect:
@@ -306,7 +364,9 @@ class TestGreedySelect:
     def _pop():
         positions = np.linspace(0.1, 0.9, 12).reshape(4, 3)
         fitness = np.array([4.0, 2.0, 3.0, 1.0])
-        return E.Population(positions.copy(), fitness.copy(), 1.0)
+        pop = population(positions, fitness)
+        assert pop.best_value == 1.0
+        return pop
 
     def test_all_worse_keeps_population_and_stagnates(self):
         pop = self._pop()
@@ -397,20 +457,32 @@ class TestStep:
         state = E.init_populations(tiny_instance(3, 3), 6, seed=1, budget=10)
         bundle = bundle_for(state, a2=0.3)
         getattr(bundle, field)[1] = value
-        positions = [p.positions.copy() for p in state.populations]
-        evaluations = state.evaluations
+        before = snapshot(state)
         with pytest.raises(ValueError, match=f"{field} of task 1 is"):
             E.emt_step(state, bundle)
-        assert state.evaluations == evaluations and state.transfers == []
-        for pop, before in zip(state.populations, positions):
-            np.testing.assert_array_equal(pop.positions, before)
+        assert_same_state(snapshot(state), before)
+
+    @pytest.mark.parametrize("a31", [[1, 7, 1], [1, 0, 1], [1, -1, 1],
+                                     [1.0, 2.5, 1.0], [1.0, np.nan, 1.0]])
+    def test_bad_operator_rejected_before_any_change(self, a31):
+        # task 0 would transfer and select before task 1's operator is used
+        state = E.init_populations(tiny_instance(3, 3), 8, seed=1, budget=10)
+        E.emt_step(state, bundle_for(state, a2=0.3))
+        bundle = bundle_for(state, a2=0.5)
+        bundle.a31 = np.array(a31)
+        before = snapshot(state)
+        with pytest.raises(ValueError, match="a31 of task 1 is"):
+            E.emt_step(state, bundle)
+        assert_same_state(snapshot(state), before)
 
     def test_range_edges_accepted(self):
         # a2 above 0.5 is the no_kc ablation's range; the engine caps it
         state = E.init_populations(tiny_instance(3, 3), 6, seed=1, budget=10)
-        for a2, f, cr in ((0.0, 0.0, 0.0), (1.0, 1.0, 1.0), (3.0, 0.5, 0.7)):
-            E.emt_step(state, bundle_for(state, a2=a2, f=f, cr=cr))
-        assert len(state.transfers) == 3
+        for a2, f, cr in ((0.0, 0.0, 0.0), (1.0, 1.0, 1.0), (3.0, 0.5, 0.7),
+                          (1e308, 0.5, 0.7)):
+            _, info = E.emt_step(state, bundle_for(state, a2=a2, f=f, cr=cr))
+            assert (info["n_transfer"] == (0 if a2 == 0.0 else 6)).all()
+        assert len(state.transfers) == 4
 
     def test_budget_accounting(self):
         state = E.init_populations(tiny_instance(3, 4), 9, seed=2, budget=10)
@@ -487,3 +559,179 @@ class TestIndependentDEEquivalence:
             np.testing.assert_array_equal(state.populations[j].positions,
                                           positions)
             np.testing.assert_array_equal(state.populations[j].fitness, fitness)
+
+
+def reference_features(state):
+    """The per-task feature loop that extract_state replaced."""
+    k = state.n_tasks
+    feats = np.zeros((k, 5))
+    last = state.transfers[-1] if state.transfers else None
+    for j, pop in enumerate(state.populations):
+        feats[j, 0] = pop.positions.std(axis=0).mean()
+        denom = state.fmax0[j]
+        if abs(denom) > 1e-12:
+            feats[j, 1] = min((pop.fitness / denom).std(), 1.0)
+        feats[j, 2] = min(pop.stagnation / state.budget, 1.0)
+        feats[j, 3] = 1.0 if pop.improved_last else 0.0
+        if last is not None and last[0][j] > 0:
+            feats[j, 4] = last[1][j] / last[0][j]
+    return feats
+
+
+def mixed_instance(fids, dim, seed):
+    """One sub-task per base function in `fids`, all of dimension `dim`."""
+    rng = derive_rng(seed, "mixed")
+    subs = []
+    for fid in fids:
+        lb, ub = B.SEARCH_BOUNDS[fid]
+        subs.append(B.SubTaskDefinition(fid, dim, B.make_rotation(dim, rng),
+                                        B.make_shift(0.2, lb, ub, dim, rng),
+                                        lb, ub))
+    return B.MTOInstance(f"mixed-{seed}", 0.2, tuple(set(fids)), subs)
+
+
+@st.composite
+def generations(draw, max_steps=3):
+    """An instance shape, a seed and a few random action bundles."""
+    k = draw(st.integers(2, 5))
+    n = draw(st.integers(4, 20))
+    d = draw(st.integers(1, 6))
+    fids = draw(st.lists(st.sampled_from(list(B.BasicFunction)),
+                         min_size=k, max_size=k))
+    per_task = lambda values: st.lists(values, min_size=k, max_size=k)
+    actions = []
+    for _ in range(draw(st.integers(1, max_steps))):
+        a1 = [draw(st.sampled_from([s for s in range(k) if s != j]))
+              for j in range(k)]
+        actions.append(ActionBundle(
+            np.array(a1), np.array(draw(per_task(st.floats(0.0, 1.2)))),
+            np.array(draw(per_task(st.integers(1, 4)))),
+            np.array(draw(per_task(st.floats(0.0, 1.0)))),
+            np.array(draw(per_task(st.floats(0.0, 1.0))))))
+    return fids, n, d, draw(st.integers(0, 2 ** 32 - 1)), actions
+
+
+class TestFeaturesMatchPerTaskLoop:
+    @given(generations(max_steps=4), st.sets(st.integers(0, 4)))
+    @settings(max_examples=60, deadline=None)
+    def test_bit_equal(self, case, zero_gap):
+        # zero_gap: tasks whose initial worst-vs-optimum gap is set to 0
+        fids, n, d, seed, actions = case
+        state = E.init_populations(mixed_instance(fids, d, seed), n, seed, 7)
+        for j in zero_gap & set(range(len(fids))):
+            state.fmax0[j] = 0.0
+        # before any transfer, then after every generation
+        for action in [None] + actions:
+            if action is not None:
+                E.emt_step(state, action)
+            feats = E.extract_state(state)
+            assert feats.tobytes() == reference_features(state).tobytes()
+
+    def test_paper_scale_and_no_transfer_task(self):
+        state = E.init_populations(tiny_instance(10, 50, fid=B.BasicFunction.GRIEWANK),
+                                   50, seed=3, budget=250)
+        assert E.extract_state(state).tobytes() == reference_features(state).tobytes()
+        bundle = bundle_for(state, a2=0.3)
+        bundle.a2[4] = 0.0  # task 4 transfers nothing: n_transfer = 0
+        for _ in range(3):
+            _, info = E.emt_step(state, bundle)
+        assert info["n_transfer"][4] == 0 and info["n_transfer"][3] == 15
+        assert E.extract_state(state).tobytes() == reference_features(state).tobytes()
+
+
+class ReferenceState:
+    """Per-task copies of an EMTState and its streams, advanced by the
+    sequential generation that emt_step's three phases replaced."""
+
+    def __init__(self, state):
+        self.positions = [p.positions.copy() for p in state.populations]
+        self.fitness = [p.fitness.copy() for p in state.populations]
+        self.best = [p.best_value for p in state.populations]
+        self.stagnation = [0] * state.n_tasks
+        self.improved = [False] * state.n_tasks
+        self.rngs = copy.deepcopy(state.task_rngs)
+        self.evaluations = state.evaluations
+        self.transfers = []
+
+    def snapshot(self):
+        return {"positions": np.stack(self.positions),
+                "fitness": np.stack(self.fitness),
+                "best": self.best, "stagnation": self.stagnation,
+                "improved": self.improved, "evaluations": self.evaluations,
+                "transfers": self.transfers,
+                "streams": [rng.bit_generator.state for rng in self.rngs]}
+
+
+def reference_transfer(tgt, tgt_fit, src, src_fit, a2, op_id, f, cr, rng):
+    """Transfer offspring and hosts from one rng.choice per draw."""
+    n, d = tgt.shape
+    m = min(int(np.floor(a2 * n + 0.5)), n)
+    if m <= 0:
+        return np.empty((0, d)), np.empty(0, dtype=int)
+    hosts = rng.choice(n, size=m, replace=False)
+    elites = np.argsort(src_fit, kind="stable")[:m]
+    mutants = replay_mutants(op_id, tgt, tgt_fit, src, src_fit, elites, f, rng)
+    mask = rng.random((m, d)) < cr
+    mask[np.arange(m), rng.integers(0, d, size=m)] = True
+    return np.clip(np.where(mask, mutants, tgt[hosts]), 0.0, 1.0), hosts
+
+
+def reference_step(ref, instance, action):
+    """Per task in index order: transfer_evolve, self_evolve, evaluation,
+    greedy selection, each task finished before the next starts."""
+    k = len(ref.positions)
+    n_transfer = np.zeros(k, dtype=int)
+    n_success = np.zeros(k, dtype=int)
+    for j in range(k):
+        x, fit, rng, s = ref.positions[j], ref.fitness[j], ref.rngs[j], action.a1[j]
+        n = len(x)
+        offspring, hosts = reference_transfer(
+            x, fit, ref.positions[s], ref.fitness[s], float(action.a2[j]),
+            int(action.a31[j]), float(action.a32[j]), float(action.a33[j]), rng)
+        transfer_mask = np.zeros(n, dtype=bool)
+        transfer_mask[hosts] = True
+        parents = np.flatnonzero(~transfer_mask)
+        combined = np.empty_like(x)
+        combined[hosts] = offspring
+        combined[parents] = replay_self(x, parents, rng)
+        trial_fit = B.evaluate_subtask_batch(instance.sub_tasks[j], combined)
+        ref.evaluations += n
+        accept = trial_fit <= fit
+        n_transfer[j] = len(hosts)
+        n_success[j] = np.count_nonzero(accept & transfer_mask)
+        x[accept] = combined[accept]
+        fit[accept] = trial_fit[accept]
+        ref.improved[j] = bool(fit.min() < ref.best[j])
+        if ref.improved[j]:
+            ref.best[j] = float(fit.min())
+        else:
+            ref.stagnation[j] += 1
+    ref.transfers.append((n_transfer, n_success))
+
+
+class TestGenerationMatchesSequentialReference:
+    @staticmethod
+    def _check(fids, n, d, seed, actions):
+        instance = mixed_instance(fids, d, seed)
+        state = E.init_populations(instance, n, seed, budget=10)
+        ref = ReferenceState(state)
+        for action in actions:
+            E.emt_step(state, action)
+            reference_step(ref, instance, action)
+            assert_same_state(snapshot(state), ref.snapshot())
+
+    @given(generations())
+    @settings(max_examples=80, deadline=None)
+    def test_bit_equal(self, case):
+        self._check(*case)
+
+    def test_sources_before_and_after_the_target(self):
+        # task 0 reads task 2 before its selection, tasks 1 and 2 read
+        # tasks 0 and 1 after theirs; every operator, m_kt from 1 to N
+        fids = [B.BasicFunction.SPHERE, B.BasicFunction.RASTRIGIN,
+                B.BasicFunction.WEIERSTRASS]
+        actions = [ActionBundle(np.array([2, 0, 1]), np.array([a2, 1.0, 0.05]),
+                                np.array([op, op % 4 + 1, (op + 1) % 4 + 1]),
+                                np.full(3, 0.6), np.full(3, 0.4))
+                   for op, a2 in zip((1, 2, 3, 4), (0.1, 0.5, 1.2, 0.0))]
+        self._check(fids, 10, 4, 5, actions)

@@ -26,6 +26,10 @@ is worse than the parent's by more than bound x the parent's median,
 `unresolved` when the parent's inter-quartile range exceeds bound x its
 median and not every working-tree run beats every parent run, and `none`
 otherwise.  A workload has `no_regression` when every metric reads `none`.
+After its pairs, each workload runs once more per side with `--trace 1`
+for one traced round; the JSON keeps both sides' per-layer metrics,
+`counts_equal`, and `counts_differ`, the names of the `count/round`
+metrics of BENCHMARK.json whose values differ between the sides.
 """
 
 import argparse
@@ -40,6 +44,9 @@ import numpy as np
 ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
 WIN_SHARE = 0.9
 SIDES = ("parent", "change")
+# perfbench runs at least one untraced and one traced round; a short run
+# length stops it there
+TRACE_SECONDS = 1
 
 
 def export_commit(ref, dest):
@@ -68,10 +75,13 @@ def working_tree():
     return {"tree": tree, "src_tree": src}
 
 
-def run_once(checkout, workload, seed):
-    """One untraced benchmark run; returns its result line and run record."""
+def run_once(checkout, workload, seed, trace=False):
+    """One benchmark run, untraced at perfbench's own run length or traced
+    for one round; returns its result line and run record."""
     cmd = [sys.executable, os.path.join("perfbench", "run.py"), "--workload",
-           workload, "--seed", str(seed), "--trace", "0"]
+           workload, "--seed", str(seed), "--trace", str(int(trace))]
+    if trace:
+        cmd += ["--seconds", str(TRACE_SECONDS)]
     proc = subprocess.run(cmd, cwd=checkout, capture_output=True, text=True)
     try:
         result = json.loads(proc.stdout.strip().rsplit("\n", 1)[-1])
@@ -159,6 +169,25 @@ def summarize(pairs, spec):
                                  for s in summary.values())}
 
 
+def counts_differ(parent, change, names):
+    """The count metrics in `names` whose values differ between the two
+    sides' metric dicts; a metric missing on one side differs."""
+    return [name for name in names if parent.get(name) != change.get(name)]
+
+
+def trace_workload(workload, parent_dir, seed, count_names):
+    """One traced round per side: both sides' per-layer metrics and which
+    work counts differ."""
+    metrics = {}
+    for side in SIDES:
+        checkout = parent_dir if side == "parent" else ROOT
+        result, _ = run_once(checkout, workload, seed, trace=True)
+        metrics[side] = {name: m["value"] for name, m in result["metrics"].items()}
+    differ = counts_differ(metrics["parent"], metrics["change"], count_names)
+    return {"metrics": metrics, "counts_equal": not differ,
+            "counts_differ": differ}
+
+
 def bench_workload(workload, n_pairs, parent_dir, seed, spec, environment):
     """Runs the pairs of one workload; fills `environment` from the first
     run record."""
@@ -209,15 +238,19 @@ def main(argv=None):
     with open(os.path.join(ROOT, "BENCHMARK.json")) as fh:
         spec = json.load(fh)
     metrics = {m["name"]: m for m in spec["end_to_end"]}
+    count_names = [m["name"] for m in spec["per_layer"]
+                   if m["unit"] == "count/round"]
     with tempfile.TemporaryDirectory() as parent_dir:
-        return run_pairs(args, metrics, parent_dir)
+        return run_pairs(args, metrics, count_names, parent_dir)
 
 
-def run_pairs(args, spec, parent_dir):
+def run_pairs(args, spec, count_names, parent_dir):
     parent = export_commit(args.parent, parent_dir)
     environment = {}
     doc = {
         "command": f"perfbench/run.py --seed {args.seed} --trace 0",
+        "trace_command": (f"perfbench/run.py --seed {args.seed} --trace 1 "
+                          f"--seconds {TRACE_SECONDS}"),
         "parent": {"ref": args.parent, "commit": parent},
         "change": working_tree(),
         "seed": args.seed,
@@ -237,6 +270,8 @@ def run_pairs(args, spec, parent_dir):
     for workload, n_pairs in args.runs:
         doc["workloads"][workload] = bench_workload(
             workload, n_pairs, parent_dir, args.seed, spec, environment)
+        doc["workloads"][workload]["trace"] = trace_workload(
+            workload, parent_dir, args.seed, count_names)
         # rewrite after every workload, so an interrupted run keeps
         # what it measured
         with open(args.out, "w") as fh:
@@ -254,6 +289,9 @@ def run_pairs(args, spec, parent_dir):
                   f"claim {s['claim_rule_met']} "
                   f"regression {s['regression']}")
         print(f"{workload:12s} no_regression {result['no_regression']}")
+        trace = result["trace"]
+        print(f"{workload:12s} counts_equal {trace['counts_equal']} "
+              + " ".join(trace["counts_differ"]))
     return 0
 
 
