@@ -307,7 +307,8 @@ def save_instances(instances, path: str) -> None:
 
 def load_instances(path: str) -> list:
     """Read a dataset file written by save_instances.  A malformed line
-    raises ValueError naming the file and its 1-based line number."""
+    raises ValueError naming the file and its 1-based line number, and so
+    does a file without instances, naming the file."""
     out = []
     with open(path) as fh:
         for lineno, line in enumerate(fh, start=1):
@@ -319,4 +320,6 @@ def load_instances(path: str) -> list:
                 raise ValueError(f"{path}, line {lineno}: missing key {err}") from err
             except (ValueError, TypeError) as err:
                 raise ValueError(f"{path}, line {lineno}: {err}") from err
+    if not out:
+        raise ValueError(f"{path} holds no instances")
     return out

@@ -18,6 +18,8 @@ from .seeds import derive_seed
 
 
 def _cmd_generate(args):
+    if args.limit is not None and args.limit < 1:
+        raise ValueError(f"--limit must be >= 1, got {args.limit}")
     level = benchmarks.SHIFT_LEVELS[args.level]
     instances = benchmarks.generate_awcci(level, args.seed, args.tasks, args.dim)
     if args.limit is not None:
@@ -84,6 +86,9 @@ def _run_evaluation(args):
 def _cmd_export_attention(args):
     store = load_checkpoint(args.checkpoint)
     instances = benchmarks.load_instances(args.instance)
+    if not 0 <= args.index < len(instances):
+        raise ValueError(f"--index {args.index} is out of range: {args.instance} "
+                         f"holds {len(instances)} instances")
     inst = instances[args.index]
     controller = harness.Controller(store, "full")
     ep_seed = derive_seed(args.seed, "eval", inst.instance_id, 0)

@@ -3,17 +3,18 @@ cross-task knowledge transfer.
 
 Each of the K sub-tasks owns a population of N individuals in the unified
 [0, 1]^D space; EMTState stacks them as positions (K, N, D) and fitness
-(K, N), and state.populations[j] views task j's rows.  One generation,
-driven by a per-step action bundle:
+(K, N), and state.populations[j] views task j's rows and its entry of the
+(K,) best-so-far.  One generation, driven by a per-step action bundle:
 
   1. per task j, m_kt = round(a2_j * N) transfer offspring are built from
      the m_kt best individuals of the source population a1_j using one of
      four mutation operators, crossed with randomly chosen host parents;
   2. the remaining parents produce self-evolution offspring with
      DE/rand/1 and binomial crossover (F=0.5, Cr=0.7);
-  3. each parent-offspring pair undergoes greedy selection (offspring
-     survives on ties) and the generation's per-task transfer and
-     transfer-survival counts are appended to EMTState.transfers.
+  3. per task, each parent-offspring pair undergoes greedy selection
+     (offspring survives on ties); then one array step updates every
+     task's best-so-far, stagnation and improvement flag, and appends the
+     per-task transfer and transfer-survival counts to EMTState.transfers.
 
 Mutation operator pool for transfer offspring, tabulated in OPERATORS
 (src indices are drawn from the source elite set, tgt indices from the
@@ -43,7 +44,8 @@ the self-evolution offspring of all K tasks from the positions before
 the generation.  Third, per task in index order, it builds the transfer
 offspring from the source population as it stands then, evaluates the
 task's offspring and selects.  Every stream is consumed as when each task
-ran all its steps before the next began.
+ran all its steps before the next began.  Nothing in the third phase reads
+the status, so it is updated for all tasks after the last selection.
 
 Known fault, kept for reproducibility: the third phase is sequential, so
 a transfer into task j from a source a1_j < j reads that source's
@@ -75,40 +77,16 @@ OPERATORS = {1: ("target", True, "source"),
              4: ("source", True, "target")}
 
 
-class _Entry:
-    """Population attribute held in a one-element view of a (K,) EMTState
-    array, so the population refers to the state's arrays, not the state."""
-
-    def __init__(self, view, cast):
-        self.view, self.cast = view, cast
-
-    def __get__(self, pop, owner=None):
-        return self.cast(getattr(pop, self.view)[0])
-
-    def __set__(self, pop, value):
-        getattr(pop, self.view)[0] = value
-
-
-class Population:
-    """Task j of an EMTState.  positions (N, D) and fitness (N,) are views
-    of its rows of the stacked arrays; the other attributes read and write
-    its entries of the per-task arrays."""
-
-    best_value = _Entry("_best", float)
-    # cumulative generations without best improvement
-    stagnation = _Entry("_stagnation", int)
-    # best-so-far updated in the last generation
-    improved_last = _Entry("_improved", bool)
-
-    def __init__(self, state, j):
-        self.positions = state.positions[j]
-        self.fitness = state.fitness[j]
-        self._best, self._stagnation, self._improved = (
-            a[j:j + 1] for a in (state.best, state.stagnation, state.improved))
+class Population(NamedTuple):
+    """Task j of an EMTState: views of its rows of the stacked positions
+    (N, D) and fitness (N,), and of its (1,) entry of the best-so-far."""
+    positions: np.ndarray
+    fitness: np.ndarray
+    best: np.ndarray
 
     @property
-    def size(self) -> int:
-        return len(self.fitness)
+    def best_value(self) -> float:
+        return float(self.best[0])
 
 
 @dataclass
@@ -130,7 +108,8 @@ class EMTState:
         self.fmax0 = self.fitness.max(axis=1)
         self.stagnation = np.zeros(k, dtype=int)
         self.improved = np.zeros(k, dtype=bool)
-        self.populations = [Population(self, j) for j in range(k)]
+        self.populations = [Population(self.positions[j], self.fitness[j],
+                                       self.best[j:j + 1]) for j in range(k)]
 
     @property
     def n_tasks(self) -> int:
@@ -306,7 +285,7 @@ def transfer_evolve(target: Population, source: Population, op_id: int,
     parents each offspring is paired with for crossover and selection.
     """
     hosts = draws.hosts
-    m_kt, n = len(hosts), target.size
+    m_kt, n = len(hosts), len(target.fitness)
     if m_kt == 0:
         return np.empty((0, target.positions.shape[1])), hosts
     # elite set: the m_kt lowest-fitness source individuals
@@ -331,20 +310,11 @@ def greedy_select(pop: Population, offspring: np.ndarray,
                   offspring_fitness: np.ndarray,
                   transfer_mask: np.ndarray) -> int:
     """Pairwise parent-offspring survival of the fitter (offspring wins
-    ties); updates best-so-far and the stagnation counter.  Returns the
-    number of surviving transfer offspring."""
+    ties), in place.  Returns the number of surviving transfer offspring."""
     accept = offspring_fitness <= pop.fitness
-    n_success = int(np.count_nonzero(accept & transfer_mask))
     np.copyto(pop.positions, offspring, where=accept[:, None])
     np.copyto(pop.fitness, offspring_fitness, where=accept)
-    best = pop.fitness.argmin()
-    improved = pop.fitness[best] < pop.best_value
-    if improved:
-        pop.best_value = float(pop.fitness[best])
-    else:
-        pop.stagnation += 1
-    pop.improved_last = improved
-    return n_success
+    return int(np.count_nonzero(accept & transfer_mask))
 
 
 def compute_reward(best_before: np.ndarray, best_after: np.ndarray,
@@ -367,14 +337,17 @@ def emt_step(state: EMTState, action):
     """Advance every population by one generation under the action bundle.
 
     Mutates the state in place; returns (reward, info) where info carries
-    the per-task reward components for logging.  A bad routing, an unknown
-    operator id or a value outside ACTION_RANGES raises ValueError before
-    anything changes.
+    the per-task reward components for logging.  A field without one entry
+    per task, a bad routing, an unknown operator id or a value outside
+    ACTION_RANGES raises ValueError before anything changes.
     """
     k = state.n_tasks
+    for name in ("a1", "a2", "a31", "a32", "a33"):
+        length = len(getattr(action, name))
+        if length != k:
+            raise ValueError(f"action {name} has {length} entries, but the "
+                             f"number of tasks K is {k}")
     a1 = np.asarray(action.a1, dtype=int)
-    if len(a1) != k:
-        raise ValueError("action has wrong number of tasks")
     if np.any(a1 == np.arange(k)) or a1.min() < 0 or a1.max() >= k:
         raise ValueError("source task indices must differ from the target")
     a31 = action.a31
@@ -418,6 +391,11 @@ def emt_step(state: EMTState, action):
         state.evaluations += n
         n_transfer[j] = len(hosts)
         n_success[j] = greedy_select(pop, combined[j], fitness, transfer_mask[j])
+    # status of every task: ties do not improve the best-so-far
+    best = state.fitness.min(axis=1)
+    np.less(best, state.best, out=state.improved)
+    np.copyto(state.best, best, where=state.improved)
+    state.stagnation += ~state.improved
     reward, rc, rk = compute_reward(best_before, state.best_values(), state.f0,
                                     n_transfer, n_success)
     state.transfers.append((n_transfer, n_success))

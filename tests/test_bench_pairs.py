@@ -1,8 +1,10 @@
 """The claim rule and the regression verdict of tools/bench_pairs.py on
 hand-made pairs."""
 
+import glob
 import importlib.util
 import os
+import subprocess
 
 import pytest
 
@@ -178,3 +180,20 @@ class TestTraceCounts:
         assert not result["counts_equal"]
         assert result["counts_differ"] == ["trace.spans"]
         assert result["metrics"]["change"]["trace.spans"] == 4.0
+
+
+class TestSrcLines:
+    def test_counts_newlines_of_python_files_under_src(self, tmp_path):
+        (tmp_path / "src" / "pkg").mkdir(parents=True)
+        (tmp_path / "src" / "a.py").write_text("one\ntwo\nthree\n")
+        (tmp_path / "src" / "pkg" / "b.py").write_text("one\nno newline")
+        (tmp_path / "src" / "notes.txt").write_text("not\ncounted\n")
+        (tmp_path / "c.py").write_text("outside src\n")
+        assert bench_pairs.src_lines(str(tmp_path)) == 4
+
+    def test_equals_wc_on_this_tree(self):
+        paths = glob.glob(os.path.join(bench_pairs.ROOT, "src", "**", "*.py"),
+                          recursive=True)
+        out = subprocess.run(["wc", "-l", *paths], check=True,
+                             capture_output=True, text=True).stdout
+        assert bench_pairs.src_lines(bench_pairs.ROOT) == int(out.split()[-2])

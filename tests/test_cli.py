@@ -6,6 +6,8 @@ import pytest
 
 from emtlab import benchmarks as B
 from emtlab import cli, ppo
+from emtlab.nn.params import save_checkpoint
+from emtlab.policy import init_policy
 
 
 def run(argv):
@@ -147,3 +149,52 @@ class TestTrainEvaluatePipeline:
                  str(train_dir)])
         lines = (train_dir / "training_log.csv").read_text().splitlines()
         assert len(lines) == 1 + 2 and all(l.startswith("1,") for l in lines[1:])
+
+
+class TestBadDatasetInputs:
+    @pytest.fixture()
+    def checkpoint(self, tmp_path):
+        path = tmp_path / "policy.json"
+        save_checkpoint(init_policy(0), str(path))
+        return path
+
+    @pytest.fixture()
+    def empty_dataset(self, tmp_path):
+        path = tmp_path / "empty.jsonl"
+        path.write_text("\n")
+        return path
+
+    def test_train_on_empty_dataset(self, tmp_path, empty_dataset):
+        config_path = tmp_path / "config.json"
+        config_path.write_text(json.dumps({"dataset": str(empty_dataset),
+                                           "seed": 3, "epochs": 1, "budget": 4}))
+        out = tmp_path / "run"
+        with pytest.raises(ValueError, match="empty.jsonl holds no instances$"):
+            run(["train", "--config", str(config_path), "--out", str(out)])
+        assert not out.exists()
+
+    def test_evaluate_on_empty_dataset(self, tmp_path, empty_dataset, checkpoint):
+        out = tmp_path / "eval"
+        with pytest.raises(ValueError, match="empty.jsonl holds no instances$"):
+            run(["evaluate", "--checkpoint", str(checkpoint), "--dataset",
+                 str(empty_dataset), "--out", str(out)])
+        assert not out.exists()
+
+    @pytest.mark.parametrize("limit", ["-1", "0"])
+    def test_generate_limit_below_one(self, tmp_path, limit):
+        out = tmp_path / "set.jsonl"
+        with pytest.raises(ValueError, match=f"^--limit must be >= 1, got {limit}$"):
+            run(["generate", "--level", "vs", "--seed", "4", "--tasks", "2",
+                 "--dim", "2", "--out", str(out), "--limit", limit])
+        assert not out.exists()
+
+    def test_export_attention_index_out_of_range(self, tmp_path, checkpoint):
+        dataset = tmp_path / "one.jsonl"
+        B.save_instances(B.sample_instances(0.2, seed=2, n_tasks=2, dim=2,
+                                            count=1), str(dataset))
+        out = tmp_path / "attention.csv"
+        with pytest.raises(ValueError, match=r"^--index 5 is out of range: "
+                                             r".*one\.jsonl holds 1 instances$"):
+            run(["export-attention", "--checkpoint", str(checkpoint),
+                 "--instance", str(dataset), "--out", str(out), "--index", "5"])
+        assert not out.exists()

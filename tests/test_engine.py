@@ -76,9 +76,9 @@ def snapshot(state):
     """Copies of everything a generation changes."""
     return {"positions": state.positions.copy(),
             "fitness": state.fitness.copy(),
-            "best": [p.best_value for p in state.populations],
-            "stagnation": [p.stagnation for p in state.populations],
-            "improved": [p.improved_last for p in state.populations],
+            "best": state.best.tolist(),
+            "stagnation": state.stagnation.tolist(),
+            "improved": state.improved.tolist(),
             "evaluations": state.evaluations,
             "transfers": copy.deepcopy(state.transfers),
             "streams": [rng.bit_generator.state for rng in state.task_rngs]}
@@ -368,14 +368,14 @@ class TestGreedySelect:
         assert pop.best_value == 1.0
         return pop
 
-    def test_all_worse_keeps_population_and_stagnates(self):
+    def test_all_worse_keeps_population(self):
         pop = self._pop()
         before = pop.positions.copy()
         n = E.greedy_select(pop, before + 0.01, pop.fitness + 1.0,
                             np.zeros(4, dtype=bool))
         assert n == 0
         np.testing.assert_array_equal(pop.positions, before)
-        assert pop.stagnation == 1 and not pop.improved_last
+        np.testing.assert_array_equal(pop.fitness, [4.0, 2.0, 3.0, 1.0])
 
     def test_equal_fitness_offspring_survives(self):
         pop = self._pop()
@@ -383,16 +383,63 @@ class TestGreedySelect:
         E.greedy_select(pop, offspring, pop.fitness.copy(),
                         np.zeros(4, dtype=bool))
         np.testing.assert_array_equal(pop.positions, offspring)
-        assert pop.stagnation == 1  # ties do not improve the best
+        np.testing.assert_array_equal(pop.fitness, [4.0, 2.0, 3.0, 1.0])
 
     def test_success_counting(self):
         pop = self._pop()
         offspring = pop.positions * 0.5
         fitness = np.array([3.0, 5.0, 2.0, 0.5])  # survive: 0, 2, 3
         mask = np.array([True, True, True, False])
+        before = pop.positions.copy()
         n = E.greedy_select(pop, offspring, fitness, mask)
         assert n == 2  # transfer offspring 0 and 2 survive, 1 fails
-        assert pop.best_value == 0.5 and pop.improved_last
+        np.testing.assert_array_equal(pop.positions[[0, 2, 3]], offspring[[0, 2, 3]])
+        np.testing.assert_array_equal(pop.positions[1], before[1])
+        np.testing.assert_array_equal(pop.fitness, [3.0, 2.0, 2.0, 0.5])
+        assert pop.best_value == 1.0  # selection leaves the status to emt_step
+
+
+class TestStatus:
+    """emt_step updates best-so-far, stagnation and the improvement flag of
+    every task after selection; a2 = 0, so each task breeds only from its
+    own rows."""
+
+    @staticmethod
+    def _step(task, fitness):
+        """One generation after setting the fitness of `task`'s rows to
+        fitness(state) and its best-so-far to their minimum."""
+        state = E.init_populations(tiny_instance(3, 3), 6, seed=1, budget=10)
+        state.fitness[task] = fitness(state)
+        state.best[task] = state.fitness[task].min()
+        positions = state.positions[task].copy()
+        E.emt_step(state, bundle_for(state))
+        return state, positions
+
+    def test_no_improvement_stagnates(self):
+        # sphere fitness is >= 0, so no offspring beats -1
+        state, before = self._step(1, lambda state: -1.0)
+        np.testing.assert_array_equal(state.positions[1], before)
+        assert state.best[1] == -1.0 == state.populations[1].best_value
+        assert state.stagnation[1] == 1 and not state.improved[1]
+
+    def test_tie_does_not_improve_the_best(self):
+        # identical rows: every offspring equals its parent and ties it
+        def identical(state):
+            state.positions[0] = state.positions[0, 0]
+            return B.evaluate_subtask_batch(state.instance.sub_tasks[0],
+                                            state.positions[0])
+        state, before = self._step(0, identical)
+        np.testing.assert_array_equal(state.positions[0], before)
+        assert state.best[0] == state.fitness[0].min()
+        assert state.stagnation[0] == 1 and not state.improved[0]
+
+    def test_improvement_sets_best_and_flag(self):
+        # every offspring beats 1e9
+        state, _ = self._step(2, lambda state: 1e9)
+        assert (state.fitness[2] < 1e9).all()
+        assert state.best[2] == state.fitness[2].min() < 1e9
+        assert state.populations[2].best_value == state.best[2]
+        assert state.stagnation[2] == 0 and state.improved[2]
 
 
 class TestReward:
@@ -447,6 +494,22 @@ class TestStep:
         state = E.init_populations(tiny_instance(3, 3), 6, seed=1, budget=10)
         with pytest.raises(ValueError, match="number of tasks"):
             E.emt_step(state, bundle_for(state, a1=[1, 0]))
+
+    @pytest.mark.parametrize("field,length", [("a1", 2), ("a2", 2), ("a31", 4),
+                                              ("a32", 2), ("a33", 4)])
+    def test_wrong_field_length_rejected_before_any_change(self, field, length):
+        # a fourth entry names a task that does not exist; 7 is out of range
+        state = E.init_populations(tiny_instance(3, 3), 8, seed=1, budget=10)
+        E.emt_step(state, bundle_for(state, a2=0.3))
+        bundle = bundle_for(state, a2=0.3)
+        setattr(bundle, field, np.resize(getattr(bundle, field), length))
+        getattr(bundle, field)[length - 1] = 7
+        before = snapshot(state)
+        with pytest.raises(ValueError, match=f"^action {field} has {length} "
+                                             "entries, but the number of "
+                                             "tasks K is 3$"):
+            E.emt_step(state, bundle)
+        assert_same_state(snapshot(state), before)
 
     @pytest.mark.parametrize("field,value", [
         ("a2", np.nan), ("a2", np.inf), ("a2", -0.1),
@@ -571,8 +634,8 @@ def reference_features(state):
         denom = state.fmax0[j]
         if abs(denom) > 1e-12:
             feats[j, 1] = min((pop.fitness / denom).std(), 1.0)
-        feats[j, 2] = min(pop.stagnation / state.budget, 1.0)
-        feats[j, 3] = 1.0 if pop.improved_last else 0.0
+        feats[j, 2] = min(state.stagnation[j] / state.budget, 1.0)
+        feats[j, 3] = 1.0 if state.improved[j] else 0.0
         if last is not None and last[0][j] > 0:
             feats[j, 4] = last[1][j] / last[0][j]
     return feats
@@ -646,9 +709,9 @@ class ReferenceState:
     def __init__(self, state):
         self.positions = [p.positions.copy() for p in state.populations]
         self.fitness = [p.fitness.copy() for p in state.populations]
-        self.best = [p.best_value for p in state.populations]
-        self.stagnation = [0] * state.n_tasks
-        self.improved = [False] * state.n_tasks
+        self.best = state.best.tolist()
+        self.stagnation = state.stagnation.tolist()
+        self.improved = state.improved.tolist()
         self.rngs = copy.deepcopy(state.task_rngs)
         self.evaluations = state.evaluations
         self.transfers = []
@@ -719,6 +782,8 @@ class TestGenerationMatchesSequentialReference:
             E.emt_step(state, action)
             reference_step(ref, instance, action)
             assert_same_state(snapshot(state), ref.snapshot())
+            for j, pop in enumerate(state.populations):
+                assert pop.best_value == state.best[j] <= state.fitness[j].min()
 
     @given(generations())
     @settings(max_examples=80, deadline=None)

@@ -30,9 +30,12 @@ After its pairs, each workload runs once more per side with `--trace 1`
 for one traced round; the JSON keeps both sides' per-layer metrics,
 `counts_equal`, and `counts_differ`, the names of the `count/round`
 metrics of BENCHMARK.json whose values differ between the sides.
+`src_lines` holds each side's line count of `src/**/*.py`, as `wc -l`
+counts them.
 """
 
 import argparse
+import glob
 import json
 import os
 import subprocess
@@ -73,6 +76,17 @@ def working_tree():
                          check=True, capture_output=True,
                          text=True).stdout.strip()
     return {"tree": tree, "src_tree": src}
+
+
+def src_lines(checkout):
+    """Newlines in the checkout's src/**/*.py files, the total `wc -l`
+    prints for them."""
+    total = 0
+    for path in glob.glob(os.path.join(checkout, "src", "**", "*.py"),
+                          recursive=True):
+        with open(path, "rb") as fh:
+            total += fh.read().count(b"\n")
+    return total
 
 
 def run_once(checkout, workload, seed, trace=False):
@@ -253,6 +267,7 @@ def run_pairs(args, spec, count_names, parent_dir):
                           f"--seconds {TRACE_SECONDS}"),
         "parent": {"ref": args.parent, "commit": parent},
         "change": working_tree(),
+        "src_lines": {"parent": src_lines(parent_dir), "change": src_lines(ROOT)},
         "seed": args.seed,
         "claim_rule": ("every pair wrote the same digests, the change failed "
                        "no larger share of episodes and no more runs, it "
@@ -277,6 +292,8 @@ def run_pairs(args, spec, count_names, parent_dir):
         with open(args.out, "w") as fh:
             json.dump(doc, fh, indent=1)
             fh.write("\n")
+    print(f"src_lines parent {doc['src_lines']['parent']} change "
+          f"{doc['src_lines']['change']}")
     for workload, result in doc["workloads"].items():
         if not result["outputs"]["kept"]:
             print(f"{workload}: outputs changed or more failures: "
