@@ -13,6 +13,7 @@ import json
 import os
 
 from . import benchmarks, harness, ppo
+from .engine import MIN_POP_SIZE
 from .nn.params import load_checkpoint
 from .seeds import derive_seed
 
@@ -43,9 +44,9 @@ def load_train_config(path):
         raise ValueError(f"train config {path}: seed must be an integer, "
                          f"got {doc['seed']!r}")
     pop_size = doc.get("pop_size", 50)
-    if type(pop_size) is not int or pop_size < 4:
-        raise ValueError(f"train config {path}: pop_size must be an integer >= 4, "
-                         f"got {pop_size!r}")
+    if type(pop_size) is not int or pop_size < MIN_POP_SIZE:
+        raise ValueError(f"train config {path}: pop_size must be an integer "
+                         f">= {MIN_POP_SIZE}, got {pop_size!r}")
     return doc, ppo.PPOConfig(**{k: v for k, v in doc.items() if k in ppo_keys})
 
 

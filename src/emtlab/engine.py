@@ -16,9 +16,12 @@ Each of the K sub-tasks owns a population of N individuals in the unified
      task's best-so-far, stagnation and improvement flag, and appends the
      per-task transfer and transfer-survival counts to EMTState.transfers.
 
-Mutation operator pool for transfer offspring, tabulated in OPERATORS
-(src indices are drawn from the source elite set, tgt indices from the
-target population):
+Mutation operator pool for transfer offspring, tabulated in OPERATORS as
+two flags per operator: whether the base comes from the source (else the
+target) and whether it is that population's best row (else a random one).
+The difference pair always comes from the other population.  Source
+indices are drawn from the source elite set, target indices from the
+target population:
 
   1  v = tgt_best + F (src_r1 - src_r2)
   2  v = tgt_r1   + F (src_r2 - src_r3)
@@ -38,10 +41,11 @@ come from one bounded-integer call, and so do all its partner indices
 
 emt_step runs a generation in three phases.  First, per task in index
 order, it makes every draw of the generation from that task's stream, in
-the order above; every count depends only on the action, N and D, so no
-draw waits for an offspring.  Second, one array pass (self_evolve) builds
-the self-evolution offspring of all K tasks from the positions before
-the generation.  Third, per task in index order, it builds the transfer
+the order above, and finishes the transfer picks into pool positions;
+every count depends only on the action, N and D, so no draw waits for an
+offspring.  Second, one array pass (self_evolve) builds the
+self-evolution offspring of all K tasks from the positions before the
+generation.  Third, per task in index order, it builds the transfer
 offspring from the source population as it stands then, evaluates the
 task's offspring and selects.  Every stream is consumed as when each task
 ran all its steps before the next began.  Nothing in the third phase reads
@@ -67,14 +71,12 @@ from .seeds import derive_rng
 
 SELF_F = 0.5
 SELF_CR = 0.7
+MIN_POP_SIZE = 4                   # DE/rand/1 needs three partners besides the parent
 # accepted action ranges; the transfer count is capped at N
 ACTION_RANGES = {"a2": (0.0, np.inf), "a32": (0.0, 1.0), "a33": (0.0, 1.0)}
-# op_id: (base population, whether the base is that population's best row,
-#         difference-pair population)
-OPERATORS = {1: ("target", True, "source"),
-             2: ("target", False, "source"),
-             3: ("source", False, "target"),
-             4: ("source", True, "target")}
+# op_id: (base is from the source, base is its population's best row); the
+# difference pair comes from the other population
+OPERATORS = {1: (False, True), 2: (False, False), 3: (True, False), 4: (True, True)}
 
 
 class Population(NamedTuple):
@@ -123,8 +125,9 @@ def init_populations(instance: MTOInstance, pop_size: int, seed: int,
                      budget: int) -> EMTState:
     """Uniform random populations, evaluated, with per-task RNG streams
     derived from (seed, "task", j)."""
-    if pop_size < 4:
-        raise ValueError("population size must be >= 4 for DE/rand/1")
+    if pop_size < MIN_POP_SIZE:
+        raise ValueError(f"population size must be >= {MIN_POP_SIZE} for "
+                         f"DE/rand/1, got {pop_size}")
     rngs = [derive_rng(seed, "task", j) for j in range(instance.n_tasks)]
     positions = np.stack([rng.random((pop_size, defn.dim))
                           for defn, rng in zip(instance.sub_tasks, rngs)])
@@ -221,15 +224,15 @@ def _crossover_mask(rng, rows, d, cr):
     return mask
 
 
-def _draw_self(rng, rows, n, d, cr=SELF_CR):
+def _draw_self(rng, rows, n, d):
     """Self-evolution draws of `rows` parents in a population of n: (raw
     draws of three distinct partners among the N - 1 rows other than the
     parent, crossover mask)."""
     return (_draw_rows(rng, rows, ((n - 1, 3),)),
-            _crossover_mask(rng, rows, d, cr))
+            _crossover_mask(rng, rows, d, SELF_CR))
 
 
-def self_evolve(positions, partners, parents, mask, f: float = SELF_F) -> np.ndarray:
+def self_evolve(positions, partners, parents, mask) -> np.ndarray:
     """DE/rand/1/bin offspring, clamped to [0, 1], in one array pass.
 
     positions is (K, N, D); parents are row indices into its (K*N, D)
@@ -243,37 +246,30 @@ def self_evolve(positions, partners, parents, mask, f: float = SELF_F) -> np.nda
     # positions into "every row but the parent" become rows of the stack
     r += (r >= local[:, None]) + (parents - local)[:, None]
     x = positions.reshape(k * n, d)
-    mutants = x[r[:, 0]] + f * (x[r[:, 1]] - x[r[:, 2]])
+    mutants = x[r[:, 0]] + SELF_F * (x[r[:, 1]] - x[r[:, 2]])
     return np.clip(np.where(mask, mutants, x[parents]), 0.0, 1.0)
-
-
-@lru_cache(maxsize=4096)
-def _transfer_segments(op_id, n, m_kt):
-    """Per offspring: the random base position (unless the base is the
-    best row), then the difference pair."""
-    base_name, base_is_best, diff_name = OPERATORS[op_id]
-    pools = {"target": n, "source": m_kt}
-    segments = ((pools[diff_name], 2),)
-    return segments if base_is_best else ((pools[base_name], 1),) + segments
 
 
 class TransferDraws(NamedTuple):
     """One task-generation's transfer draws, made by _draw_transfer."""
     hosts: np.ndarray              # (m_kt,) target parents paired with the offspring
-    indices: np.ndarray            # (m_kt, ·) raw operator index draws
+    picks: list                    # pool positions: the (m_kt, 1) random base
+                                   # (none for a best-row base), the (m_kt, 2) pair
     mask: np.ndarray               # (m_kt, D) crossover mask
 
 
 def _draw_transfer(rng, n, d, a2, op_id, cr) -> TransferDraws:
     """Transfer draws of a target of n rows.  m_kt = round(a2 * N), capped
-    at N; zero means no transfer and no stream consumption."""
+    at N; zero means no transfer and no stream consumption.  Picks are
+    positions in their pools: the m_kt source elites or the n target rows."""
     m_kt = math.floor(min(a2, 1.0) * n + 0.5)  # round half up, at most N
     if m_kt <= 0:
-        return TransferDraws(np.empty(0, dtype=int), np.empty((0, 0), dtype=int),
-                             np.empty((0, d), dtype=bool))
+        return TransferDraws(np.empty(0, dtype=int), [], np.empty((0, d), dtype=bool))
     hosts = rng.choice(n, size=m_kt, replace=False)
-    return TransferDraws(hosts,
-                         _draw_rows(rng, m_kt, _transfer_segments(op_id, n, m_kt)),
+    base_is_source, base_is_best = OPERATORS[op_id]
+    base_pool, diff_pool = (m_kt, n) if base_is_source else (n, m_kt)
+    segments = ((diff_pool, 2),) if base_is_best else ((base_pool, 1), (diff_pool, 2))
+    return TransferDraws(hosts, _fix_rows(_draw_rows(rng, m_kt, segments), segments),
                          _crossover_mask(rng, m_kt, d, cr))
 
 
@@ -285,22 +281,17 @@ def transfer_evolve(target: Population, source: Population, op_id: int,
     parents each offspring is paired with for crossover and selection.
     """
     hosts = draws.hosts
-    m_kt, n = len(hosts), len(target.fitness)
-    if m_kt == 0:
+    if len(hosts) == 0:
         return np.empty((0, target.positions.shape[1])), hosts
-    # elite set: the m_kt lowest-fitness source individuals
-    elites = source.fitness.argsort(kind="stable")[:m_kt]
-    # each pool's rows; None: every target row, in order
-    pools = {"target": (target, None), "source": (source, elites)}
-    base_name, base_is_best, diff_name = OPERATORS[op_id]
-    (base, base_pool), (diff, diff_pool) = pools[base_name], pools[diff_name]
-    picks = _fix_rows(draws.indices, _transfer_segments(op_id, n, m_kt))
-    if base_is_best:
-        base_rows = base.fitness.argmin()
-    else:
-        base_rows = picks[0][:, 0] if base_pool is None else base_pool[picks[0][:, 0]]
-    pairs = picks[-1] if diff_pool is None else diff_pool[picks[-1]]
-    x = diff.positions
+    base_is_source, base_is_best = OPERATORS[op_id]
+    # source picks index the elite set, the m_kt lowest-fitness source
+    # rows; target picks are rows already
+    elites = source.fitness.argsort(kind="stable")[:len(hosts)]
+    from_source = [base_is_source] * (not base_is_best) + [not base_is_source]
+    rows = [elites[p] if src else p for src, p in zip(from_source, draws.picks)]
+    base, diff = (source, target) if base_is_source else (target, source)
+    base_rows = base.fitness.argmin() if base_is_best else rows[0][:, 0]
+    x, pairs = diff.positions, rows[-1]
     mutants = base.positions[base_rows] + f * (x[pairs[:, 0]] - x[pairs[:, 1]])
     trials = np.where(draws.mask, mutants, target.positions[hosts])
     return np.clip(trials, 0.0, 1.0), hosts
@@ -338,35 +329,38 @@ def emt_step(state: EMTState, action):
 
     Mutates the state in place; returns (reward, info) where info carries
     the per-task reward components for logging.  A field without one entry
-    per task, a bad routing, an unknown operator id or a value outside
-    ACTION_RANGES raises ValueError before anything changes.
+    per task, or with an entry outside its domain (a1: another task's
+    index; a31: an id of OPERATORS; a2, a32, a33: ACTION_RANGES), raises
+    ValueError before anything changes.
     """
     k = state.n_tasks
     for name in ("a1", "a2", "a31", "a32", "a33"):
-        length = len(getattr(action, name))
-        if length != k:
-            raise ValueError(f"action {name} has {length} entries, but the "
-                             f"number of tasks K is {k}")
-    a1 = np.asarray(action.a1, dtype=int)
-    if np.any(a1 == np.arange(k)) or a1.min() < 0 or a1.max() >= k:
-        raise ValueError("source task indices must differ from the target")
-    a31 = action.a31
-    bad = [j for j, op in enumerate(a31) if op not in OPERATORS]
-    if bad:
-        raise ValueError(f"action a31 of task {bad[0]} is {a31[bad[0]]}, "
-                         f"expected an operator id in {sorted(OPERATORS)}")
-    for name, (lo, hi) in ACTION_RANGES.items():
         values = np.asarray(getattr(action, name), dtype=np.float64)
-        bad = np.flatnonzero(~(np.isfinite(values) & (values >= lo) & (values <= hi)))
+        if len(values) != k:
+            raise ValueError(f"action {name} has {len(values)} entries, but the "
+                             f"number of tasks K is {k}")
+        if name == "a1":
+            ok = ((values % 1 == 0) & (values >= 0) & (values < k)
+                  & (values != np.arange(k)))
+            expected = "the integral index of another task as source"
+        elif name == "a31":
+            ok = (values[:, None] == list(OPERATORS)).any(axis=1)
+            expected = f"an operator id in {sorted(OPERATORS)}"
+        else:
+            lo, hi = ACTION_RANGES[name]
+            ok = np.isfinite(values) & (values >= lo) & (values <= hi)
+            expected = f"a finite value in [{lo}, {hi}]"
+        bad = np.flatnonzero(~ok)
         if len(bad):
             raise ValueError(f"action {name} of task {bad[0]} is {values[bad[0]]}, "
-                             f"expected a finite value in [{lo}, {hi}]")
+                             f"expected {expected}")
+    a1 = np.asarray(action.a1, dtype=int)
     _, n, d = state.positions.shape
     # phase 1: every draw of the generation, task by task
     transfers, selfs = [], []
     transfer_mask = np.zeros((k, n), dtype=bool)
     for j, rng in enumerate(state.task_rngs):
-        draws = _draw_transfer(rng, n, d, float(action.a2[j]), int(a31[j]),
+        draws = _draw_transfer(rng, n, d, float(action.a2[j]), int(action.a31[j]),
                                float(action.a33[j]))
         transfer_mask[j, draws.hosts] = True
         transfers.append(draws)
@@ -380,16 +374,15 @@ def emt_step(state: EMTState, action):
         np.concatenate(masks))
     # phase 3: transfer, evaluation and selection, task by task
     best_before = state.best_values()
-    n_transfer = np.zeros(k, dtype=int)
+    n_transfer = np.count_nonzero(transfer_mask, axis=1)
     n_success = np.zeros(k, dtype=int)
     for j, pop in enumerate(state.populations):
         offspring, hosts = transfer_evolve(
-            pop, state.populations[a1[j]], int(a31[j]), float(action.a32[j]),
+            pop, state.populations[a1[j]], int(action.a31[j]), float(action.a32[j]),
             transfers[j])
         combined[j, hosts] = offspring
         fitness = evaluate_subtask_batch(state.instance.sub_tasks[j], combined[j])
         state.evaluations += n
-        n_transfer[j] = len(hosts)
         n_success[j] = greedy_select(pop, combined[j], fitness, transfer_mask[j])
     # status of every task: ties do not improve the best-so-far
     best = state.fitness.min(axis=1)

@@ -140,6 +140,8 @@ def run_episode(instance, controller: Controller, episode_seed: int,
                 pop_size: int, budget: int, collect_trace: bool = False,
                 collect_attention: bool = False) -> EpisodeResult:
     """One full optimization run of an instance under a controller."""
+    if budget < 1:
+        raise ValueError(f"budget must be >= 1, got {budget}")
     state = init_populations(instance, pop_size,
                              derive_seed(episode_seed, "engine"), budget)
     k = instance.n_tasks
@@ -178,6 +180,8 @@ def evaluate(controller: Controller, instances, runs: int, master_seed: int,
     the normalized final objective for that run; aggregating rows gives
     the run-averaged per-task metric.
     """
+    if runs < 1:
+        raise ValueError(f"runs must be >= 1, got {runs}")
     rows = []
     episodes = []
     for inst in instances:

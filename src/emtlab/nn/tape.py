@@ -41,9 +41,8 @@ def _accum(node, g):
 
 
 def _unbroadcast(g, shape):
-    # sum the adjoint back over axes that were broadcast on the forward pass
-    while g.ndim > len(shape):
-        g = g.sum(axis=0)
+    # sum the adjoint back over axes that were broadcast on the forward pass;
+    # every value is 2-D, so only length-1 axes can have been broadcast
     for axis, n in enumerate(shape):
         if n == 1 and g.shape[axis] != 1:
             g = g.sum(axis=axis, keepdims=True)
@@ -78,12 +77,6 @@ def div(a: Node, b: Node) -> Node:
         _accum(a, _unbroadcast(g / b.value, a.value.shape))
         _accum(b, _unbroadcast(-g * a.value / (b.value * b.value), b.value.shape))
     out.bprop = bprop
-    return out
-
-
-def neg(a: Node) -> Node:
-    out = Node(-a.value, (a,))
-    out.bprop = lambda g: _accum(a, -g)
     return out
 
 

@@ -96,13 +96,6 @@ def tr_forward(store: ParameterStore, e: Node):
     return scores, batch_norm(store, out, "trbn")
 
 
-def _masked(scores: Node) -> Node:
-    k = scores.value.shape[0]
-    mask = np.zeros((k, k))
-    np.fill_diagonal(mask, -np.inf)
-    return tape.add(scores, constant(mask))
-
-
 def _sample_categorical(rng: np.random.Generator, probs: np.ndarray) -> int:
     cdf = np.cumsum(probs)
     cdf[-1] = 1.0
@@ -128,7 +121,8 @@ def _trunk(store, features):
     and their row softmax (the routing distribution)."""
     e = embed(store, features)
     scores, decision = tr_forward(store, e)
-    masked = _masked(scores)
+    # a task never routes to itself
+    masked = tape.add(scores, constant(np.diag(np.full(len(scores.value), -np.inf))))
     return e, decision, masked, tape.softmax_rows(masked)
 
 
@@ -231,7 +225,7 @@ def critic_value(store, features) -> Node:
 def _entropy(probs: Node) -> Node:
     # -sum p log(p + tiny); the tiny offset keeps masked zeros exact
     safe = tape.log(tape.add(probs, constant(1e-12)))
-    return tape.neg(tape.sum_all(tape.mul(probs, safe)))
+    return tape.scale(tape.sum_all(tape.mul(probs, safe)), -1.0)
 
 
 def evaluate_actions(store, features, bundle: ActionBundle):

@@ -159,6 +159,13 @@ class TestBadDatasetInputs:
         return path
 
     @pytest.fixture()
+    def one_instance(self, tmp_path):
+        path = tmp_path / "one.jsonl"
+        B.save_instances(B.sample_instances(0.2, seed=2, n_tasks=2, dim=2,
+                                            count=1), str(path))
+        return path
+
+    @pytest.fixture()
     def empty_dataset(self, tmp_path):
         path = tmp_path / "empty.jsonl"
         path.write_text("\n")
@@ -188,13 +195,30 @@ class TestBadDatasetInputs:
                  "--dim", "2", "--out", str(out), "--limit", limit])
         assert not out.exists()
 
-    def test_export_attention_index_out_of_range(self, tmp_path, checkpoint):
-        dataset = tmp_path / "one.jsonl"
-        B.save_instances(B.sample_instances(0.2, seed=2, n_tasks=2, dim=2,
-                                            count=1), str(dataset))
+    @pytest.mark.parametrize("command,flag", [
+        (["evaluate"], "--runs"), (["evaluate"], "--budget"),
+        (["ablate", "--variant", "no_transfer"], "--runs"),
+        (["ablate", "--variant", "no_transfer"], "--budget")])
+    def test_evaluation_below_one_run_or_generation(self, tmp_path, checkpoint,
+                                                    one_instance, command, flag):
+        out = tmp_path / "eval"
+        with pytest.raises(ValueError, match=f"^{flag[2:]} must be >= 1, got 0$"):
+            run([*command, "--checkpoint", str(checkpoint), "--dataset",
+                 str(one_instance), "--out", str(out), "--pop-size", "6", flag, "0"])
+        assert not out.exists()
+
+    def test_export_attention_zero_budget(self, tmp_path, checkpoint, one_instance):
+        out = tmp_path / "attention.csv"
+        with pytest.raises(ValueError, match="^budget must be >= 1, got 0$"):
+            run(["export-attention", "--checkpoint", str(checkpoint),
+                 "--instance", str(one_instance), "--out", str(out), "--budget", "0"])
+        assert not out.exists()
+
+    def test_export_attention_index_out_of_range(self, tmp_path, checkpoint,
+                                                 one_instance):
         out = tmp_path / "attention.csv"
         with pytest.raises(ValueError, match=r"^--index 5 is out of range: "
                                              r".*one\.jsonl holds 1 instances$"):
             run(["export-attention", "--checkpoint", str(checkpoint),
-                 "--instance", str(dataset), "--out", str(out), "--index", "5"])
+                 "--instance", str(one_instance), "--out", str(out), "--index", "5"])
         assert not out.exists()

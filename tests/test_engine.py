@@ -183,12 +183,14 @@ class TestSelfEvolve:
         np.testing.assert_allclose(off, 0.25)
 
     def test_cr_one_gives_pure_mutant(self):
-        # task 1's parents are rows 6..11 of the stacked populations
+        # task 1's parents are rows 6..11 of the stacked populations; an
+        # all-true crossover mask is Cr = 1
         state = E.init_populations(tiny_instance(2, 6), 6, seed=8, budget=10)
         pop = state.populations[1]
         rng_b = derive_rng(2, "se")
-        partners, mask = E._draw_self(derive_rng(2, "se"), 6, 6, 6, cr=1.0)
-        off = E.self_evolve(state.positions, partners, 6 + np.arange(6), mask)
+        partners, _ = E._draw_self(derive_rng(2, "se"), 6, 6, 6)
+        off = E.self_evolve(state.positions, partners, 6 + np.arange(6),
+                            np.ones((6, 6), dtype=bool))
         # replicate the mutants with the documented draw order
         n, d = pop.positions.shape
         mutants = np.empty((6, d))
@@ -512,6 +514,7 @@ class TestStep:
         assert_same_state(snapshot(state), before)
 
     @pytest.mark.parametrize("field,value", [
+        ("a1", 1.7), ("a1", 2.2), ("a1", np.nan),
         ("a2", np.nan), ("a2", np.inf), ("a2", -0.1),
         ("a32", np.nan), ("a32", -0.01), ("a32", 1.5),
         ("a33", -np.inf), ("a33", -1.0), ("a33", 1.01),
@@ -519,9 +522,11 @@ class TestStep:
     def test_bad_action_rejected_before_any_change(self, field, value):
         state = E.init_populations(tiny_instance(3, 3), 6, seed=1, budget=10)
         bundle = bundle_for(state, a2=0.3)
+        setattr(bundle, field, getattr(bundle, field).astype(float))
         getattr(bundle, field)[1] = value
         before = snapshot(state)
-        with pytest.raises(ValueError, match=f"{field} of task 1 is"):
+        with pytest.raises(ValueError, match=f"^action {field} of task 1 is "
+                                             f"{value}, expected "):
             E.emt_step(state, bundle)
         assert_same_state(snapshot(state), before)
 
@@ -537,6 +542,13 @@ class TestStep:
         with pytest.raises(ValueError, match="a31 of task 1 is"):
             E.emt_step(state, bundle)
         assert_same_state(snapshot(state), before)
+
+    def test_integral_float_routing_accepted(self):
+        state, twin = (E.init_populations(tiny_instance(3, 3), 8, seed=1, budget=10)
+                       for _ in range(2))
+        E.emt_step(state, bundle_for(state, a1=[1.0, 2.0, 0.0], a2=0.3, op=2))
+        E.emt_step(twin, bundle_for(twin, a1=[1, 2, 0], a2=0.3, op=2))
+        assert_same_state(snapshot(state), snapshot(twin))
 
     def test_range_edges_accepted(self):
         # a2 above 0.5 is the no_kc ablation's range; the engine caps it

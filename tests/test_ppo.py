@@ -306,6 +306,15 @@ class TestTrain:
         with pytest.raises(ValueError, match="empty"):
             ppo.train([], ppo.PPOConfig(), seed=1)
 
+    def test_small_population_rejected_before_any_file(self, tmp_path):
+        # every episode would fail, and the run would still write checkpoints
+        config = ppo.PPOConfig(epochs=2, budget=4, t_ppo=4)
+        with pytest.raises(ValueError, match="^population size must be >= 4 "
+                                             "for DE/rand/1, got 3$"):
+            ppo.train(desk_instances(1), config, seed=13, pop_size=3,
+                      out_dir=str(tmp_path))
+        assert list(tmp_path.iterdir()) == []
+
     def test_deterministic_log_and_params(self):
         config = ppo.PPOConfig(epochs=2, budget=6, t_ppo=4)
         a = ppo.train(desk_instances(), config, seed=11, pop_size=6)

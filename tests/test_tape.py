@@ -365,7 +365,7 @@ class TestPrimitiveGradients:
         "sqrt": lambda a: tape.sqrt(tape.add(a, constant(2.0))),
         "log": lambda a: tape.log(tape.add(a, constant(2.0))),
         "softmax_rows": tape.softmax_rows,
-        "neg": tape.neg,
+        "scale": lambda a: tape.scale(a, -1.0),
         "mean0": lambda a: tape.mean_axis(a, 0),
         "mean1": lambda a: tape.mean_axis(a, 1),
         "clip": lambda a: tape.clip(a, -0.5, 0.5),
