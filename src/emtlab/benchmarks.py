@@ -99,19 +99,6 @@ def evaluate_basic_batch(fid: BasicFunction, z: np.ndarray) -> np.ndarray:
     raise ValueError(f"unknown function: {fid}")
 
 
-def evaluate_basic(fid: BasicFunction, z) -> float:
-    return float(evaluate_basic_batch(fid, np.asarray(z).reshape(1, -1))[0])
-
-
-def optimum_point(fid: BasicFunction, d: int) -> np.ndarray:
-    """The untransformed minimizer z* with f(z*) = 0 (approximate for Schwefel)."""
-    if fid is BasicFunction.ROSENBROCK:
-        return np.ones(d)
-    if fid is BasicFunction.SCHWEFEL:
-        return np.full(d, 420.9687)
-    return np.zeros(d)
-
-
 def make_rotation(d: int, rng: np.random.Generator) -> np.ndarray:
     """Random orthogonal matrix: a product of d Householder reflections,
     each from an independently drawn random unit vector."""

@@ -2,9 +2,10 @@
 cross-task knowledge transfer.
 
 Each of the K sub-tasks owns a population of N individuals in the unified
-[0, 1]^D space; EMTState stacks them as positions (K, N, D) and fitness
-(K, N), and state.populations[j] views task j's rows and its entry of the
-(K,) best-so-far.  One generation, driven by a per-step action bundle:
+[0, 1]^D space; EMTState stores them only as the stacks positions (K, N, D)
+and fitness (K, N), with (K,) status arrays, and state.populations builds
+task j's views of its rows, with its best-so-far, each time it is read.
+One generation, driven by a per-step action bundle:
 
   1. per task j, m_kt = round(a2_j * N) transfer offspring are built from
      the m_kt best individuals of the source population a1_j using one of
@@ -81,14 +82,10 @@ OPERATORS = {1: (False, True), 2: (False, False), 3: (True, False), 4: (True, Tr
 
 class Population(NamedTuple):
     """Task j of an EMTState: views of its rows of the stacked positions
-    (N, D) and fitness (N,), and of its (1,) entry of the best-so-far."""
+    (N, D) and fitness (N,), and its best-so-far when the view was built."""
     positions: np.ndarray
     fitness: np.ndarray
-    best: np.ndarray
-
-    @property
-    def best_value(self) -> float:
-        return float(self.best[0])
+    best_value: float
 
 
 @dataclass
@@ -110,12 +107,16 @@ class EMTState:
         self.fmax0 = self.fitness.max(axis=1)
         self.stagnation = np.zeros(k, dtype=int)
         self.improved = np.zeros(k, dtype=bool)
-        self.populations = [Population(self.positions[j], self.fitness[j],
-                                       self.best[j:j + 1]) for j in range(k)]
+
+    @property
+    def populations(self) -> list:
+        """One Population per task, built on every read; only the stacks
+        are stored, so a copied or unpickled state stays consistent."""
+        return list(map(Population, self.positions, self.fitness, self.best.tolist()))
 
     @property
     def n_tasks(self) -> int:
-        return len(self.populations)
+        return len(self.positions)
 
     def best_values(self) -> np.ndarray:
         return self.best.copy()
@@ -334,6 +335,7 @@ def emt_step(state: EMTState, action):
     ValueError before anything changes.
     """
     k = state.n_tasks
+    checked = {}
     for name in ("a1", "a2", "a31", "a32", "a33"):
         values = np.asarray(getattr(action, name), dtype=np.float64)
         if len(values) != k:
@@ -354,14 +356,16 @@ def emt_step(state: EMTState, action):
         if len(bad):
             raise ValueError(f"action {name} of task {bad[0]} is {values[bad[0]]}, "
                              f"expected {expected}")
-    a1 = np.asarray(action.a1, dtype=int)
+        checked[name] = values
+    # Python scalars, converted once: phases 1 and 3 read them task by task
+    a1, a31 = (checked[f].astype(int).tolist() for f in ("a1", "a31"))
+    a2, a32, a33 = (checked[f].tolist() for f in ("a2", "a32", "a33"))
     _, n, d = state.positions.shape
     # phase 1: every draw of the generation, task by task
     transfers, selfs = [], []
     transfer_mask = np.zeros((k, n), dtype=bool)
     for j, rng in enumerate(state.task_rngs):
-        draws = _draw_transfer(rng, n, d, float(action.a2[j]), int(action.a31[j]),
-                               float(action.a33[j]))
+        draws = _draw_transfer(rng, n, d, a2[j], a31[j], a33[j])
         transfer_mask[j, draws.hosts] = True
         transfers.append(draws)
         selfs.append(_draw_self(rng, n - len(draws.hosts), n, d))
@@ -376,10 +380,10 @@ def emt_step(state: EMTState, action):
     best_before = state.best_values()
     n_transfer = np.count_nonzero(transfer_mask, axis=1)
     n_success = np.zeros(k, dtype=int)
-    for j, pop in enumerate(state.populations):
-        offspring, hosts = transfer_evolve(
-            pop, state.populations[a1[j]], int(action.a31[j]), float(action.a32[j]),
-            transfers[j])
+    pops = state.populations
+    for j, pop in enumerate(pops):
+        offspring, hosts = transfer_evolve(pop, pops[a1[j]], a31[j], a32[j],
+                                           transfers[j])
         combined[j, hosts] = offspring
         fitness = evaluate_subtask_batch(state.instance.sub_tasks[j], combined[j])
         state.evaluations += n
@@ -406,8 +410,8 @@ def trace_rows(generation: int, features: np.ndarray, state: EMTState,
     """One trace row per task for the generation just executed; the reward
     column holds the task's own contribution R_c,j + R_k,j."""
     rows = []
-    for j, pop in enumerate(state.populations):
-        rows.append([generation, j, pop.best_value,
+    for j, best in enumerate(state.best):
+        rows.append([generation, j, float(best),
                      features[j, 0], features[j, 1], features[j, 2],
                      features[j, 3], features[j, 4],
                      int(info["n_transfer"][j]), int(info["n_success"][j]),

@@ -13,8 +13,8 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .engine import (TRACE_COLUMNS, emt_step, extract_state, init_populations,
-                     trace_rows)
+from .engine import (OPERATORS, TRACE_COLUMNS, emt_step, extract_state,
+                     init_populations, trace_rows)
 from .policy import act_with_context, init_policy
 from .seeds import derive_rng, derive_seed
 from .stats import wilcoxon_signed_rank
@@ -81,7 +81,7 @@ class Controller:
         if v in ("no_kc", "random_all"):
             bundle.a2 = ablation_rng.uniform(0.0, 1.0, size=k)
         if v in ("no_op", "random_all"):
-            bundle.a31 = ablation_rng.integers(1, 5, size=k)
+            bundle.a31 = ablation_rng.integers(1, 1 + len(OPERATORS), size=k)
         if v in ("no_f", "random_all"):
             bundle.a32 = np.full(k, 0.5)
         if v in ("no_cr", "random_all"):
@@ -125,8 +125,7 @@ def normalized_ratios(final_best, f0):
 @dataclass
 class EpisodeResult:
     instance_id: str
-    best_trace: np.ndarray          # (G+1, K) best-so-far, row 0 = initial
-    f0: np.ndarray                  # (K,)
+    best_trace: np.ndarray          # (G+1, K) best-so-far, row 0 = initial f0
     kt_ratio: float
     trace: list = field(default_factory=list)
     attention: list = field(default_factory=list)
@@ -148,8 +147,7 @@ def run_episode(instance, controller: Controller, episode_seed: int,
     ablation_rng = derive_rng(episode_seed, "ablation")
     best_trace = np.empty((budget + 1, k))
     best_trace[0] = state.best_values()
-    result = EpisodeResult(instance.instance_id, best_trace,
-                           state.f0.copy(), 0.0)
+    result = EpisodeResult(instance.instance_id, best_trace, 0.0)
     for t in range(1, budget + 1):
         features = extract_state(state)
         bundle, scores = controller.act(features, ablation_rng)
@@ -189,7 +187,7 @@ def evaluate(controller: Controller, instances, runs: int, master_seed: int,
             ep_seed = derive_seed(master_seed, "eval", inst.instance_id, r)
             ep = run_episode(inst, controller, ep_seed, pop_size, budget,
                              collect_trace=collect_trace)
-            ratios = normalized_ratios(ep.final_best, ep.f0)
+            ratios = normalized_ratios(ep.final_best, ep.best_trace[0])
             rows.append(EvaluationRow(inst.instance_id, r, float(ratios.mean()),
                                       ratios, ep.kt_ratio))
             episodes.append(ep)

@@ -162,28 +162,16 @@ def softmax_rows(a: Node) -> Node:
     return out
 
 
-def take(a: Node, rows, cols) -> Node:
-    """Pick entries a[rows[i], cols[i]] as an (n, 1) column."""
-    rows = np.asarray(rows, dtype=np.intp)
-    cols = np.asarray(cols, dtype=np.intp)
-    out = Node(a.value[rows, cols].reshape(-1, 1), (a,))
+def take(a: Node, index) -> Node:
+    """Gather a.value[index]: rows for an index array, or an (n, 1) column
+    of entries a[rows[i], cols[i]] for a (rows, cols) pair."""
+    picked = a.value[index]
+    out = Node(picked.reshape(-1, 1) if picked.ndim == 1 else picked, (a,))
 
     def bprop(g):
         if a.grad is None:
             a.grad = np.zeros_like(a.value)
-        np.add.at(a.grad, (rows, cols), g[:, 0])
-    out.bprop = bprop
-    return out
-
-
-def take_rows(a: Node, idx) -> Node:
-    idx = np.asarray(idx, dtype=np.intp)
-    out = Node(a.value[idx].copy(), (a,))
-
-    def bprop(g):
-        if a.grad is None:
-            a.grad = np.zeros_like(a.value)
-        np.add.at(a.grad, idx, g)
+        np.add.at(a.grad, index, g.reshape(picked.shape))
     out.bprop = bprop
     return out
 

@@ -38,6 +38,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .engine import OPERATORS
 from .nn import tape
 from .nn.layers import batch_norm, dense, single_head_attention
 from .nn.params import ParameterStore, add_dense
@@ -47,7 +48,7 @@ from .seeds import derive_rng
 FEATURE_DIM = 5
 EMBED_DIM = 64
 HIDDEN_DIM = 64
-N_OPERATORS = 4
+N_OPERATORS = len(OPERATORS)
 ACTION_STD = 0.1
 _LOG_NORM = math.log(ACTION_STD * math.sqrt(2.0 * math.pi))
 
@@ -113,7 +114,7 @@ def _sample_source(rng: np.random.Generator, probs: np.ndarray,
 
 def pair_concat(h_decision: Node, a1: np.ndarray) -> Node:
     """Row j becomes [decision_j | decision_{a1[j]}]."""
-    return tape.concat([h_decision, tape.take_rows(h_decision, a1)], axis=1)
+    return tape.concat([h_decision, tape.take(h_decision, a1)], axis=1)
 
 
 def _trunk(store, features):
@@ -155,7 +156,7 @@ def _gaussian_logp(mu: Node, values) -> Node:
 
 def _categorical_logp(probs: Node, choice) -> Node:
     rows = np.arange(probs.value.shape[0])
-    return tape.sum_all(tape.log(tape.take(probs, rows, choice)))
+    return tape.sum_all(tape.log(tape.take(probs, (rows, np.asarray(choice, dtype=int)))))
 
 
 def _log_prob(heads, bundle: ActionBundle, route_probs: Node) -> Node:

@@ -144,11 +144,36 @@ class TestTrainEvaluatePipeline:
         config_path = tmp_path / "config.json"
         config_path.write_text(json.dumps(config))
         train_dir = tmp_path / "run"
-        with pytest.raises(SystemExit, match=r"epochs \[2\] completed no episode"):
+        with pytest.raises(SystemExit, match=r"2 of 4 episodes were skipped"):
             run(["train", "--config", str(config_path), "--out",
                  str(train_dir)])
         lines = (train_dir / "training_log.csv").read_text().splitlines()
         assert len(lines) == 1 + 2 and all(l.startswith("1,") for l in lines[1:])
+
+    def test_one_skipped_episode_exits_nonzero(self, tmp_path, tiny_dataset,
+                                               monkeypatch):
+        # two instances, one epoch: the second episode fails, the first
+        # completes, so the epoch is not empty
+        original = ppo.run_training_episode
+        calls = []
+
+        def failing_second(*args, **kwargs):
+            calls.append(1)
+            if len(calls) == 2:
+                raise FloatingPointError("injected")
+            return original(*args, **kwargs)
+
+        monkeypatch.setattr(ppo, "run_training_episode", failing_second)
+        config = {"dataset": str(tiny_dataset), "seed": 3, "pop_size": 6,
+                  "epochs": 1, "budget": 4, "t_ppo": 4, "k_ppo": 1}
+        config_path = tmp_path / "config.json"
+        config_path.write_text(json.dumps(config))
+        train_dir = tmp_path / "run"
+        with pytest.raises(SystemExit, match=r"1 of 2 episodes were skipped"):
+            run(["train", "--config", str(config_path), "--out",
+                 str(train_dir)])
+        lines = (train_dir / "training_log.csv").read_text().splitlines()
+        assert len(lines) == 1 + 1
 
 
 class TestBadDatasetInputs:

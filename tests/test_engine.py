@@ -3,6 +3,7 @@ reward, the no-transfer reduction to independent per-task DE, and the
 three-phase generation against a sequential per-task reference."""
 
 import copy
+import pickle
 
 import numpy as np
 import pytest
@@ -549,6 +550,19 @@ class TestStep:
         E.emt_step(state, bundle_for(state, a1=[1.0, 2.0, 0.0], a2=0.3, op=2))
         E.emt_step(twin, bundle_for(twin, a1=[1, 2, 0], a2=0.3, op=2))
         assert_same_state(snapshot(state), snapshot(twin))
+
+    @pytest.mark.parametrize("duplicate", [copy.deepcopy,
+                                           lambda s: pickle.loads(pickle.dumps(s))],
+                             ids=["deepcopy", "pickle"])
+    def test_copied_state_steps_like_original(self, duplicate):
+        state = E.init_populations(tiny_instance(3, 3), 8, seed=1, budget=10)
+        E.emt_step(state, bundle_for(state, a2=0.3, op=2))
+        twin = duplicate(state)
+        bundle = bundle_for(state, a1=[2, 0, 1], a2=0.4, op=3)
+        E.emt_step(state, bundle)
+        E.emt_step(twin, bundle)
+        assert_same_state(snapshot(twin), snapshot(state))
+        assert twin.populations[1].best_value == state.best[1]
 
     def test_range_edges_accepted(self):
         # a2 above 0.5 is the no_kc ablation's range; the engine caps it

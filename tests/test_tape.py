@@ -2,6 +2,7 @@
 and hand-computed oracles."""
 
 import math
+import zlib
 from unittest import mock
 
 import numpy as np
@@ -346,7 +347,7 @@ class TestPrimitiveGradients:
 
     @pytest.mark.parametrize("name", sorted(CASES))
     def test_binary_ops(self, name):
-        rng = np.random.default_rng(hash(name) % 2 ** 32)
+        rng = np.random.default_rng(zlib.crc32(name.encode()))
         store = ParameterStore()
         store.add("a", rng.uniform(-1, 1, (3, 4)))
         store.add("b", rng.uniform(-1, 1, (3, 4)))
@@ -373,7 +374,7 @@ class TestPrimitiveGradients:
 
     @pytest.mark.parametrize("name", sorted(UNARY))
     def test_unary_ops(self, name):
-        rng = np.random.default_rng(hash(name) % 2 ** 32)
+        rng = np.random.default_rng(zlib.crc32(name.encode()))
         store = ParameterStore()
         store.add("a", rng.uniform(-1, 1, (3, 4)))
         w = rng.standard_normal(self.UNARY[name](store.leaf("a")).value.shape)
@@ -383,7 +384,7 @@ class TestPrimitiveGradients:
                                          constant(w)))
         fd_gradcheck(store, build, rng)
 
-    def test_take_and_take_rows(self):
+    def test_take_entries_and_rows(self):
         rng = np.random.default_rng(77)
         store = ParameterStore()
         store.add("a", rng.uniform(-1, 1, (4, 5)))
@@ -393,8 +394,8 @@ class TestPrimitiveGradients:
         w2 = rng.standard_normal((3, 5))
 
         def build():
-            picked = tape.take(store.leaf("a"), rows, cols)
-            gathered = tape.take_rows(store.leaf("a"), [1, 1, 3])
+            picked = tape.take(store.leaf("a"), (rows, cols))
+            gathered = tape.take(store.leaf("a"), [1, 1, 3])
             return tape.add(tape.sum_all(tape.mul(picked, constant(w))),
                             tape.sum_all(tape.mul(gathered, constant(w2))))
         fd_gradcheck(store, build, rng)
@@ -443,5 +444,5 @@ class TestPrimitiveGradients:
         p = tape.softmax_rows(tape.add(store.leaf("a"), constant(x)))
         assert p.value[0, 0] == 0.0 and p.value[1, 1] == 0.0
         np.testing.assert_allclose(p.value.sum(axis=1), 1.0)
-        backward(tape.sum_all(tape.log(tape.take(p, [0, 1], [2, 0]))))
+        backward(tape.sum_all(tape.log(tape.take(p, ([0, 1], [2, 0])))))
         assert np.isfinite(store["a"].grad).all()
