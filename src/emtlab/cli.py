@@ -32,6 +32,9 @@ def _cmd_generate(args):
 def load_train_config(path):
     with open(path) as fh:
         doc = json.load(fh)
+    if not isinstance(doc, dict):
+        raise ValueError(f"train config {path} must be a JSON object, "
+                         f"got {type(doc).__name__}")
     for key in ("dataset", "seed"):
         if key not in doc:
             raise ValueError(f"train config {path} missing required key: {key}")
@@ -53,10 +56,11 @@ def load_train_config(path):
 def _cmd_train(args):
     doc, config = load_train_config(args.config)
     instances = benchmarks.load_instances(doc["dataset"])
-    for key, found in (("n_tasks", instances[0].n_tasks),
-                       ("dim", instances[0].sub_tasks[0].dim)):
-        if key in doc and doc[key] != found:
-            raise ValueError(f"config {key}={doc[key]} but dataset has {found}")
+    for inst in instances:
+        for key, found in (("n_tasks", inst.n_tasks), ("dim", inst.sub_tasks[0].dim)):
+            if key in doc and doc[key] != found:
+                raise ValueError(f"config {key}={doc[key]} but {doc['dataset']} "
+                                 f"instance {inst.instance_id} has {found}")
     os.makedirs(args.out, exist_ok=True)
     result = ppo.train(instances, config, doc["seed"],
                        pop_size=doc.get("pop_size", 50), out_dir=args.out)

@@ -14,8 +14,8 @@ One generation, driven by a per-step action bundle:
      DE/rand/1 and binomial crossover (F=0.5, Cr=0.7);
   3. per task, each parent-offspring pair undergoes greedy selection
      (offspring survives on ties); then one array step updates every
-     task's best-so-far, stagnation and improvement flag, and appends the
-     per-task transfer and transfer-survival counts to EMTState.transfers.
+     task's best-so-far, stagnation and improvement flag, and replaces
+     the transfer and survivor counts, n_transfer and n_success.
 
 Mutation operator pool for transfer offspring, tabulated in OPERATORS as
 two flags per operator: whether the base comes from the source (else the
@@ -61,7 +61,7 @@ instance (same streams, positions and routing) changes the results.
 """
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from functools import lru_cache
 from typing import NamedTuple
 
@@ -96,8 +96,6 @@ class EMTState:
     budget: int                    # total generations G, for the stagnation feature
     task_rngs: list
     evaluations: int = 0
-    # one (n_transfer, n_success) pair of (K,) arrays per completed generation
-    transfers: list = field(default_factory=list)
 
     def __post_init__(self):
         k = len(self.positions)
@@ -107,6 +105,8 @@ class EMTState:
         self.fmax0 = self.fitness.max(axis=1)
         self.stagnation = np.zeros(k, dtype=int)
         self.improved = np.zeros(k, dtype=bool)
+        # (K,) transfers and their survivors in the last generation
+        self.n_transfer, self.n_success = np.zeros((2, k), dtype=int)
 
     @property
     def populations(self) -> list:
@@ -154,10 +154,8 @@ def extract_state(state: EMTState) -> np.ndarray:
     feats[:, 1] = np.where(valid, np.minimum(spread, 1.0), 0.0)
     feats[:, 2] = np.minimum(state.stagnation / state.budget, 1.0)
     feats[:, 3] = state.improved
-    if state.transfers:
-        n_transfer, n_success = state.transfers[-1]
-        # no transfer means no survivor: 0 / 1
-        feats[:, 4] = n_success / np.maximum(n_transfer, 1)
+    # no transfer means no survivor: 0 / 1
+    feats[:, 4] = state.n_success / np.maximum(state.n_transfer, 1)
     return feats
 
 
@@ -321,15 +319,16 @@ def compute_reward(best_before: np.ndarray, best_after: np.ndarray,
     """
     valid = np.abs(f0) >= 1e-12
     rc = np.where(valid, (best_before - best_after) / np.where(valid, f0, 1.0), 0.0)
-    rk = np.where(n_transfer > 0, n_success / np.maximum(n_transfer, 1), 0.0)
+    # no transfer means no survivor: 0 / 1
+    rk = n_success / np.maximum(n_transfer, 1)
     return float(np.sum(rc + rk)), rc, rk
 
 
 def emt_step(state: EMTState, action):
     """Advance every population by one generation under the action bundle.
 
-    Mutates the state in place; returns (reward, info) where info carries
-    the per-task reward components for logging.  A field without one entry
+    Mutates the state in place; returns compute_reward's (reward, rc, rk),
+    the per-task components for logging.  A field without one entry
     per task, or with an entry outside its domain (a1: another task's
     index; a31: an id of OPERATORS; a2, a32, a33: ACTION_RANGES), raises
     ValueError before anything changes.
@@ -388,35 +387,12 @@ def emt_step(state: EMTState, action):
         fitness = evaluate_subtask_batch(state.instance.sub_tasks[j], combined[j])
         state.evaluations += n
         n_success[j] = greedy_select(pop, combined[j], fitness, transfer_mask[j])
-    # status of every task: ties do not improve the best-so-far
+    # status of every task: ties do not improve the best-so-far; the
+    # transfer counts are fresh arrays, so callers may keep the old ones
     best = state.fitness.min(axis=1)
     np.less(best, state.best, out=state.improved)
     np.copyto(state.best, best, where=state.improved)
     state.stagnation += ~state.improved
-    reward, rc, rk = compute_reward(best_before, state.best_values(), state.f0,
-                                    n_transfer, n_success)
-    state.transfers.append((n_transfer, n_success))
-    info = {"rc": rc, "rk": rk, "n_transfer": n_transfer, "n_success": n_success}
-    return reward, info
-
-
-TRACE_COLUMNS = ["generation", "task", "best_so_far", "s1", "s2", "s3", "s4",
-                 "s5", "n_transfer", "n_success", "source_task", "a2",
-                 "op_id", "F", "Cr", "reward"]
-
-
-def trace_rows(generation: int, features: np.ndarray, state: EMTState,
-               action, info) -> list:
-    """One trace row per task for the generation just executed; the reward
-    column holds the task's own contribution R_c,j + R_k,j."""
-    rows = []
-    for j, best in enumerate(state.best):
-        rows.append([generation, j, float(best),
-                     features[j, 0], features[j, 1], features[j, 2],
-                     features[j, 3], features[j, 4],
-                     int(info["n_transfer"][j]), int(info["n_success"][j]),
-                     int(action.a1[j]), float(action.a2[j]),
-                     int(action.a31[j]), float(action.a32[j]),
-                     float(action.a33[j]),
-                     float(info["rc"][j] + info["rk"][j])])
-    return rows
+    state.n_transfer, state.n_success = n_transfer, n_success
+    return compute_reward(best_before, state.best_values(), state.f0,
+                          n_transfer, n_success)

@@ -1,6 +1,6 @@
 """Evaluation and experiment layer: controllers (trained policy plus
 ablation/control variants), episode running, normalized performance,
-transfer-quality metrics, and result file I/O.
+transfer-quality metrics, and result and trace file I/O.
 
 Seed schedule: every episode seed is derived from
 (master_seed, "eval", instance_id, run_index), so adding instances or
@@ -9,12 +9,11 @@ runs never perturbs existing ones.
 
 import csv
 import logging
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
-from .engine import (OPERATORS, TRACE_COLUMNS, emt_step, extract_state,
-                     init_populations, trace_rows)
+from .engine import OPERATORS, emt_step, extract_state, init_populations
 from .policy import act_with_context, init_policy
 from .seeds import derive_rng, derive_seed
 from .stats import wilcoxon_signed_rank
@@ -23,6 +22,9 @@ log = logging.getLogger(__name__)
 
 ABLATION_VARIANTS = ("full", "no_tr", "no_kc", "no_op", "no_f", "no_cr",
                      "random_all", "no_transfer")
+TRACE_COLUMNS = ["generation", "task", "best_so_far", "s1", "s2", "s3", "s4",
+                 "s5", "n_transfer", "n_success", "source_task", "a2",
+                 "op_id", "F", "Cr", "reward"]
 
 
 class Controller:
@@ -95,11 +97,8 @@ def kt_success_ratio(history) -> float:
     """Mean over generations of the survival fraction of transferred
     solutions (pooled over tasks); generations without transfers are
     skipped, and a run with no transfers at all scores 0."""
-    ratios = []
-    for n_transfer, n_success in history:
-        total = int(n_transfer.sum())
-        if total > 0:
-            ratios.append(int(n_success.sum()) / total)
+    ratios = [int(n_success.sum()) / int(n_transfer.sum())
+              for n_transfer, n_success in history if n_transfer.sum() > 0]
     return float(np.mean(ratios)) if ratios else 0.0
 
 
@@ -127,12 +126,19 @@ class EpisodeResult:
     instance_id: str
     best_trace: np.ndarray          # (G+1, K) best-so-far, row 0 = initial f0
     kt_ratio: float
-    trace: list = field(default_factory=list)
-    attention: list = field(default_factory=list)
+    trace: list                     # trace_rows of every generation, if collected
+    attention: list                 # (K, K) routing scores per generation, if collected
 
-    @property
-    def final_best(self) -> np.ndarray:
-        return self.best_trace[-1]
+
+def trace_rows(generation: int, features: np.ndarray, state, action,
+               reward: np.ndarray) -> list:
+    """One trace row per task for the generation just executed, from the
+    features it acted on; reward holds each task's own R_c,j + R_k,j."""
+    return [[generation, j, float(state.best[j]), *features[j],
+             int(state.n_transfer[j]), int(state.n_success[j]),
+             int(action.a1[j]), float(action.a2[j]), int(action.a31[j]),
+             float(action.a32[j]), float(action.a33[j]), float(reward[j])]
+            for j in range(state.n_tasks)]
 
 
 def run_episode(instance, controller: Controller, episode_seed: int,
@@ -143,22 +149,22 @@ def run_episode(instance, controller: Controller, episode_seed: int,
         raise ValueError(f"budget must be >= 1, got {budget}")
     state = init_populations(instance, pop_size,
                              derive_seed(episode_seed, "engine"), budget)
-    k = instance.n_tasks
     ablation_rng = derive_rng(episode_seed, "ablation")
-    best_trace = np.empty((budget + 1, k))
-    best_trace[0] = state.best_values()
-    result = EpisodeResult(instance.instance_id, best_trace, 0.0)
+    best_trace = np.empty((budget + 1, instance.n_tasks))
+    best_trace[0] = state.best
+    trace, attention, transfers = [], [], []    # transfers: (n_transfer, n_success)
     for t in range(1, budget + 1):
         features = extract_state(state)
         bundle, scores = controller.act(features, ablation_rng)
-        _, info = emt_step(state, bundle)
-        best_trace[t] = state.best_values()
+        _, rc, rk = emt_step(state, bundle)
+        best_trace[t] = state.best
+        transfers.append((state.n_transfer, state.n_success))
         if collect_trace:
-            result.trace.extend(trace_rows(t, features, state, bundle, info))
+            trace.extend(trace_rows(t, features, state, bundle, rc + rk))
         if collect_attention:
-            result.attention.append(scores)
-    result.kt_ratio = kt_success_ratio(state.transfers)
-    return result
+            attention.append(scores)
+    return EpisodeResult(instance.instance_id, best_trace,
+                         kt_success_ratio(transfers), trace, attention)
 
 
 @dataclass
@@ -187,7 +193,7 @@ def evaluate(controller: Controller, instances, runs: int, master_seed: int,
             ep_seed = derive_seed(master_seed, "eval", inst.instance_id, r)
             ep = run_episode(inst, controller, ep_seed, pop_size, budget,
                              collect_trace=collect_trace)
-            ratios = normalized_ratios(ep.final_best, ep.best_trace[0])
+            ratios = normalized_ratios(ep.best_trace[-1], ep.best_trace[0])
             rows.append(EvaluationRow(inst.instance_id, r, float(ratios.mean()),
                                       ratios, ep.kt_ratio))
             episodes.append(ep)
@@ -213,16 +219,31 @@ def write_results_csv(rows, path: str) -> None:
 
 
 def read_results_csv(path: str):
+    """Rows of a file written by write_results_csv.  A missing column, a
+    value that does not parse and a non-finite perf or kt_success_ratio
+    raise ValueError naming the file and its line."""
     rows = []
     with open(path, newline="") as fh:
         reader = csv.DictReader(fh)
+        columns = reader.fieldnames or []
+        for name in ("instance_id", "run", "perf", "kt_success_ratio"):
+            if name not in columns:
+                raise ValueError(f"{path}, line 1: missing column {name}")
+        task_cols = sorted((c for c in columns if c.startswith("perf_task_")),
+                           key=lambda c: int(c.rsplit("_", 1)[1]))
         for rec in reader:
-            task_cols = sorted((c for c in rec if c.startswith("perf_task_")),
-                               key=lambda c: int(c.rsplit("_", 1)[1]))
-            rows.append(EvaluationRow(
-                rec["instance_id"], int(rec["run"]), float(rec["perf"]),
-                np.array([float(rec[c]) for c in task_cols]),
-                float(rec["kt_success_ratio"])))
+            where = f"{path}, line {reader.line_num}"
+            try:
+                perf, ratio, *tasks = (float(rec[c]) for c in
+                                       ["perf", "kt_success_ratio", *task_cols])
+                rows.append(EvaluationRow(rec["instance_id"], int(rec["run"]),
+                                          perf, np.array(tasks), ratio))
+            except (TypeError, ValueError) as err:
+                raise ValueError(f"{where}: {err}") from None
+            for name, value in (("perf", perf), ("kt_success_ratio", ratio)):
+                if not np.isfinite(value):
+                    raise ValueError(f"{where}: {name} is {value}, expected a "
+                                     "finite number")
     return rows
 
 

@@ -197,15 +197,13 @@ def run_training_episode(store, instance, config: PPOConfig, pop_size: int,
             for j in range(instance.n_tasks)]
     features = extract_state(state)
     buffer = []
-    ep_return = 0.0
-    rc_total = 0.0
-    rk_total = 0.0
+    ep_return = rc_total = rk_total = 0.0
     for t in range(1, config.budget + 1):
         bundle = act(store, features, rngs)
-        reward, info = emt_step(state, bundle)
+        reward, rc, rk = emt_step(state, bundle)
         ep_return += reward
-        rc_total += float(info["rc"].sum())
-        rk_total += float(info["rk"].sum())
+        rc_total += float(rc.sum())
+        rk_total += float(rk.sum())
         buffer.append(Transition(features, bundle, reward))
         next_features = extract_state(state)
         done = t == config.budget
@@ -215,8 +213,7 @@ def run_training_episode(store, instance, config: PPOConfig, pop_size: int,
             ppo_update(buffer, store, config, bootstrap)
             buffer = []
         features = next_features
-    g = config.budget
-    return ep_return, rc_total / g, rk_total / g
+    return ep_return, rc_total / config.budget, rk_total / config.budget
 
 
 def train(train_set, config: PPOConfig, seed: int, pop_size: int = 50,

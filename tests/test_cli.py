@@ -2,10 +2,12 @@
 
 import json
 
+import numpy as np
 import pytest
 
 from emtlab import benchmarks as B
 from emtlab import cli, ppo
+from emtlab import harness as H
 from emtlab.nn.params import save_checkpoint
 from emtlab.policy import init_policy
 
@@ -93,6 +95,38 @@ class TestTrainEvaluatePipeline:
         with pytest.raises(ValueError, match="dim"):
             run(["train", "--config", str(config_path), "--out",
                  str(tmp_path / "x")])
+
+    @pytest.mark.parametrize("doc", [5, "dataset seed", ["dataset", "seed"]],
+                             ids=["number", "string", "list"])
+    def test_config_not_an_object(self, tmp_path, doc):
+        config_path = tmp_path / "config.json"
+        config_path.write_text(json.dumps(doc))
+        out = tmp_path / "run"
+        with pytest.raises(ValueError, match=r"config\.json must be a JSON "
+                                             r"object, got (int|str|list)$"):
+            run(["train", "--config", str(config_path), "--out", str(out)])
+        assert not out.exists()
+
+    def test_config_task_count_checked_on_every_instance(self, tmp_path):
+        # a K=2 file joined with a K=3 file: the first instance fits
+        dataset = tmp_path / "mixed.jsonl"
+        for seed, n_tasks in ((2, 2), (5, 3)):
+            part = tmp_path / f"k{n_tasks}.jsonl"
+            B.save_instances(B.sample_instances(0.2, seed=seed, n_tasks=n_tasks,
+                                                dim=2, count=1), str(part))
+            with open(dataset, "a") as fh:
+                fh.write(part.read_text())
+        first, second = B.load_instances(str(dataset))
+        assert first.instance_id != second.instance_id
+        config_path = tmp_path / "config.json"
+        config_path.write_text(json.dumps({"dataset": str(dataset), "seed": 3,
+                                           "n_tasks": 2, "epochs": 1,
+                                           "budget": 4}))
+        out = tmp_path / "run"
+        with pytest.raises(ValueError, match=rf"^config n_tasks=2 but .*mixed\.jsonl "
+                                             rf"instance {second.instance_id} has 3$"):
+            run(["train", "--config", str(config_path), "--out", str(out)])
+        assert not out.exists()
 
     def test_config_missing_key(self, tmp_path):
         config_path = tmp_path / "config.json"
@@ -247,3 +281,49 @@ class TestBadDatasetInputs:
             run(["export-attention", "--checkpoint", str(checkpoint),
                  "--instance", str(one_instance), "--out", str(out), "--index", "5"])
         assert not out.exists()
+
+
+class TestCompareInputs:
+    """A results file that compare cannot read fails with its file and line."""
+
+    @pytest.fixture()
+    def results(self, tmp_path):
+        path = tmp_path / "results.csv"
+        H.write_results_csv([H.EvaluationRow("i", r, 0.1 * (r + 1), np.array([0.5]),
+                                             0.25) for r in range(3)], str(path))
+        return path
+
+    def compare(self, tmp_path, results, text):
+        other = tmp_path / "other.csv"
+        other.write_text(text)
+        out = tmp_path / "summary.txt"
+        with pytest.raises(ValueError) as err:
+            run(["compare", "--a", str(results), "--b", str(other),
+                 "--out", str(out)])
+        assert not out.exists()
+        return str(err.value)
+
+    def test_trace_file_rejected(self, tmp_path, results):
+        text = ",".join(["instance_id", "run", *H.TRACE_COLUMNS]) + "\n"
+        text += "i,0," + ",".join(["1"] * len(H.TRACE_COLUMNS)) + "\n"
+        message = self.compare(tmp_path, results, text)
+        assert message == f"{tmp_path / 'other.csv'}, line 1: missing column perf"
+
+    def test_value_that_does_not_parse_rejected(self, tmp_path, results):
+        lines = results.read_text().splitlines()
+        lines[2] = lines[2].replace("0.2", "abc", 1)
+        message = self.compare(tmp_path, results, "\n".join(lines) + "\n")
+        assert message.startswith(f"{tmp_path / 'other.csv'}, line 3: ")
+        assert "'abc'" in message
+
+    @pytest.mark.parametrize("column, name, value", [
+        (2, "perf", "nan"), (3, "kt_success_ratio", "inf")])
+    def test_non_finite_value_rejected(self, tmp_path, results, column, name,
+                                       value):
+        lines = results.read_text().splitlines()
+        fields = lines[3].split(",")
+        fields[column] = value
+        lines[3] = ",".join(fields)
+        message = self.compare(tmp_path, results, "\n".join(lines) + "\n")
+        assert message == (f"{tmp_path / 'other.csv'}, line 4: {name} is {value}, "
+                           "expected a finite number")

@@ -81,7 +81,8 @@ def snapshot(state):
             "stagnation": state.stagnation.tolist(),
             "improved": state.improved.tolist(),
             "evaluations": state.evaluations,
-            "transfers": copy.deepcopy(state.transfers),
+            "n_transfer": state.n_transfer.tolist(),
+            "n_success": state.n_success.tolist(),
             "streams": [rng.bit_generator.state for rng in state.task_rngs]}
 
 
@@ -90,12 +91,9 @@ def assert_same_state(actual, expected):
     assert actual.keys() == expected.keys()
     for key in ("positions", "fitness"):
         assert actual[key].tobytes() == expected[key].tobytes(), key
-    for key in ("best", "stagnation", "improved", "evaluations", "streams"):
+    for key in ("best", "stagnation", "improved", "evaluations", "n_transfer",
+                "n_success", "streams"):
         assert actual[key] == expected[key], key
-    assert len(actual["transfers"]) == len(expected["transfers"])
-    for (a_n, a_s), (e_n, e_s) in zip(actual["transfers"], expected["transfers"]):
-        np.testing.assert_array_equal(a_n, e_n)
-        np.testing.assert_array_equal(a_s, e_s)
 
 
 def bundle_for(state, a1=None, a2=0.0, op=1, f=0.5, cr=0.7):
@@ -569,9 +567,9 @@ class TestStep:
         state = E.init_populations(tiny_instance(3, 3), 6, seed=1, budget=10)
         for a2, f, cr in ((0.0, 0.0, 0.0), (1.0, 1.0, 1.0), (3.0, 0.5, 0.7),
                           (1e308, 0.5, 0.7)):
-            _, info = E.emt_step(state, bundle_for(state, a2=a2, f=f, cr=cr))
-            assert (info["n_transfer"] == (0 if a2 == 0.0 else 6)).all()
-        assert len(state.transfers) == 4
+            E.emt_step(state, bundle_for(state, a2=a2, f=f, cr=cr))
+            assert (state.n_transfer == (0 if a2 == 0.0 else 6)).all()
+        assert state.evaluations == (1 + 4) * 3 * 6
 
     def test_budget_accounting(self):
         state = E.init_populations(tiny_instance(3, 4), 9, seed=2, budget=10)
@@ -594,17 +592,33 @@ class TestStep:
     def test_ledger_counts_and_bounds(self):
         state = E.init_populations(tiny_instance(2, 4), 10, seed=4, budget=10)
         for _ in range(10):
-            _, info = E.emt_step(state, bundle_for(state, a2=0.5))
-            assert (info["n_success"] <= info["n_transfer"]).all()
-            assert (info["n_transfer"] == 5).all()
+            E.emt_step(state, bundle_for(state, a2=0.5))
+            assert (state.n_success <= state.n_transfer).all()
+            assert (state.n_transfer == 5).all()
 
     def test_reward_matches_recomputation(self):
         state = E.init_populations(tiny_instance(2, 4), 8, seed=5, budget=10)
         before = state.best_values()
-        reward, info = E.emt_step(state, bundle_for(state, a2=0.25, op=2))
-        expected, _, _ = E.compute_reward(before, state.best_values(), state.f0,
-                                          info["n_transfer"], info["n_success"])
+        reward, rc, rk = E.emt_step(state, bundle_for(state, a2=0.25, op=2))
+        expected, expected_rc, expected_rk = E.compute_reward(
+            before, state.best_values(), state.f0, state.n_transfer,
+            state.n_success)
         assert reward == pytest.approx(expected)
+        np.testing.assert_array_equal(rc, expected_rc)
+        np.testing.assert_array_equal(rk, expected_rk)
+
+    def test_state_size_does_not_grow_with_generations(self):
+        # only the last generation's transfer counts are kept; Python ints
+        # (the streams' states, the evaluation count) pickle to a length
+        # that depends on their value, so they are left out
+        state = E.init_populations(tiny_instance(3, 4), 8, seed=6, budget=30)
+        sizes = []
+        for t in range(1, 31):
+            E.emt_step(state, bundle_for(state, a2=0.25))
+            if t in (1, 30):
+                fixed = {**vars(state), "task_rngs": None, "evaluations": None}
+                sizes.append(len(pickle.dumps(fixed)))
+        assert sizes[0] == sizes[1]
 
 
 def reference_de_run(defn, rng, n, generations, f=0.5, cr=0.7):
@@ -654,7 +668,6 @@ def reference_features(state):
     """The per-task feature loop that extract_state replaced."""
     k = state.n_tasks
     feats = np.zeros((k, 5))
-    last = state.transfers[-1] if state.transfers else None
     for j, pop in enumerate(state.populations):
         feats[j, 0] = pop.positions.std(axis=0).mean()
         denom = state.fmax0[j]
@@ -662,8 +675,8 @@ def reference_features(state):
             feats[j, 1] = min((pop.fitness / denom).std(), 1.0)
         feats[j, 2] = min(state.stagnation[j] / state.budget, 1.0)
         feats[j, 3] = 1.0 if state.improved[j] else 0.0
-        if last is not None and last[0][j] > 0:
-            feats[j, 4] = last[1][j] / last[0][j]
+        if state.n_transfer[j] > 0:
+            feats[j, 4] = state.n_success[j] / state.n_transfer[j]
     return feats
 
 
@@ -723,8 +736,8 @@ class TestFeaturesMatchPerTaskLoop:
         bundle = bundle_for(state, a2=0.3)
         bundle.a2[4] = 0.0  # task 4 transfers nothing: n_transfer = 0
         for _ in range(3):
-            _, info = E.emt_step(state, bundle)
-        assert info["n_transfer"][4] == 0 and info["n_transfer"][3] == 15
+            E.emt_step(state, bundle)
+        assert state.n_transfer[4] == 0 and state.n_transfer[3] == 15
         assert E.extract_state(state).tobytes() == reference_features(state).tobytes()
 
 
@@ -740,14 +753,15 @@ class ReferenceState:
         self.improved = state.improved.tolist()
         self.rngs = copy.deepcopy(state.task_rngs)
         self.evaluations = state.evaluations
-        self.transfers = []
+        self.n_transfer = state.n_transfer.tolist()
+        self.n_success = state.n_success.tolist()
 
     def snapshot(self):
         return {"positions": np.stack(self.positions),
                 "fitness": np.stack(self.fitness),
                 "best": self.best, "stagnation": self.stagnation,
                 "improved": self.improved, "evaluations": self.evaluations,
-                "transfers": self.transfers,
+                "n_transfer": self.n_transfer, "n_success": self.n_success,
                 "streams": [rng.bit_generator.state for rng in self.rngs]}
 
 
@@ -795,7 +809,7 @@ def reference_step(ref, instance, action):
             ref.best[j] = float(fit.min())
         else:
             ref.stagnation[j] += 1
-    ref.transfers.append((n_transfer, n_success))
+    ref.n_transfer, ref.n_success = n_transfer.tolist(), n_success.tolist()
 
 
 class TestGenerationMatchesSequentialReference:

@@ -1,4 +1,4 @@
-"""Fixed-seed golden digests of three end-to-end outputs.
+"""Fixed-seed golden digests of end-to-end outputs.
 
 A change that claims to keep behaviour must keep these bytes.  A
 deliberate behaviour change (a new RNG stream contract, a different
@@ -22,6 +22,8 @@ from emtlab.policy import init_policy
 
 EVAL_TRACE_SHA256 = "ada930f8fea7990c3a972132023cc8706982091bbf9cf8321cd817d3c1e24bd8"
 RANDOM_ALL_TRACE_SHA256 = "abe27735e2681c6a6bf1f6727c427d22b64cc755d38e4aff7c1f8e4fa4c40182"
+EVAL_RESULTS_SHA256 = "30f1225b693e7277ad17238b71bf497c5d31b421c43ff1709c1c60981dff9fd0"
+RANDOM_ALL_RESULTS_SHA256 = "a30657076dc6701955316e97bf40fc48fbdac92c16bcd758a8f96eeb28228194"
 TRAIN_VALUES_SHA256 = "84e5ec3a7bca64e3488ab7c86009319d0c04d62844a42e8ed0484f3d482a6d14"
 TRAIN_CHECKPOINT_SHA256 = "adafb1786b041dbf5c7bda59012436a29df728f39582a5ba13aa6187c54dcbbf"
 
@@ -45,26 +47,37 @@ def _instances(count):
     return B.sample_instances(0.2, seed=3, n_tasks=3, dim=4, count=count)
 
 
-def _eval_trace_sha256(variant, tmp_path):
+def _eval_sha256(variant, tmp_path):
+    """Digests of the (results.csv, trace.csv) an evaluation writes."""
     controller = H.Controller(init_policy(0), variant)
     rows, episodes = H.evaluate(controller, _instances(2), runs=2,
                                 master_seed=0, pop_size=8, budget=10,
                                 collect_trace=True)
-    path = tmp_path / "trace.csv"
+    results, trace = tmp_path / "results.csv", tmp_path / "trace.csv"
+    H.write_results_csv(rows, str(results))
     H.write_trace_csv([(r.run_index, ep) for r, ep in zip(rows, episodes)],
-                      str(path))
-    return _sha256(path)
+                      str(trace))
+    return _sha256(results), _sha256(trace)
 
 
 def test_deterministic_eval_trace(tmp_path):
     # this policy uses operators 1, 3 and 4 with two transfers per task
-    assert _eval_trace_sha256("full", tmp_path) == EVAL_TRACE_SHA256
+    assert _eval_sha256("full", tmp_path)[1] == EVAL_TRACE_SHA256
+
+
+def test_deterministic_eval_results(tmp_path):
+    # perf and kt_success_ratio read the episode's transfer tally
+    assert _eval_sha256("full", tmp_path)[0] == EVAL_RESULTS_SHA256
 
 
 def test_random_all_eval_trace(tmp_path):
     # random substitutes reach all four operators and every transfer count
     # from a single elite (m_kt = 1) to full transfer (m_kt = N)
-    assert _eval_trace_sha256("random_all", tmp_path) == RANDOM_ALL_TRACE_SHA256
+    assert _eval_sha256("random_all", tmp_path)[1] == RANDOM_ALL_TRACE_SHA256
+
+
+def test_random_all_eval_results(tmp_path):
+    assert _eval_sha256("random_all", tmp_path)[0] == RANDOM_ALL_RESULTS_SHA256
 
 
 def test_one_epoch_training_checkpoint(tmp_path):
