@@ -2,8 +2,7 @@
 
     emtlab generate          build a problem-set file for one shift level
     emtlab train             train the controller from a JSON config
-    emtlab evaluate          run a checkpoint deterministically on a dataset
-    emtlab ablate            evaluate with one component substituted
+    emtlab evaluate          run a checkpoint or a --variant (alias: ablate)
     emtlab export-attention  dump per-generation routing score matrices
     emtlab compare           paired comparison of two results files
 """
@@ -43,9 +42,11 @@ def load_train_config(path):
                      - {"dataset", "seed", "pop_size", "n_tasks", "dim"})
     if unknown:
         raise ValueError(f"train config {path} has unknown keys: {', '.join(unknown)}")
-    if type(doc["seed"]) is not int:
-        raise ValueError(f"train config {path}: seed must be an integer, "
-                         f"got {doc['seed']!r}")
+    for key, kind, noun in (("dataset", str, "a string"), ("seed", int, "an integer"),
+                            ("n_tasks", int, "an integer"), ("dim", int, "an integer")):
+        if key in doc and type(doc[key]) is not kind:
+            raise ValueError(f"train config {path}: {key} must be {noun}, "
+                             f"got {doc[key]!r}")
     pop_size = doc.get("pop_size", 50)
     if type(pop_size) is not int or pop_size < MIN_POP_SIZE:
         raise ValueError(f"train config {path}: pop_size must be an integer "
@@ -74,10 +75,20 @@ def _cmd_train(args):
           f"outputs in {args.out}")
 
 
-def _run_evaluation(args):
+def _load_run(args):
+    """The dataset's instances and the checkpoint's args.variant controller."""
     store = load_checkpoint(args.checkpoint)
     instances = benchmarks.load_instances(args.dataset)
-    controller = harness.Controller(store, args.variant)
+    return instances, harness.Controller(store, args.variant)
+
+
+def _run_evaluation(args):
+    instances, controller = _load_run(args)
+    for inst in instances:   # results.csv has one perf_task column per task
+        if inst.n_tasks != instances[0].n_tasks:
+            raise ValueError(f"{args.dataset}: instance {inst.instance_id} has "
+                             f"{inst.n_tasks} tasks, {instances[0].instance_id} "
+                             f"has {instances[0].n_tasks}")
     rows, episodes = harness.evaluate(controller, instances, args.runs,
                                       args.seed, args.pop_size, args.budget,
                                       collect_trace=True)
@@ -90,13 +101,11 @@ def _run_evaluation(args):
 
 
 def _cmd_export_attention(args):
-    store = load_checkpoint(args.checkpoint)
-    instances = benchmarks.load_instances(args.instance)
+    instances, controller = _load_run(args)
     if not 0 <= args.index < len(instances):
-        raise ValueError(f"--index {args.index} is out of range: {args.instance} "
+        raise ValueError(f"--index {args.index} is out of range: {args.dataset} "
                          f"holds {len(instances)} instances")
     inst = instances[args.index]
-    controller = harness.Controller(store, "full")
     ep_seed = derive_seed(args.seed, "eval", inst.instance_id, 0)
     ep = harness.run_episode(inst, controller, ep_seed, args.pop_size,
                              args.budget, collect_attention=True)
@@ -115,10 +124,10 @@ def _cmd_compare(args):
     print(text, end="")
 
 
-def _add_eval_flags(p):
+def _add_run_flags(p, dataset_flag="--dataset", **dataset_kwargs):
+    """Flags of the commands that run a checkpoint on a dataset file."""
     p.add_argument("--checkpoint", required=True)
-    p.add_argument("--dataset", required=True)
-    p.add_argument("--runs", type=int, default=10)
+    p.add_argument(dataset_flag, required=True, dest="dataset", **dataset_kwargs)
     p.add_argument("--seed", type=int, default=0)
     p.add_argument("--out", required=True)
     p.add_argument("--pop-size", type=int, default=50, dest="pop_size")
@@ -145,26 +154,16 @@ def build_parser():
     p.add_argument("--out", required=True)
     p.set_defaults(func=_cmd_train)
 
-    p = sub.add_parser("evaluate", help="evaluate a checkpoint")
-    _add_eval_flags(p)
-    p.set_defaults(func=_run_evaluation, variant="full")
-
-    p = sub.add_parser("ablate", help="evaluate an ablation variant")
-    p.add_argument("--variant", choices=harness.ABLATION_VARIANTS,
-                   required=True)
-    _add_eval_flags(p)
+    p = sub.add_parser("evaluate", aliases=["ablate"], help="evaluate a checkpoint")
+    _add_run_flags(p)
+    p.add_argument("--runs", type=int, default=10)
+    p.add_argument("--variant", choices=harness.ABLATION_VARIANTS, default="full")
     p.set_defaults(func=_run_evaluation)
 
     p = sub.add_parser("export-attention", help="dump routing score matrices")
-    p.add_argument("--checkpoint", required=True)
-    p.add_argument("--instance", required=True,
-                   help="dataset file; --index picks the instance")
-    p.add_argument("--out", required=True)
+    _add_run_flags(p, "--instance", help="dataset file; --index picks the instance")
     p.add_argument("--index", type=int, default=0)
-    p.add_argument("--seed", type=int, default=0)
-    p.add_argument("--pop-size", type=int, default=50, dest="pop_size")
-    p.add_argument("--budget", type=int, default=250)
-    p.set_defaults(func=_cmd_export_attention)
+    p.set_defaults(func=_cmd_export_attention, variant="full")
 
     p = sub.add_parser("compare", help="paired comparison of two results files")
     p.add_argument("--a", required=True)

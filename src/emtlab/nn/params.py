@@ -138,6 +138,8 @@ def load_checkpoint(path: str) -> ParameterStore:
         except (TypeError, ValueError) as err:
             raise CheckpointError(f"checkpoint {path}: parameter {name} does not "
                                   f"fit its shape: {err}") from None
+        if not np.isfinite(value).all():
+            raise CheckpointError(f"checkpoint {path}: parameter {name} is not finite")
         store.add(name, value)
     if not store.params:
         raise CheckpointError(f"checkpoint {path} contains no parameters")

@@ -1,6 +1,7 @@
 """End-to-end command-line workflows on tiny configurations."""
 
 import json
+import re
 
 import numpy as np
 import pytest
@@ -8,7 +9,7 @@ import pytest
 from emtlab import benchmarks as B
 from emtlab import cli, ppo
 from emtlab import harness as H
-from emtlab.nn.params import save_checkpoint
+from emtlab.nn.params import CheckpointError, save_checkpoint
 from emtlab.policy import init_policy
 
 
@@ -22,6 +23,21 @@ def tiny_dataset(tmp_path):
     B.save_instances(B.sample_instances(0.2, seed=2, n_tasks=2, dim=2, count=2),
                      str(path))
     return path
+
+
+@pytest.fixture()
+def mixed_dataset(tmp_path):
+    """A K=2 file joined with a K=3 file: the first instance has 2 tasks."""
+    path = tmp_path / "mixed.jsonl"
+    for seed, n_tasks in ((2, 2), (5, 3)):
+        part = tmp_path / f"k{n_tasks}.jsonl"
+        B.save_instances(B.sample_instances(0.2, seed=seed, n_tasks=n_tasks,
+                                            dim=2, count=1), str(part))
+        with open(path, "a") as fh:
+            fh.write(part.read_text())
+    first, second = B.load_instances(str(path))
+    assert first.instance_id != second.instance_id
+    return path, first, second
 
 
 class TestGenerate:
@@ -107,17 +123,9 @@ class TestTrainEvaluatePipeline:
             run(["train", "--config", str(config_path), "--out", str(out)])
         assert not out.exists()
 
-    def test_config_task_count_checked_on_every_instance(self, tmp_path):
-        # a K=2 file joined with a K=3 file: the first instance fits
-        dataset = tmp_path / "mixed.jsonl"
-        for seed, n_tasks in ((2, 2), (5, 3)):
-            part = tmp_path / f"k{n_tasks}.jsonl"
-            B.save_instances(B.sample_instances(0.2, seed=seed, n_tasks=n_tasks,
-                                                dim=2, count=1), str(part))
-            with open(dataset, "a") as fh:
-                fh.write(part.read_text())
-        first, second = B.load_instances(str(dataset))
-        assert first.instance_id != second.instance_id
+    def test_config_task_count_checked_on_every_instance(self, tmp_path,
+                                                         mixed_dataset):
+        dataset, _, second = mixed_dataset
         config_path = tmp_path / "config.json"
         config_path.write_text(json.dumps({"dataset": str(dataset), "seed": 3,
                                            "n_tasks": 2, "epochs": 1,
@@ -147,8 +155,14 @@ class TestTrainEvaluatePipeline:
                              "got 30.0$"),
         ({"seed": True}, "config.json: seed must be an integer, got True$"),
         ({"seed": "3"}, "config.json: seed must be an integer, got '3'$"),
+        # 0 and 1 would open stdin and stdout as the dataset file
+        ({"dataset": 0}, "config.json: dataset must be a string, got 0$"),
+        ({"dataset": 1}, "config.json: dataset must be a string, got 1$"),
+        ({"n_tasks": "2"}, "config.json: n_tasks must be an integer, got '2'$"),
+        ({"dim": True}, "config.json: dim must be an integer, got True$"),
     ], ids=["typo", "two-unknown", "k_ppo", "budget", "learning_rate",
-            "pop_size", "pop_size-float", "seed-bool", "seed-str"])
+            "pop_size", "pop_size-float", "seed-bool", "seed-str",
+            "dataset-fd0", "dataset-fd1", "n_tasks-str", "dim-bool"])
     def test_bad_config_exits_before_writing(self, tmp_path, tiny_dataset,
                                              extra, error):
         config = dict({"dataset": str(tiny_dataset), "seed": 3, "epochs": 1,
@@ -246,6 +260,33 @@ class TestBadDatasetInputs:
                  str(empty_dataset), "--out", str(out)])
         assert not out.exists()
 
+    def test_evaluate_on_mixed_task_counts(self, tmp_path, checkpoint,
+                                           mixed_dataset):
+        dataset, first, second = mixed_dataset
+        out = tmp_path / "eval"
+        with pytest.raises(ValueError, match=rf"^{re.escape(str(dataset))}: instance "
+                                             rf"{second.instance_id} has 3 tasks, "
+                                             rf"{first.instance_id} has 2$"):
+            run(["evaluate", "--checkpoint", str(checkpoint), "--dataset",
+                 str(dataset), "--out", str(out), "--pop-size", "6", "--budget", "2"])
+        assert not out.exists()
+
+    @pytest.mark.parametrize("value", ["NaN", "Infinity", "-Infinity"])
+    def test_evaluate_with_non_finite_checkpoint_value(self, tmp_path, checkpoint,
+                                                       one_instance, value):
+        doc = json.loads(checkpoint.read_text())
+        record = doc["parameters"][1]   # cr1.b
+        record["values"][1] = float(value)
+        checkpoint.write_text(json.dumps(doc))
+        assert value in checkpoint.read_text()
+        out = tmp_path / "eval"
+        with pytest.raises(CheckpointError, match=rf"^checkpoint .*policy\.json: "
+                                                  rf"parameter {record['name']} "
+                                                  rf"is not finite$"):
+            run(["evaluate", "--checkpoint", str(checkpoint), "--dataset",
+                 str(one_instance), "--out", str(out), "--pop-size", "6"])
+        assert not out.exists()
+
     @pytest.mark.parametrize("limit", ["-1", "0"])
     def test_generate_limit_below_one(self, tmp_path, limit):
         out = tmp_path / "set.jsonl"
@@ -327,3 +368,51 @@ class TestCompareInputs:
         message = self.compare(tmp_path, results, "\n".join(lines) + "\n")
         assert message == (f"{tmp_path / 'other.csv'}, line 4: {name} is {value}, "
                            "expected a finite number")
+
+    @pytest.mark.parametrize("edit, error", [
+        (lambda f: f + ["0.7"], "line 3: 6 fields, the header has 5"),
+        (lambda f: f[:-1], "line 3: 4 fields, the header has 5")],
+        ids=["extra", "missing"])
+    def test_field_count_differs_from_header(self, tmp_path, results, edit, error):
+        lines = results.read_text().splitlines()
+        lines[2] = ",".join(edit(lines[2].split(",")))
+        message = self.compare(tmp_path, results, "\n".join(lines) + "\n")
+        assert message == f"{tmp_path / 'other.csv'}, {error}"
+
+    def test_task_column_name_that_does_not_parse(self, tmp_path, results):
+        text = results.read_text().replace("perf_task_0", "perf_task_x", 1)
+        message = self.compare(tmp_path, results, text)
+        assert message.startswith(f"{tmp_path / 'other.csv'}, line 1: ")
+        assert "'x'" in message
+
+    def test_repeated_instance_and_run_rejected(self, tmp_path, results):
+        lines = results.read_text().splitlines()
+        lines[3] = lines[2].replace("0.2", "0.3", 1)
+        message = self.compare(tmp_path, results, "\n".join(lines) + "\n")
+        assert message == (f"{tmp_path / 'other.csv'}, line 4: instance i run 1 "
+                           "repeats line 3")
+
+
+class TestEvaluationCommand:
+    """ablate is an alias of evaluate, whose --variant defaults to full."""
+
+    @pytest.fixture()
+    def outputs(self, tmp_path, tiny_dataset):
+        checkpoint = tmp_path / "policy.json"
+        save_checkpoint(init_policy(0), str(checkpoint))
+
+        def evaluate(*command):
+            out = tmp_path / "_".join(command)
+            run([*command, "--checkpoint", str(checkpoint), "--dataset",
+                 str(tiny_dataset), "--runs", "2", "--seed", "1", "--out", str(out),
+                 "--pop-size", "6", "--budget", "5"])
+            return [(out / name).read_bytes() for name in ("results.csv", "trace.csv")]
+        return evaluate
+
+    def test_ablate_writes_what_evaluate_variant_writes(self, outputs):
+        no_f = outputs("evaluate", "--variant", "no_f")
+        assert outputs("ablate", "--variant", "no_f") == no_f
+        assert outputs("evaluate") != no_f
+
+    def test_ablate_without_variant_runs_full(self, outputs):
+        assert outputs("ablate") == outputs("evaluate")
