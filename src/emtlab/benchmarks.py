@@ -146,12 +146,15 @@ class SubTaskDefinition:
         self.shift = np.asarray(self.shift, dtype=np.float64)
         if self.dim < 1:
             raise ValueError("dim must be >= 1")
-        if not self.lb < self.ub:
-            raise ValueError("need lb < ub")
+        if not -np.inf < self.lb < self.ub < np.inf:
+            raise ValueError(f"need finite lb < ub, got {self.lb} and {self.ub}")
         if self.rotation.shape != (self.dim, self.dim):
             raise ValueError("rotation shape mismatch")
         if self.shift.shape != (self.dim,):
             raise ValueError("shift shape mismatch")
+        for name, value in (("rotation", self.rotation), ("shift", self.shift)):
+            if not np.isfinite(value).all():
+                raise ValueError(f"{name} holds a non-finite value")
         ortho_err = np.abs(self.rotation.T @ self.rotation - np.eye(self.dim)).max()
         if ortho_err > 1e-10:
             raise ValueError(f"rotation is not orthogonal (deviation {ortho_err:.2e})")
@@ -274,7 +277,9 @@ def _function(key: str) -> BasicFunction:
 def instance_from_dict(doc: dict) -> MTOInstance:
     subs = []
     for st in doc["sub_tasks"]:
-        d = int(st["D"])
+        d = st["D"]
+        if type(d) is not int:
+            raise ValueError(f"D must be an integer, got {d!r}")
         subs.append(SubTaskDefinition(
             _function(st["function"]), d,
             np.array(st["rotation"], dtype=np.float64).reshape(d, d),

@@ -14,7 +14,6 @@ import os
 from . import benchmarks, harness, ppo
 from .engine import MIN_POP_SIZE
 from .nn.params import load_checkpoint
-from .seeds import derive_seed
 
 
 def _cmd_generate(args):
@@ -30,7 +29,10 @@ def _cmd_generate(args):
 
 def load_train_config(path):
     with open(path) as fh:
-        doc = json.load(fh)
+        try:
+            doc = json.load(fh)
+        except json.JSONDecodeError as err:
+            raise ValueError(f"train config {path} is not valid JSON: {err}") from None
     if not isinstance(doc, dict):
         raise ValueError(f"train config {path} must be a JSON object, "
                          f"got {type(doc).__name__}")
@@ -106,9 +108,8 @@ def _cmd_export_attention(args):
         raise ValueError(f"--index {args.index} is out of range: {args.dataset} "
                          f"holds {len(instances)} instances")
     inst = instances[args.index]
-    ep_seed = derive_seed(args.seed, "eval", inst.instance_id, 0)
-    ep = harness.run_episode(inst, controller, ep_seed, args.pop_size,
-                             args.budget, collect_attention=True)
+    _, (ep,) = harness.evaluate(controller, [inst], 1, args.seed, args.pop_size,
+                                args.budget, collect_trace=True)
     harness.write_attention_csv(ep.attention, args.out)
     print(f"wrote {len(ep.attention)} generations of routing scores "
           f"for {inst.instance_id} to {args.out}")

@@ -25,6 +25,9 @@ ABLATION_VARIANTS = ("full", "no_tr", "no_kc", "no_op", "no_f", "no_cr",
 TRACE_COLUMNS = ["generation", "task", "best_so_far", "s1", "s2", "s3", "s4",
                  "s5", "n_transfer", "n_success", "source_task", "a2",
                  "op_id", "F", "Cr", "reward"]
+_INT_COLUMNS = [TRACE_COLUMNS.index(c) for c in ("generation", "task", "n_transfer",
+                                                 "n_success", "source_task", "op_id")]
+_N_TRANSFER, _N_SUCCESS = (TRACE_COLUMNS.index(c) for c in ("n_transfer", "n_success"))
 
 
 class Controller:
@@ -93,13 +96,13 @@ class Controller:
         return bundle, scores
 
 
-def kt_success_ratio(history) -> float:
+def kt_success_ratio(n_transfer, n_success) -> float:
     """Mean over generations of the survival fraction of transferred
-    solutions (pooled over tasks); generations without transfers are
-    skipped, and a run with no transfers at all scores 0."""
-    ratios = [int(n_success.sum()) / int(n_transfer.sum())
-              for n_transfer, n_success in history if n_transfer.sum() > 0]
-    return float(np.mean(ratios)) if ratios else 0.0
+    solutions, pooled over the tasks of (G, K) counts; generations without
+    transfers are skipped, and a run with no transfers at all scores 0."""
+    pooled = np.sum(n_transfer, axis=1)
+    ratios = np.sum(n_success, axis=1)[pooled > 0] / pooled[pooled > 0]
+    return float(ratios.mean()) if ratios.size else 0.0
 
 
 def normalized_ratios(final_best, f0):
@@ -126,45 +129,42 @@ class EpisodeResult:
     instance_id: str
     best_trace: np.ndarray          # (G+1, K) best-so-far, row 0 = initial f0
     kt_ratio: float
-    trace: list                     # trace_rows of every generation, if collected
-    attention: list                 # (K, K) routing scores per generation, if collected
+    trace: np.ndarray               # (G*K, len(TRACE_COLUMNS)) trace_rows blocks
+    attention: np.ndarray           # (G, K, K) masked routing scores
 
 
 def trace_rows(generation: int, features: np.ndarray, state, action,
-               reward: np.ndarray) -> list:
-    """One trace row per task for the generation just executed, from the
-    features it acted on; reward holds each task's own R_c,j + R_k,j."""
-    return [[generation, j, float(state.best[j]), *features[j],
-             int(state.n_transfer[j]), int(state.n_success[j]),
-             int(action.a1[j]), float(action.a2[j]), int(action.a31[j]),
-             float(action.a32[j]), float(action.a33[j]), float(reward[j])]
-            for j in range(state.n_tasks)]
+               reward: np.ndarray) -> np.ndarray:
+    """(K, len(TRACE_COLUMNS)) trace rows of the generation just executed,
+    from the features it acted on; reward holds each task's R_c,j + R_k,j."""
+    return np.column_stack([np.full_like(reward, generation), np.arange(len(reward)),
+                            state.best, features, state.n_transfer, state.n_success,
+                            action.a1, action.a2, action.a31, action.a32, action.a33,
+                            reward])
 
 
 def run_episode(instance, controller: Controller, episode_seed: int,
-                pop_size: int, budget: int, collect_trace: bool = False,
-                collect_attention: bool = False) -> EpisodeResult:
+                pop_size: int, budget: int) -> EpisodeResult:
     """One full optimization run of an instance under a controller."""
     if budget < 1:
         raise ValueError(f"budget must be >= 1, got {budget}")
     state = init_populations(instance, pop_size,
                              derive_seed(episode_seed, "engine"), budget)
     ablation_rng = derive_rng(episode_seed, "ablation")
-    best_trace = np.empty((budget + 1, instance.n_tasks))
+    k = instance.n_tasks
+    best_trace = np.empty((budget + 1, k))
     best_trace[0] = state.best
-    trace, attention, transfers = [], [], []    # transfers: (n_transfer, n_success)
+    trace = np.empty((budget, k, len(TRACE_COLUMNS)))
+    attention = np.empty((budget, k, k))
     for t in range(1, budget + 1):
         features = extract_state(state)
-        bundle, scores = controller.act(features, ablation_rng)
+        bundle, attention[t - 1] = controller.act(features, ablation_rng)
         _, rc, rk = emt_step(state, bundle)
         best_trace[t] = state.best
-        transfers.append((state.n_transfer, state.n_success))
-        if collect_trace:
-            trace.extend(trace_rows(t, features, state, bundle, rc + rk))
-        if collect_attention:
-            attention.append(scores)
-    return EpisodeResult(instance.instance_id, best_trace,
-                         kt_success_ratio(transfers), trace, attention)
+        trace[t - 1] = trace_rows(t, features, state, bundle, rc + rk)
+    kt_ratio = kt_success_ratio(trace[..., _N_TRANSFER], trace[..., _N_SUCCESS])
+    return EpisodeResult(instance.instance_id, best_trace, kt_ratio,
+                         trace.reshape(-1, len(TRACE_COLUMNS)), attention)
 
 
 @dataclass
@@ -180,9 +180,10 @@ def evaluate(controller: Controller, instances, runs: int, master_seed: int,
              pop_size: int, budget: int, collect_trace: bool = False):
     """Deterministic-policy evaluation: one row per (instance, run).
 
-    Returns (rows, episodes).  perf for a row is the mean over tasks of
-    the normalized final objective for that run; aggregating rows gives
-    the run-averaged per-task metric.
+    Returns (rows, episodes): episodes holds each row's EpisodeResult when
+    collect_trace is set and is empty otherwise.  perf for a row is the
+    mean over tasks of the normalized final objective for that run;
+    aggregating rows gives the run-averaged per-task metric.
     """
     if runs < 1:
         raise ValueError(f"runs must be >= 1, got {runs}")
@@ -191,12 +192,12 @@ def evaluate(controller: Controller, instances, runs: int, master_seed: int,
     for inst in instances:
         for r in range(runs):
             ep_seed = derive_seed(master_seed, "eval", inst.instance_id, r)
-            ep = run_episode(inst, controller, ep_seed, pop_size, budget,
-                             collect_trace=collect_trace)
+            ep = run_episode(inst, controller, ep_seed, pop_size, budget)
             ratios = normalized_ratios(ep.best_trace[-1], ep.best_trace[0])
             rows.append(EvaluationRow(inst.instance_id, r, float(ratios.mean()),
                                       ratios, ep.kt_ratio))
-            episodes.append(ep)
+            if collect_trace:
+                episodes.append(ep)
     return rows, episodes
 
 
@@ -268,20 +269,21 @@ def write_trace_csv(episodes, path: str) -> None:
         writer = csv.writer(fh)
         writer.writerow(["instance_id", "run"] + TRACE_COLUMNS)
         for run_index, ep in episodes:
-            for row in ep.trace:
+            for row in ep.trace.tolist():
+                for c in _INT_COLUMNS:
+                    row[c] = int(row[c])
                 writer.writerow([ep.instance_id, run_index] + row)
 
 
-def write_attention_csv(scores_per_generation, path: str) -> None:
-    """Long-format export of masked pre-softmax routing scores."""
+def write_attention_csv(attention, path: str) -> None:
+    """Long-format export of (G, K, K) masked pre-softmax routing scores."""
     with open(path, "w", newline="") as fh:
         writer = csv.writer(fh)
         writer.writerow(["generation", "target_task", "source_task", "score"])
-        for t, scores in enumerate(scores_per_generation, start=1):
-            k = scores.shape[0]
-            for j in range(k):
-                for m in range(k):
-                    writer.writerow([t, j, m, repr(float(scores[j, m]))])
+        for t, scores in enumerate(attention.tolist(), start=1):
+            for j, row in enumerate(scores):
+                for m, score in enumerate(row):
+                    writer.writerow([t, j, m, repr(score)])
 
 
 def compare_results(rows_a, rows_b, label_a: str = "A", label_b: str = "B") -> str:

@@ -304,7 +304,7 @@ class TestRoutingSanity:
         for run in range(5):
             ep = H.run_episode(instance, controller,
                                derive_seed(EVAL_SEED, "routing", run),
-                               POP_SIZE, BUDGET, collect_attention=True)
+                               POP_SIZE, BUDGET)
             # go through the export interface: write, re-read, then judge
             path = tmp_path / f"attention_{run}.csv"
             H.write_attention_csv(ep.attention, str(path))

@@ -239,7 +239,9 @@ class TestGeneration:
         with pytest.raises(ValueError, match=r"sub-task dims \[3, 4\] differ"):
             B.MTOInstance("mixed", 0.1, (B.BasicFunction.SPHERE,), subs)
 
-    @pytest.mark.parametrize("case", ["json", "key", "function", "shape", "dim"])
+    @pytest.mark.parametrize("case", ["json", "key", "function", "shape", "dim",
+                                      "nan_rotation", "inf_shift", "inf_ub",
+                                      "float_D", "bool_D"])
     def test_load_errors_name_file_and_line(self, tmp_path, case):
         path = tmp_path / "d.jsonl"
         B.save_instances(B.sample_instances(0.2, seed=3, n_tasks=2, dim=3,
@@ -256,11 +258,26 @@ class TestGeneration:
             wider = B.sample_instances(0.2, seed=3, n_tasks=2, dim=4, count=1)[0]
             doc["sub_tasks"][1] = dict(B.instance_to_dict(wider)["sub_tasks"][1],
                                        function=doc["combination"][0])
+        elif case == "nan_rotation":   # NaN > 1e-10 is false: passes orthogonality
+            doc["sub_tasks"][1]["rotation"][4] = float("nan")
+        elif case == "inf_shift":
+            doc["sub_tasks"][0]["shift"][2] = float("-inf")
+        elif case == "inf_ub":
+            doc["sub_tasks"][1]["ub"] = float("inf")
+        elif case == "float_D":        # int() would read it as 2
+            doc["sub_tasks"][0]["D"] = 2.5
+        elif case == "bool_D":
+            doc["sub_tasks"][0]["D"] = True
         lines[2] = "{not json" if case == "json" else json.dumps(doc)
         path.write_text("\n".join(lines) + "\n")
         expected = {"json": "Expecting", "key": "missing key 'shift_level'",
                     "function": "unknown function: 'sphear'", "shape": "reshape",
-                    "dim": r"sub-task dims \[3, 4\] differ"}
+                    "dim": r"sub-task dims \[3, 4\] differ",
+                    "nan_rotation": "rotation holds a non-finite value",
+                    "inf_shift": "shift holds a non-finite value",
+                    "inf_ub": "need finite lb < ub, got -100.0 and inf",
+                    "float_D": "D must be an integer, got 2.5",
+                    "bool_D": "D must be an integer, got True"}
         with pytest.raises(ValueError, match=f"d.jsonl, line 3: .*{expected[case]}"):
             B.load_instances(str(path))
 

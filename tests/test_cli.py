@@ -123,6 +123,15 @@ class TestTrainEvaluatePipeline:
             run(["train", "--config", str(config_path), "--out", str(out)])
         assert not out.exists()
 
+    def test_config_malformed_json(self, tmp_path):
+        config_path = tmp_path / "config.json"
+        config_path.write_text('{"dataset": "d.jsonl", "seed": 3,}')
+        out = tmp_path / "run"
+        with pytest.raises(ValueError, match=r"config\.json is not valid JSON: "
+                                             r"Expecting property name .* column 34"):
+            run(["train", "--config", str(config_path), "--out", str(out)])
+        assert not out.exists()
+
     def test_config_task_count_checked_on_every_instance(self, tmp_path,
                                                          mixed_dataset):
         dataset, _, second = mixed_dataset

@@ -15,15 +15,17 @@ import hashlib
 import numpy as np
 
 from emtlab import benchmarks as B
+from emtlab import cli
 from emtlab import harness as H
 from emtlab import ppo
-from emtlab.nn.params import load_checkpoint
+from emtlab.nn.params import load_checkpoint, save_checkpoint
 from emtlab.policy import init_policy
 
 EVAL_TRACE_SHA256 = "ada930f8fea7990c3a972132023cc8706982091bbf9cf8321cd817d3c1e24bd8"
 RANDOM_ALL_TRACE_SHA256 = "abe27735e2681c6a6bf1f6727c427d22b64cc755d38e4aff7c1f8e4fa4c40182"
 EVAL_RESULTS_SHA256 = "30f1225b693e7277ad17238b71bf497c5d31b421c43ff1709c1c60981dff9fd0"
 RANDOM_ALL_RESULTS_SHA256 = "a30657076dc6701955316e97bf40fc48fbdac92c16bcd758a8f96eeb28228194"
+ATTENTION_SHA256 = "77b08c5d8a2458145f88054859cb63165776436d7c5cf953bd95e4d11112e58f"
 TRAIN_VALUES_SHA256 = "84e5ec3a7bca64e3488ab7c86009319d0c04d62844a42e8ed0484f3d482a6d14"
 TRAIN_CHECKPOINT_SHA256 = "adafb1786b041dbf5c7bda59012436a29df728f39582a5ba13aa6187c54dcbbf"
 
@@ -78,6 +80,18 @@ def test_random_all_eval_trace(tmp_path):
 
 def test_random_all_eval_results(tmp_path):
     assert _eval_sha256("random_all", tmp_path)[0] == RANDOM_ALL_RESULTS_SHA256
+
+
+def test_export_attention(tmp_path):
+    # routing scores of run 0 of the first instance, through the command
+    checkpoint, dataset = tmp_path / "checkpoint.json", tmp_path / "set.jsonl"
+    out = tmp_path / "attention.csv"
+    save_checkpoint(init_policy(0), str(checkpoint))
+    B.save_instances(_instances(2), str(dataset))
+    cli.main(["export-attention", "--checkpoint", str(checkpoint),
+              "--instance", str(dataset), "--seed", "0", "--pop-size", "8",
+              "--budget", "10", "--out", str(out)])
+    assert _sha256(out) == ATTENTION_SHA256
 
 
 def test_one_epoch_training_checkpoint(tmp_path):

@@ -1,5 +1,7 @@
 """Controllers, metrics, evaluation determinism, and comparison output."""
 
+import tracemalloc
+
 import numpy as np
 import pytest
 import scipy.stats
@@ -22,23 +24,21 @@ def instances_for_tests(count=2, n_tasks=3, dim=3, seed=5):
 
 
 class TestKTSuccessRatio:
-    @staticmethod
-    def _gen(tra, suc):
-        return (np.array(tra), np.array(suc))
+    """(G, K) transfer and survivor counts per generation and task."""
 
     def test_all_survive(self):
-        history = [self._gen([5, 5], [5, 5]), self._gen([2, 0], [2, 0])]
-        assert H.kt_success_ratio(history) == 1.0
+        counts = np.array([[5, 5], [2, 0]])
+        assert H.kt_success_ratio(counts, counts) == 1.0
 
     def test_no_transfers_is_zero(self):
-        history = [self._gen([0, 0], [0, 0])] * 3
-        assert H.kt_success_ratio(history) == 0.0
+        assert H.kt_success_ratio(np.zeros((3, 2)), np.zeros((3, 2))) == 0.0
 
     def test_skips_empty_generations(self):
-        history = [self._gen([2, 2], [1, 1]),   # 0.5
-                   self._gen([4, 0], [1, 0]),   # 0.25
-                   self._gen([0, 0], [0, 0])]   # skipped
-        assert H.kt_success_ratio(history) == pytest.approx(0.375)
+        n_transfer = np.array([[2, 2], [4, 0], [0, 0]])
+        n_success = np.array([[1, 1],    # 0.5
+                              [1, 0],    # 0.25
+                              [0, 0]])   # skipped
+        assert H.kt_success_ratio(n_transfer, n_success) == pytest.approx(0.375)
 
 
 class TestNormalizedRatios:
@@ -204,10 +204,8 @@ class TestRunEpisode:
     def test_structure_and_determinism(self):
         inst = instances_for_tests(1)[0]
         controller = H.Controller(P.init_policy(41), "full")
-        a = H.run_episode(inst, controller, 123, pop_size=8, budget=6,
-                          collect_trace=True, collect_attention=True)
-        b = H.run_episode(inst, controller, 123, pop_size=8, budget=6,
-                          collect_trace=True, collect_attention=True)
+        a = H.run_episode(inst, controller, 123, pop_size=8, budget=6)
+        b = H.run_episode(inst, controller, 123, pop_size=8, budget=6)
         assert a.best_trace.shape == (7, 3)
         np.testing.assert_array_equal(a.best_trace, b.best_trace)
         assert a.kt_ratio == b.kt_ratio
@@ -215,6 +213,23 @@ class TestRunEpisode:
         assert len(a.attention) == 6 and a.attention[0].shape == (3, 3)
         # best-so-far trace is monotone non-increasing per task
         assert (np.diff(a.best_trace, axis=0) <= 1e-15).all()
+
+    def test_record_memory(self):
+        # one K=10, G=250 record holds the (G*K, 16) trace, the (G, K, K)
+        # routing scores and the (G+1, K) best-so-far: about 0.54 MB.  Its
+        # size does not depend on D or N, so small ones keep the test quick.
+        inst = instances_for_tests(1, n_tasks=10, dim=2)[0]
+        controller = H.Controller(P.init_policy(47), "full")
+        H.run_episode(inst, controller, 1, pop_size=4, budget=2)  # warm caches
+        tracemalloc.start()
+        try:
+            ep = H.run_episode(inst, controller, 1, pop_size=4, budget=250)
+            held = tracemalloc.get_traced_memory()[0]
+        finally:
+            tracemalloc.stop()
+        assert ep.trace.shape == (250 * 10, len(H.TRACE_COLUMNS))
+        assert ep.attention.shape == (250, 10, 10)
+        assert held <= 0.6e6, f"one episode record holds {held} bytes"
 
     def test_no_transfer_matches_independent_de(self):
         inst = instances_for_tests(1, n_tasks=2, dim=3)[0]
