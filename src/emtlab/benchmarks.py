@@ -224,8 +224,7 @@ def _level_name(level: float) -> str:
     raise ValueError(f"unknown shift level: {level}")
 
 
-def generate_awcci(level: float, seed: int, n_tasks: int = 10,
-                   dim: int = 50) -> list:
+def generate_awcci(level: float, seed: int, n_tasks: int, dim: int) -> list:
     """One instance per function combination (127 in total) at one shift
     level, fully determined by the seed."""
     name = _level_name(level)
@@ -274,7 +273,16 @@ def _function(key: str) -> BasicFunction:
     raise ValueError(f"unknown function: {key!r}")
 
 
+def _number(doc: dict, key: str) -> float:
+    if isinstance(doc[key], bool):     # float() would read it as 0 or 1
+        raise ValueError(f"{key} must be a number, got {doc[key]!r}")
+    return float(doc[key])
+
+
 def instance_from_dict(doc: dict) -> MTOInstance:
+    instance_id = doc["instance_id"]
+    if type(instance_id) is not str or not instance_id:
+        raise ValueError(f"instance_id must be a non-empty string, got {instance_id!r}")
     subs = []
     for st in doc["sub_tasks"]:
         d = st["D"]
@@ -284,8 +292,8 @@ def instance_from_dict(doc: dict) -> MTOInstance:
             _function(st["function"]), d,
             np.array(st["rotation"], dtype=np.float64).reshape(d, d),
             np.array(st["shift"], dtype=np.float64),
-            float(st["lb"]), float(st["ub"])))
-    return MTOInstance(doc["instance_id"], float(doc["shift_level"]),
+            _number(st, "lb"), _number(st, "ub")))
+    return MTOInstance(instance_id, _number(doc, "shift_level"),
                        tuple(_function(k) for k in doc["combination"]), subs)
 
 
@@ -298,20 +306,25 @@ def save_instances(instances, path: str) -> None:
 
 
 def load_instances(path: str) -> list:
-    """Read a dataset file written by save_instances.  A malformed line
-    raises ValueError naming the file and its 1-based line number, and so
-    does a file without instances, naming the file."""
-    out = []
+    """Read a dataset file written by save_instances.  A malformed line or
+    a repeated instance_id raises ValueError naming the file and its 1-based
+    line number, and so does a file without instances, naming the file."""
+    out, seen = [], {}
     with open(path) as fh:
         for lineno, line in enumerate(fh, start=1):
             if not line.strip():
                 continue
             try:
-                out.append(instance_from_dict(json.loads(line)))
+                inst = instance_from_dict(json.loads(line))
             except KeyError as err:
                 raise ValueError(f"{path}, line {lineno}: missing key {err}") from err
             except (ValueError, TypeError) as err:
                 raise ValueError(f"{path}, line {lineno}: {err}") from err
+            if inst.instance_id in seen:
+                raise ValueError(f"{path}, line {lineno}: instance {inst.instance_id} "
+                                 f"repeats line {seen[inst.instance_id]}")
+            seen[inst.instance_id] = lineno
+            out.append(inst)
     if not out:
         raise ValueError(f"{path} holds no instances")
     return out

@@ -49,7 +49,7 @@ def load_train_config(path):
         if key in doc and type(doc[key]) is not kind:
             raise ValueError(f"train config {path}: {key} must be {noun}, "
                              f"got {doc[key]!r}")
-    pop_size = doc.get("pop_size", 50)
+    pop_size = doc.setdefault("pop_size", 50)
     if type(pop_size) is not int or pop_size < MIN_POP_SIZE:
         raise ValueError(f"train config {path}: pop_size must be an integer "
                          f">= {MIN_POP_SIZE}, got {pop_size!r}")
@@ -65,8 +65,7 @@ def _cmd_train(args):
                 raise ValueError(f"config {key}={doc[key]} but {doc['dataset']} "
                                  f"instance {inst.instance_id} has {found}")
     os.makedirs(args.out, exist_ok=True)
-    result = ppo.train(instances, config, doc["seed"],
-                       pop_size=doc.get("pop_size", 50), out_dir=args.out)
+    result = ppo.train(instances, config, doc["seed"], doc["pop_size"], args.out)
     ppo.write_training_log(result.log, os.path.join(args.out, "training_log.csv"))
     total = config.epochs * len(instances)
     skipped = total - len(result.log)

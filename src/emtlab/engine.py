@@ -73,8 +73,11 @@ from .seeds import derive_rng
 SELF_F = 0.5
 SELF_CR = 0.7
 MIN_POP_SIZE = 4                   # DE/rand/1 needs three partners besides the parent
-# accepted action ranges; the transfer count is capped at N
-ACTION_RANGES = {"a2": (0.0, np.inf), "a32": (0.0, 1.0), "a33": (0.0, 1.0)}
+# accepted action ranges: the transfer proportion, F and Cr
+ACTION_RANGES = {"a2": (0.0, 1.0), "a32": (0.0, 1.0), "a33": (0.0, 1.0)}
+# a normalizer (f0 or fmax0; f* = 0 for every generated sub-task) is valid
+# where its magnitude exceeds this
+NORMALIZER_TOL = 1e-12
 # op_id: (base is from the source, base is its population's best row); the
 # difference pair comes from the other population
 OPERATORS = {1: (False, True), 2: (False, False), 3: (True, False), 4: (True, True)}
@@ -147,7 +150,7 @@ def extract_state(state: EMTState) -> np.ndarray:
     s4  1 if the best-so-far value improved in the last generation
     s5  survival rate of the last generation's transferred solutions
     """
-    valid = np.abs(state.fmax0) > 1e-12  # f* = 0 for all generated sub-tasks
+    valid = np.abs(state.fmax0) > NORMALIZER_TOL
     spread = (state.fitness / np.where(valid, state.fmax0, 1.0)[:, None]).std(axis=1)
     feats = np.zeros((state.n_tasks, 5))
     feats[:, 0] = state.positions.std(axis=1).mean(axis=1)
@@ -258,10 +261,10 @@ class TransferDraws(NamedTuple):
 
 
 def _draw_transfer(rng, n, d, a2, op_id, cr) -> TransferDraws:
-    """Transfer draws of a target of n rows.  m_kt = round(a2 * N), capped
-    at N; zero means no transfer and no stream consumption.  Picks are
+    """Transfer draws of a target of n rows.  m_kt = round(a2 * N), at most
+    N; zero means no transfer and no stream consumption.  Picks are
     positions in their pools: the m_kt source elites or the n target rows."""
-    m_kt = math.floor(min(a2, 1.0) * n + 0.5)  # round half up, at most N
+    m_kt = math.floor(a2 * n + 0.5)  # round half up
     if m_kt <= 0:
         return TransferDraws(np.empty(0, dtype=int), [], np.empty((0, d), dtype=bool))
     hosts = rng.choice(n, size=m_kt, replace=False)
@@ -317,7 +320,7 @@ def compute_reward(best_before: np.ndarray, best_after: np.ndarray,
     generated sub-task), 0 when the normalizer degenerates;
     R_k,j = n_success / n_transfer, 0 when nothing transferred.
     """
-    valid = np.abs(f0) >= 1e-12
+    valid = np.abs(f0) > NORMALIZER_TOL
     rc = np.where(valid, (best_before - best_after) / np.where(valid, f0, 1.0), 0.0)
     # no transfer means no survivor: 0 / 1
     rk = n_success / np.maximum(n_transfer, 1)

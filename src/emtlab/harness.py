@@ -13,7 +13,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .engine import OPERATORS, emt_step, extract_state, init_populations
+from .engine import (NORMALIZER_TOL, OPERATORS, emt_step, extract_state,
+                     init_populations)
 from .policy import act_with_context, init_policy
 from .seeds import derive_rng, derive_seed
 from .stats import wilcoxon_signed_rank
@@ -44,15 +45,15 @@ class Controller:
 
     Substituted random values come from a dedicated ablation stream, so
     the remaining heads see exactly the inputs the full policy would see
-    given the substituted routing.  Note no_kc intentionally exceeds the
-    policy's own [0, 0.5] proportion bound; the engine caps the transfer
-    count at the population size.
+    given the substituted routing; every variant takes the stream, and one
+    without random substitutes draws nothing from it.  Note no_kc intentionally exceeds the
+    policy's own [0, 0.5] proportion bound, within the engine's [0, 1].
 
     The store must have init_policy's parameter names and shapes; the
     first missing, unexpected or mis-shaped parameter raises ValueError.
     """
 
-    def __init__(self, store, variant: str = "full"):
+    def __init__(self, store, variant: str):
         if variant not in ABLATION_VARIANTS:
             raise ValueError(f"unknown variant: {variant!r}, "
                              f"expected one of {ABLATION_VARIANTS}")
@@ -72,11 +73,9 @@ class Controller:
         self.store = store
         self.variant = variant
 
-    def act(self, features, ablation_rng=None):
+    def act(self, features, ablation_rng):
         k = np.atleast_2d(features).shape[0]
         v = self.variant
-        if v in ("no_tr", "no_kc", "no_op", "random_all") and ablation_rng is None:
-            raise ValueError(f"variant {v} needs an ablation rng")
         forced_a1 = None
         if v in ("no_tr", "random_all"):
             r = ablation_rng.integers(0, k - 1, size=k)
@@ -114,10 +113,10 @@ def normalized_ratios(final_best, f0):
     """
     final_best = np.asarray(final_best, dtype=np.float64)
     f0 = np.asarray(f0, dtype=np.float64)
-    degenerate = np.abs(f0) < 1e-12
+    valid = np.abs(f0) > NORMALIZER_TOL
     with np.errstate(divide="ignore", invalid="ignore"):
-        out = np.where(degenerate, np.where(np.abs(final_best) < 1e-12, 0.0, 1.0),
-                       final_best / np.where(degenerate, 1.0, f0))
+        out = np.where(valid, final_best / np.where(valid, f0, 1.0),
+                       np.where(np.abs(final_best) > NORMALIZER_TOL, 1.0, 0.0))
     if np.any(out > 1.0 + 1e-12):
         log.warning("normalized ratio above 1 (worst %.3g); optimum bound "
                     "missed, clamping", float(out.max()))
@@ -286,7 +285,7 @@ def write_attention_csv(attention, path: str) -> None:
                     writer.writerow([t, j, m, repr(score)])
 
 
-def compare_results(rows_a, rows_b, label_a: str = "A", label_b: str = "B") -> str:
+def compare_results(rows_a, rows_b, label_a: str, label_b: str) -> str:
     """Per-instance win/tie/loss on mean perf plus signed-rank tests.
 
     Lower perf wins.  The per-instance test uses that instance's paired

@@ -8,6 +8,8 @@ from . import tape
 from .params import ParameterStore
 from .tape import Node
 
+BN_EPS = 1e-5
+
 
 def dense(store: ParameterStore, layer: str, x: Node) -> Node:
     """y = x @ W + b with parameters {layer}.W and {layer}.b."""
@@ -20,7 +22,7 @@ def dense(store: ParameterStore, layer: str, x: Node) -> Node:
     return tape.add(tape.matmul(x, w), b)
 
 
-def single_head_attention(store: ParameterStore, x: Node, prefix: str = "tr"):
+def single_head_attention(store: ParameterStore, x: Node, prefix: str):
     """Scaled dot-product attention over the row dimension.
 
     Returns (scores, output): scores[j, k] = (q_j . k_k) / sqrt(width) kept
@@ -38,8 +40,7 @@ def single_head_attention(store: ParameterStore, x: Node, prefix: str = "tr"):
     return scores, out
 
 
-def batch_norm(store: ParameterStore, x: Node, prefix: str = "trbn",
-               eps: float = 1e-5) -> Node:
+def batch_norm(store: ParameterStore, x: Node, prefix: str) -> Node:
     """Normalize each column over the rows, then apply scale and offset.
 
     Current-batch statistics are always used; the rows are the batch.
@@ -49,7 +50,7 @@ def batch_norm(store: ParameterStore, x: Node, prefix: str = "trbn",
     mu = tape.mean_axis(x, axis=0)
     centered = tape.sub(x, mu)
     var = tape.mean_axis(tape.mul(centered, centered), axis=0)
-    normed = tape.div(centered, tape.sqrt(tape.add(var, tape.constant(eps))))
+    normed = tape.div(centered, tape.sqrt(tape.add(var, tape.constant(BN_EPS))))
     gamma = store.leaf(f"{prefix}.gamma")
     beta = store.leaf(f"{prefix}.beta")
     return tape.add(tape.mul(normed, gamma), beta)

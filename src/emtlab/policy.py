@@ -209,8 +209,8 @@ def act_with_context(store, features, rngs=None, forced_a1=None):
     return ActionBundle(a1, a2, a31, a32, a33), masked.value
 
 
-def act(store, features, rngs=None, forced_a1=None) -> ActionBundle:
-    return act_with_context(store, features, rngs, forced_a1)[0]
+def act(store, features, rngs) -> ActionBundle:
+    return act_with_context(store, features, rngs)[0]
 
 
 def _critic(store, e: Node) -> Node:

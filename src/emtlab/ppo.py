@@ -79,7 +79,7 @@ class PPOConfig:
 
 
 def compute_advantages(rewards, values, config: PPOConfig,
-                       bootstrap_value: float = 0.0):
+                       bootstrap_value: float):
     """GAE over one contiguous segment of per-step rewards and values.
 
     bootstrap_value is the critic's estimate of the state following the
@@ -137,7 +137,7 @@ def _ppo_loss(columns, advantages, returns, old_logp, config: PPOConfig):
 
 
 def ppo_update(buffer, store: ParameterStore, config: PPOConfig,
-               bootstrap_value: float = 0.0) -> dict:
+               bootstrap_value: float) -> dict:
     """k_ppo clipped-surrogate passes over one segment; applies Adam steps.
 
     A non-finite loss aborts the update before any gradient is applied in
@@ -216,10 +216,10 @@ def run_training_episode(store, instance, config: PPOConfig, pop_size: int,
     return ep_return, rc_total / config.budget, rk_total / config.budget
 
 
-def train(train_set, config: PPOConfig, seed: int, pop_size: int = 50,
-          out_dir=None) -> TrainResult:
+def train(train_set, config: PPOConfig, seed: int, pop_size: int,
+          out_dir: str) -> TrainResult:
     """Full training loop: `epochs` passes over the instance set, one
-    episode per instance, checkpoint per epoch when out_dir is given;
+    episode per instance, a checkpoint per epoch in the directory out_dir;
     checkpoint.json is a copy of the last one (of the initial parameters
     when epochs is 0).  A failing instance run is logged and skipped."""
     if not train_set:
@@ -244,16 +244,14 @@ def train(train_set, config: PPOConfig, seed: int, pop_size: int = 50,
             result.log.append(EpisodeLog(epoch, inst.instance_id, ep_return,
                                          mean_rc, mean_rk,
                                          time.perf_counter() - start))
-        if out_dir is not None:
-            last_checkpoint = f"{out_dir}/checkpoint_epoch_{epoch:03d}.json"
-            save_checkpoint(store, last_checkpoint)
-    if out_dir is not None:
-        final = f"{out_dir}/checkpoint.json"
-        if last_checkpoint is None:
-            save_checkpoint(store, final)
-        else:
-            shutil.copyfile(last_checkpoint, final + ".tmp")
-            os.replace(final + ".tmp", final)
+        last_checkpoint = f"{out_dir}/checkpoint_epoch_{epoch:03d}.json"
+        save_checkpoint(store, last_checkpoint)
+    final = f"{out_dir}/checkpoint.json"
+    if last_checkpoint is None:
+        save_checkpoint(store, final)
+    else:
+        shutil.copyfile(last_checkpoint, final + ".tmp")
+        os.replace(final + ".tmp", final)
     return result
 
 

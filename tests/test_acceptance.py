@@ -52,13 +52,14 @@ def train_set():
 
 
 @pytest.fixture(scope="module")
-def smoke_runs(train_set):
+def smoke_runs(train_set, tmp_path_factory):
     """Three full desk-scale trainings (the slow part of this suite)."""
     config = ppo.PPOConfig(epochs=3, budget=BUDGET)
     out = {}
     start = time.perf_counter()
     for seed in SMOKE_SEEDS:
-        out[seed] = ppo.train(train_set, config, seed=seed, pop_size=POP_SIZE)
+        out[seed] = ppo.train(train_set, config, seed=seed, pop_size=POP_SIZE,
+                              out_dir=str(tmp_path_factory.mktemp("smoke")))
     out["wall_time"] = time.perf_counter() - start
     return out
 
@@ -96,7 +97,7 @@ class TestBenchmarkCorrectness:
         counts = []
         worst_ortho = 0.0
         for level in B.SHIFT_LEVELS.values():
-            instances = B.generate_awcci(level, seed=11)
+            instances = B.generate_awcci(level, seed=11, n_tasks=10, dim=50)
             counts.append(len(instances))
             for inst in instances[::25]:
                 for st in inst.sub_tasks:
@@ -295,7 +296,7 @@ class TestRoutingSanity:
         train = small_combination_instances(LEVEL, 101, N_TASKS, DIM,
                                             N_TRAIN_INSTANCES)
         result = ppo.train(train, ppo.PPOConfig(epochs=6, budget=BUDGET),
-                           seed=1, pop_size=POP_SIZE)
+                           seed=1, pop_size=POP_SIZE, out_dir=str(tmp_path))
         instance = make_duplicate_pair_instance(
             B.BasicFunction.RASTRIGIN, B.BasicFunction.WEIERSTRASS, LEVEL,
             key=EVAL_SEED)
@@ -334,7 +335,7 @@ class TestVariableK:
         state = E.init_populations(instance, POP_SIZE, seed=404, budget=20)
         for _ in range(20):
             feats = E.extract_state(state)
-            bundle, _ = controller.act(feats)
+            bundle, _ = controller.act(feats, derive_rng(404, "ablation"))
             assert (bundle.a1 != np.arange(k)).all()
             assert (bundle.a1 >= 0).all() and (bundle.a1 < k).all()
             assert (bundle.a2 >= 0).all() and (bundle.a2 <= 0.5).all()
@@ -351,7 +352,7 @@ class TestAblationHarness:
         instance = B.sample_instances(LEVEL, seed=71, n_tasks=N_TASKS, dim=DIM,
                                       count=1)[0]
         feats = random_features(N_TASKS, 71)
-        full = P.act(desk_policy, feats)
+        full = P.act_with_context(desk_policy, feats)[0]
         action_fields = ("a1", "a2", "a31", "a32", "a33")
         substituted = {"no_tr": "a1", "no_kc": "a2", "no_op": "a31",
                        "no_f": "a32", "no_cr": "a33"}
@@ -362,7 +363,7 @@ class TestAblationHarness:
                 # downstream heads must equal the full policy conditioned
                 # on the substituted routing
                 assert (bundle.a1 != np.arange(N_TASKS)).all()
-                ref = P.act(desk_policy, feats, forced_a1=bundle.a1)
+                ref = P.act_with_context(desk_policy, feats, forced_a1=bundle.a1)[0]
             else:
                 ref = full
             for name in action_fields:

@@ -241,7 +241,9 @@ class TestGeneration:
 
     @pytest.mark.parametrize("case", ["json", "key", "function", "shape", "dim",
                                       "nan_rotation", "inf_shift", "inf_ub",
-                                      "float_D", "bool_D"])
+                                      "float_D", "bool_D", "null_id", "empty_id",
+                                      "int_id", "repeated_id", "bool_lb",
+                                      "bool_ub", "bool_level"])
     def test_load_errors_name_file_and_line(self, tmp_path, case):
         path = tmp_path / "d.jsonl"
         B.save_instances(B.sample_instances(0.2, seed=3, n_tasks=2, dim=3,
@@ -268,6 +270,16 @@ class TestGeneration:
             doc["sub_tasks"][0]["D"] = 2.5
         elif case == "bool_D":
             doc["sub_tasks"][0]["D"] = True
+        elif case in ("null_id", "empty_id", "int_id"):
+            doc["instance_id"] = {"null_id": None, "empty_id": "", "int_id": 7}[case]
+        elif case == "repeated_id":
+            doc["instance_id"] = json.loads(lines[0])["instance_id"]
+        elif case == "bool_lb":        # float() would read it as 1.0
+            doc["sub_tasks"][1]["lb"] = True
+        elif case == "bool_ub":
+            doc["sub_tasks"][0]["ub"] = True
+        elif case == "bool_level":
+            doc["shift_level"] = True
         lines[2] = "{not json" if case == "json" else json.dumps(doc)
         path.write_text("\n".join(lines) + "\n")
         expected = {"json": "Expecting", "key": "missing key 'shift_level'",
@@ -277,7 +289,14 @@ class TestGeneration:
                     "inf_shift": "shift holds a non-finite value",
                     "inf_ub": "need finite lb < ub, got -100.0 and inf",
                     "float_D": "D must be an integer, got 2.5",
-                    "bool_D": "D must be an integer, got True"}
+                    "bool_D": "D must be an integer, got True",
+                    "null_id": "instance_id must be a non-empty string, got None$",
+                    "empty_id": "instance_id must be a non-empty string, got ''$",
+                    "int_id": "instance_id must be a non-empty string, got 7$",
+                    "repeated_id": r"instance awcci-m-c\d{3} repeats line 1$",
+                    "bool_lb": "lb must be a number, got True$",
+                    "bool_ub": "ub must be a number, got True$",
+                    "bool_level": "shift_level must be a number, got True$"}
         with pytest.raises(ValueError, match=f"d.jsonl, line 3: .*{expected[case]}"):
             B.load_instances(str(path))
 

@@ -280,6 +280,19 @@ class TestBadDatasetInputs:
                  str(dataset), "--out", str(out), "--pop-size", "6", "--budget", "2"])
         assert not out.exists()
 
+    def test_evaluate_on_repeated_instance(self, tmp_path, checkpoint, one_instance):
+        # both copies would get the same episode seeds
+        line = one_instance.read_text()
+        one_instance.write_text(line + line)
+        instance_id = json.loads(line)["instance_id"]
+        out = tmp_path / "eval"
+        with pytest.raises(ValueError, match=rf"one\.jsonl, line 2: instance "
+                                             rf"{instance_id} repeats line 1$"):
+            run(["evaluate", "--checkpoint", str(checkpoint), "--dataset",
+                 str(one_instance), "--out", str(out), "--pop-size", "6",
+                 "--budget", "2"])
+        assert not out.exists()
+
     @pytest.mark.parametrize("value", ["NaN", "Infinity", "-Infinity"])
     def test_evaluate_with_non_finite_checkpoint_value(self, tmp_path, checkpoint,
                                                        one_instance, value):

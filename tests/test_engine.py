@@ -4,6 +4,7 @@ three-phase generation against a sequential per-task reference."""
 
 import copy
 import pickle
+import re
 
 import numpy as np
 import pytest
@@ -514,7 +515,7 @@ class TestStep:
 
     @pytest.mark.parametrize("field,value", [
         ("a1", 1.7), ("a1", 2.2), ("a1", np.nan),
-        ("a2", np.nan), ("a2", np.inf), ("a2", -0.1),
+        ("a2", np.nan), ("a2", np.inf), ("a2", -0.1), ("a2", 3.0), ("a2", 1e308),
         ("a32", np.nan), ("a32", -0.01), ("a32", 1.5),
         ("a33", -np.inf), ("a33", -1.0), ("a33", 1.01),
     ])
@@ -525,7 +526,7 @@ class TestStep:
         getattr(bundle, field)[1] = value
         before = snapshot(state)
         with pytest.raises(ValueError, match=f"^action {field} of task 1 is "
-                                             f"{value}, expected "):
+                                             f"{re.escape(str(value))}, expected "):
             E.emt_step(state, bundle)
         assert_same_state(snapshot(state), before)
 
@@ -563,13 +564,12 @@ class TestStep:
         assert twin.populations[1].best_value == state.best[1]
 
     def test_range_edges_accepted(self):
-        # a2 above 0.5 is the no_kc ablation's range; the engine caps it
+        # a2 above 0.5 is the no_kc ablation's range, up to 1
         state = E.init_populations(tiny_instance(3, 3), 6, seed=1, budget=10)
-        for a2, f, cr in ((0.0, 0.0, 0.0), (1.0, 1.0, 1.0), (3.0, 0.5, 0.7),
-                          (1e308, 0.5, 0.7)):
+        for a2, f, cr in ((0.0, 0.0, 0.0), (1.0, 1.0, 1.0)):
             E.emt_step(state, bundle_for(state, a2=a2, f=f, cr=cr))
             assert (state.n_transfer == (0 if a2 == 0.0 else 6)).all()
-        assert state.evaluations == (1 + 4) * 3 * 6
+        assert state.evaluations == (1 + 2) * 3 * 6
 
     def test_budget_accounting(self):
         state = E.init_populations(tiny_instance(3, 4), 9, seed=2, budget=10)
@@ -706,7 +706,7 @@ def generations(draw, max_steps=3):
         a1 = [draw(st.sampled_from([s for s in range(k) if s != j]))
               for j in range(k)]
         actions.append(ActionBundle(
-            np.array(a1), np.array(draw(per_task(st.floats(0.0, 1.2)))),
+            np.array(a1), np.array(draw(per_task(st.floats(0.0, 1.0)))),
             np.array(draw(per_task(st.integers(1, 4)))),
             np.array(draw(per_task(st.floats(0.0, 1.0)))),
             np.array(draw(per_task(st.floats(0.0, 1.0))))))
@@ -838,5 +838,5 @@ class TestGenerationMatchesSequentialReference:
         actions = [ActionBundle(np.array([2, 0, 1]), np.array([a2, 1.0, 0.05]),
                                 np.array([op, op % 4 + 1, (op + 1) % 4 + 1]),
                                 np.full(3, 0.6), np.full(3, 0.4))
-                   for op, a2 in zip((1, 2, 3, 4), (0.1, 0.5, 1.2, 0.0))]
+                   for op, a2 in zip((1, 2, 3, 4), (0.1, 0.5, 1.0, 0.0))]
         self._check(fids, 10, 4, 5, actions)

@@ -28,6 +28,7 @@ RANDOM_ALL_RESULTS_SHA256 = "a30657076dc6701955316e97bf40fc48fbdac92c16bcd758a8f
 ATTENTION_SHA256 = "77b08c5d8a2458145f88054859cb63165776436d7c5cf953bd95e4d11112e58f"
 TRAIN_VALUES_SHA256 = "84e5ec3a7bca64e3488ab7c86009319d0c04d62844a42e8ed0484f3d482a6d14"
 TRAIN_CHECKPOINT_SHA256 = "adafb1786b041dbf5c7bda59012436a29df728f39582a5ba13aa6187c54dcbbf"
+COMPARE_REPORT_SHA256 = "3b108c53d8936a1a714e0b6c8190d88a2326b07524d3622b139ba3df375dcaf6"
 
 
 def _sha256(path):
@@ -80,6 +81,20 @@ def test_random_all_eval_trace(tmp_path):
 
 def test_random_all_eval_results(tmp_path):
     assert _eval_sha256("random_all", tmp_path)[0] == RANDOM_ALL_RESULTS_SHA256
+
+
+def test_compare_report():
+    # 2 instances x 4 runs: enough paired runs for the overall signed-rank
+    # p-value, too few for the per-instance ones
+    rows = {}
+    for variant in ("full", "random_all"):
+        rows[variant], _ = H.evaluate(H.Controller(init_policy(0), variant),
+                                      _instances(2), runs=4, master_seed=0,
+                                      pop_size=8, budget=10)
+    text = H.compare_results(rows["full"], rows["random_all"], "full",
+                             "random_all")
+    assert "overall signed-rank: statistic=" in text
+    assert hashlib.sha256(text.encode()).hexdigest() == COMPARE_REPORT_SHA256
 
 
 def test_export_attention(tmp_path):

@@ -90,8 +90,8 @@ class TestControllers:
 
     def test_full_matches_plain_policy(self):
         store, f = self._setup()
-        bundle, _ = H.Controller(store, "full").act(f)
-        direct = P.act(store, f)
+        bundle, _ = H.Controller(store, "full").act(f, derive_rng(0, "ab"))
+        direct = P.act_with_context(store, f)[0]
         np.testing.assert_array_equal(bundle.a1, direct.a1)
         np.testing.assert_array_equal(bundle.a2, direct.a2)
         np.testing.assert_array_equal(bundle.a31, direct.a31)
@@ -105,8 +105,8 @@ class TestControllers:
     def test_fixed_value_variants_change_only_their_field(self, variant,
                                                           field, others):
         store, f = self._setup()
-        full = P.act(store, f)
-        bundle, _ = H.Controller(store, variant).act(f)
+        full = P.act_with_context(store, f)[0]
+        bundle, _ = H.Controller(store, variant).act(f, derive_rng(0, "ab"))
         np.testing.assert_array_equal(getattr(bundle, field), 0.5)
         for name in others:
             np.testing.assert_array_equal(getattr(bundle, name),
@@ -153,7 +153,7 @@ class TestControllers:
         store, f = self._setup()
         controller = H.Controller(store, "no_tr")
         bundle, _ = controller.act(f, ablation_rng=derive_rng(4, "ab"))
-        recomputed = P.act(store, f, forced_a1=bundle.a1)
+        recomputed = P.act_with_context(store, f, forced_a1=bundle.a1)[0]
         np.testing.assert_array_equal(bundle.a2, recomputed.a2)
         np.testing.assert_array_equal(bundle.a31, recomputed.a31)
         np.testing.assert_array_equal(bundle.a32, recomputed.a32)
@@ -161,7 +161,7 @@ class TestControllers:
 
     def test_no_transfer_zeroes_amount(self):
         store, f = self._setup()
-        bundle, _ = H.Controller(store, "no_transfer").act(f)
+        bundle, _ = H.Controller(store, "no_transfer").act(f, derive_rng(0, "ab"))
         np.testing.assert_array_equal(bundle.a2, 0.0)
 
     def test_random_all_substitutes_everything(self):
@@ -174,11 +174,6 @@ class TestControllers:
         np.testing.assert_array_equal(bundle.a33, 0.5)
         assert set(bundle.a31) <= {1, 2, 3, 4}
         assert (bundle.a2 >= 0).all() and (bundle.a2 <= 1).all()
-
-    def test_missing_ablation_rng_rejected(self):
-        store, f = self._setup()
-        with pytest.raises(ValueError, match="ablation rng"):
-            H.Controller(store, "no_tr").act(f)
 
     @pytest.mark.parametrize("misfit, message", [
         ("missing", r"critic2\.b \(expected shape \(1, 1\)\) is missing"),
@@ -351,7 +346,7 @@ class TestWilcoxon:
         rows_b = [H.EvaluationRow("i", r, 0.0, np.array([0.5]), 0.0)
                   for r in range(8)]
         rows_a[-1].perf = np.nan
-        text = H.compare_results(rows_a, rows_b)
+        text = H.compare_results(rows_a, rows_b, "A", "B")
         assert "p=n/a (inputs must be finite)" in text
         assert "overall signed-rank: n/a (inputs must be finite)" in text
 
@@ -376,4 +371,4 @@ class TestCompare:
         row_a = H.EvaluationRow("x", 0, 0.5, np.array([0.5]), 0.0)
         row_b = H.EvaluationRow("y", 0, 0.5, np.array([0.5]), 0.0)
         with pytest.raises(ValueError, match="share no"):
-            H.compare_results([row_a], [row_b])
+            H.compare_results([row_a], [row_b], "A", "B")

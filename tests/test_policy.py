@@ -124,7 +124,7 @@ def _routing_store(raw, seed=3):
 class TestRoute:
     def test_two_tasks_forced_choice(self):
         store = P.init_policy(3)
-        bundle = P.act(store, random_features(2, 7))
+        bundle = P.act_with_context(store, random_features(2, 7))[0]
         np.testing.assert_array_equal(bundle.a1, [1, 0])
 
     def test_deterministic_picks_highest_unmasked(self):
@@ -142,8 +142,8 @@ class TestRoute:
     def test_argmax_invariant_under_positive_affine(self):
         rng = derive_rng(4, "rows")
         raw = rng.standard_normal((5, 5))
-        a1 = P.act(*_routing_store(raw)).a1
-        a1b = P.act(*_routing_store(raw * 3.7 + 11.0)).a1
+        a1 = P.act_with_context(*_routing_store(raw))[0].a1
+        a1b = P.act_with_context(*_routing_store(raw * 3.7 + 11.0))[0].a1
         np.testing.assert_array_equal(a1, a1b)
 
     def test_sampling_frequencies_match_softmax(self):
@@ -201,14 +201,14 @@ class TestContinuousHeads:
         store = P.init_policy(5)
         store["kc2.W"].value[...] = 0.0
         store["kc2.b"].value[...] = 0.0
-        bundle = P.act(store, random_features(3))
+        bundle = P.act_with_context(store, random_features(3))[0]
         np.testing.assert_allclose(bundle.a2, 0.25)
 
     def test_kc_saturated_negative_gives_zero(self):
         store = P.init_policy(5)
         store["kc2.W"].value[...] = 0.0
         store["kc2.b"].value[...] = -40.0  # tanh saturates to -1
-        bundle = P.act(store, random_features(3))
+        bundle = P.act_with_context(store, random_features(3))[0]
         np.testing.assert_allclose(bundle.a2, 0.0, atol=1e-12)
 
     def test_fcr_zero_mlp_gives_half(self):
@@ -216,7 +216,7 @@ class TestContinuousHeads:
         for head in ("f", "cr"):
             store[f"{head}2.W"].value[...] = 0.0
             store[f"{head}2.b"].value[...] = 0.0
-        bundle = P.act(store, random_features(3))
+        bundle = P.act_with_context(store, random_features(3))[0]
         np.testing.assert_allclose(bundle.a32, 0.5)
         np.testing.assert_allclose(bundle.a33, 0.5)
 
@@ -224,7 +224,7 @@ class TestContinuousHeads:
         store = P.init_policy(5)
         store["f2.W"].value[...] = 0.0
         store["f2.b"].value[...] = 40.0
-        bundle = P.act(store, random_features(3))
+        bundle = P.act_with_context(store, random_features(3))[0]
         np.testing.assert_allclose(bundle.a32, 1.0, atol=1e-12)
 
     def test_sampled_bounds_hold_in_bulk(self):
@@ -248,17 +248,17 @@ class TestOperatorHead:
         store["op2.b"].value[...] = 0.0
         _, op_probs, _, _ = _heads_for(store, 4)
         np.testing.assert_allclose(op_probs.value, 0.25)
-        bundle = P.act(store, random_features(4))
+        bundle = P.act_with_context(store, random_features(4))[0]
         np.testing.assert_array_equal(bundle.a31, 1)  # ties resolve to the lowest id
 
     def test_dominant_logit_selected(self):
         store = P.init_policy(7)
         store["op2.W"].value[...] = 0.0
         store["op2.b"].value[...] = np.array([[10.0, 0.0, 0.0, 0.0]])
-        bundle = P.act(store, random_features(4))
+        bundle = P.act_with_context(store, random_features(4))[0]
         np.testing.assert_array_equal(bundle.a31, 1)
         store["op2.b"].value[...] = np.array([[0.0, 0.0, 10.0, 0.0]])
-        bundle = P.act(store, random_features(4))
+        bundle = P.act_with_context(store, random_features(4))[0]
         np.testing.assert_array_equal(bundle.a31, 3)
 
     def test_sampling_frequencies(self):
@@ -279,8 +279,8 @@ class TestAct:
     def test_deterministic_is_pure(self):
         store = P.init_policy(9)
         f = random_features(4, 9)
-        a = P.act(store, f)
-        b = P.act(store, f)
+        a = P.act_with_context(store, f)[0]
+        b = P.act_with_context(store, f)[0]
         np.testing.assert_array_equal(a.a1, b.a1)
         np.testing.assert_array_equal(a.a2, b.a2)
         np.testing.assert_array_equal(a.a31, b.a31)
@@ -363,14 +363,14 @@ class TestAct:
         store = P.init_policy(13)
         f = random_features(4, 22)
         forced = np.array([2, 3, 0, 1])
-        bundle = P.act(store, f, forced_a1=forced)
+        bundle = P.act_with_context(store, f, forced_a1=forced)[0]
         np.testing.assert_array_equal(bundle.a1, forced)
 
     def test_self_routing_rejected(self):
         store = P.init_policy(13)
         with pytest.raises(ValueError, match="own source"):
-            P.act(store, random_features(4, 22),
-                  forced_a1=np.array([0, 0, 1, 2]))
+            P.act_with_context(store, random_features(4, 22),
+                               forced_a1=np.array([0, 0, 1, 2]))
 
     def test_sample_mode_requires_stream_per_task(self):
         store = P.init_policy(13)

@@ -118,13 +118,14 @@ class TestConfig:
 
 class TestAdvantages:
     def test_all_zero(self):
-        adv, ret = ppo.compute_advantages(np.zeros(3), np.zeros(3), ppo.PPOConfig())
+        adv, ret = ppo.compute_advantages(np.zeros(3), np.zeros(3), ppo.PPOConfig(),
+                                          0.0)
         np.testing.assert_allclose(adv, 0.0)
         np.testing.assert_allclose(ret, 0.0)
 
     def test_single_terminal_step(self):
         adv, ret = ppo.compute_advantages(np.array([2.5]), np.array([0.7]),
-                                          ppo.PPOConfig())
+                                          ppo.PPOConfig(), 0.0)
         assert adv[0] == pytest.approx(2.5 - 0.7)   # length 1: not normalized
         assert ret[0] == pytest.approx(2.5)
 
@@ -136,7 +137,7 @@ class TestAdvantages:
         # the last step ends the episode: bootstrap value 0
         config = ppo.PPOConfig(gamma=0.9, gae_lambda=0.8)
         adv, ret = ppo.compute_advantages(np.array([1.0, 0.5, 2.0]),
-                                          np.array([0.2, 0.4, 0.1]), config)
+                                          np.array([0.2, 0.4, 0.1]), config, 0.0)
         raw = ret - np.array([0.2, 0.4, 0.1])
         np.testing.assert_allclose(raw, [2.28176, 1.558, 1.9], rtol=1e-12)
         np.testing.assert_allclose(ret, [2.48176, 1.958, 2.0], rtol=1e-12)
@@ -151,13 +152,14 @@ class TestAdvantages:
     def test_normalization_invariant(self):
         rng = derive_rng(1, "adv")
         pairs = np.array([(rng.normal(), rng.normal()) for _ in range(20)])
-        adv, _ = ppo.compute_advantages(pairs[:, 0], pairs[:, 1], ppo.PPOConfig())
+        adv, _ = ppo.compute_advantages(pairs[:, 0], pairs[:, 1], ppo.PPOConfig(),
+                                        0.0)
         assert abs(adv.mean()) < 1e-10
         assert 1 - 1e-6 < adv.var() < 1 + 1e-6
 
     def test_empty_segment_rejected(self):
         with pytest.raises(ValueError, match="empty"):
-            ppo.compute_advantages(np.zeros(0), np.zeros(0), ppo.PPOConfig())
+            ppo.compute_advantages(np.zeros(0), np.zeros(0), ppo.PPOConfig(), 0.0)
 
 
 class TestUpdate:
@@ -232,7 +234,7 @@ class TestUpdate:
             config = ppo.PPOConfig(k_ppo=1, learning_rate=1e-3)
             scored, old_logp, adv, ret = scored_segment(store, buf, config)
             loss_before, _ = ppo._ppo_loss(scored, adv, ret, old_logp, config)
-            ppo.ppo_update(buf, store, config)
+            ppo.ppo_update(buf, store, config, 0.0)
             rescored = scored_segment(store, buf, config)[0]
             loss_after, _ = ppo._ppo_loss(rescored, adv, ret, old_logp, config)
             if loss_after.value.item() < loss_before.value.item():
@@ -269,7 +271,7 @@ class TestUpdate:
         buf = sampled_buffer(store, 2, seed=2)
         store["kc2.b"].value[0, 0] = np.nan
         before = {n: store[n].value.copy() for n in list(store.params)}
-        stats = ppo.ppo_update(buf, store, ppo.PPOConfig(k_ppo=2))
+        stats = ppo.ppo_update(buf, store, ppo.PPOConfig(k_ppo=2), 0.0)
         assert stats["aborted"] and "non-finite" in stats["diagnostic"]
         assert stats["iterations"] == []
         for n in list(store.params):
@@ -280,7 +282,7 @@ class TestUpdate:
         rng = derive_rng(3, "rew")
         buf = sampled_buffer(store, 5, seed=3, rewards=rng.normal(size=5).tolist())
         before = {n: store[n].value.copy() for n in list(store.params)}
-        stats = ppo.ppo_update(buf, store, ppo.PPOConfig())
+        stats = ppo.ppo_update(buf, store, ppo.PPOConfig(), 0.0)
         assert len(stats["iterations"]) == 3
         changed = any(not np.array_equal(store[n].value, before[n])
                       for n in list(store.params))
@@ -293,18 +295,20 @@ def desk_instances(count=2, n_tasks=2, dim=2, seed=0):
 
 
 class TestTrain:
-    def test_zero_epochs_returns_initial_params(self):
+    def test_zero_epochs_returns_initial_params(self, tmp_path):
         config = ppo.PPOConfig(epochs=0, budget=4)
-        result = ppo.train(desk_instances(), config, seed=7, pop_size=6)
+        result = ppo.train(desk_instances(), config, seed=7, pop_size=6,
+                           out_dir=str(tmp_path))
         reference = P.init_policy(7)
         for n in list(reference.params):
             np.testing.assert_array_equal(result.params[n].value,
                                           reference[n].value)
         assert result.log == []
 
-    def test_empty_train_set_rejected(self):
+    def test_empty_train_set_rejected(self, tmp_path):
         with pytest.raises(ValueError, match="empty"):
-            ppo.train([], ppo.PPOConfig(), seed=1)
+            ppo.train([], ppo.PPOConfig(), seed=1, pop_size=50,
+                      out_dir=str(tmp_path))
 
     def test_small_population_rejected_before_any_file(self, tmp_path):
         # every episode would fail, and the run would still write checkpoints
@@ -315,10 +319,12 @@ class TestTrain:
                       out_dir=str(tmp_path))
         assert list(tmp_path.iterdir()) == []
 
-    def test_deterministic_log_and_params(self):
+    def test_deterministic_log_and_params(self, tmp_path):
         config = ppo.PPOConfig(epochs=2, budget=6, t_ppo=4)
-        a = ppo.train(desk_instances(), config, seed=11, pop_size=6)
-        b = ppo.train(desk_instances(), config, seed=11, pop_size=6)
+        a = ppo.train(desk_instances(), config, seed=11, pop_size=6,
+                      out_dir=str(tmp_path))
+        b = ppo.train(desk_instances(), config, seed=11, pop_size=6,
+                      out_dir=str(tmp_path))
         assert len(a.log) == len(b.log) == 4
         for ra, rb in zip(a.log, b.log):
             # wall_time legitimately varies; everything else is bit-equal
@@ -337,8 +343,8 @@ class TestTrain:
             assert (tmp_path / name).exists()
         loaded = load_checkpoint(str(tmp_path / "checkpoint.json"))
         f = random_features(2, 77)
-        a = P.act(result.params, f)
-        b = P.act(loaded, f)
+        a = P.act_with_context(result.params, f)[0]
+        b = P.act_with_context(loaded, f)[0]
         np.testing.assert_array_equal(a.a2, b.a2)
         np.testing.assert_array_equal(a.a1, b.a1)
 
@@ -364,7 +370,7 @@ class TestTrain:
         assert sorted(p.name for p in tmp_path.iterdir()) == sorted(
             set(saved) | {"checkpoint.json"})
 
-    def test_episode_return_matches_engine_rewards(self, monkeypatch):
+    def test_episode_return_matches_engine_rewards(self, tmp_path, monkeypatch):
         recorded = []
         original = ppo.emt_step
 
@@ -375,10 +381,11 @@ class TestTrain:
 
         monkeypatch.setattr(ppo, "emt_step", spy)
         config = ppo.PPOConfig(epochs=1, budget=5, t_ppo=3)
-        result = ppo.train(desk_instances(1), config, seed=17, pop_size=6)
+        result = ppo.train(desk_instances(1), config, seed=17, pop_size=6,
+                           out_dir=str(tmp_path))
         assert result.log[0].episode_return == pytest.approx(sum(recorded))
 
-    def test_failed_instance_skipped(self, monkeypatch):
+    def test_failed_instance_skipped(self, tmp_path, monkeypatch):
         instances = desk_instances(2)
         calls = {"n": 0}
         original = ppo.run_training_episode
@@ -391,12 +398,14 @@ class TestTrain:
 
         monkeypatch.setattr(ppo, "run_training_episode", flaky)
         config = ppo.PPOConfig(epochs=1, budget=4, t_ppo=4)
-        result = ppo.train(instances, config, seed=19, pop_size=6)
+        result = ppo.train(instances, config, seed=19, pop_size=6,
+                           out_dir=str(tmp_path))
         assert len(result.log) == 1  # first instance failed, second logged
 
     def test_training_log_csv(self, tmp_path):
         config = ppo.PPOConfig(epochs=1, budget=4, t_ppo=4)
-        result = ppo.train(desk_instances(1), config, seed=23, pop_size=6)
+        result = ppo.train(desk_instances(1), config, seed=23, pop_size=6,
+                           out_dir=str(tmp_path))
         path = tmp_path / "log.csv"
         ppo.write_training_log(result.log, str(path))
         lines = path.read_text().splitlines()

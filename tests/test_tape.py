@@ -121,7 +121,7 @@ class TestAttention:
         rng = np.random.default_rng(0)
         store = self._store(4, rng)
         e = np.tile(rng.standard_normal(4), (3, 1))
-        scores, out = single_head_attention(store, constant(e))
+        scores, out = single_head_attention(store, constant(e), "tr")
         assert np.ptp(scores.value) < 1e-12
         # uniform softmax over identical rows
         att = tape.softmax_rows(scores).value
@@ -132,7 +132,7 @@ class TestAttention:
         store.add("tr.Wq", np.array([[1.0, 2.0], [0.0, 1.0]]))
         store.add("tr.Wk", np.array([[1.0, 0.0], [1.0, 1.0]]))
         store.add("tr.Wv", np.eye(2))
-        scores, out = single_head_attention(store, constant(np.eye(2)))
+        scores, out = single_head_attention(store, constant(np.eye(2)), "tr")
         # q rows: [1,2], [0,1]; k rows: [1,0], [1,1]; dot products / sqrt(2)
         s = math.sqrt(2.0)
         np.testing.assert_allclose(scores.value,
@@ -147,7 +147,7 @@ class TestAttention:
     def test_rejects_single_row(self):
         store = self._store(4, np.random.default_rng(0))
         with pytest.raises(ValueError, match="2 rows"):
-            single_head_attention(store, constant(np.ones((1, 4))))
+            single_head_attention(store, constant(np.ones((1, 4))), "tr")
 
     @pytest.mark.parametrize("seed", range(5))
     def test_gradients_vs_finite_differences(self, seed):
@@ -157,7 +157,7 @@ class TestAttention:
         w = rng.standard_normal((3, 5))
 
         def build():
-            scores, out = single_head_attention(store, constant(e))
+            scores, out = single_head_attention(store, constant(e), "tr")
             return tape.add(tape.sum_all(tape.mul(out, constant(w))),
                             tape.sum_all(scores))
         fd_gradcheck(store, build, rng)
