@@ -148,6 +148,8 @@ class SubTaskDefinition:
             raise ValueError("dim must be >= 1")
         if not -np.inf < self.lb < self.ub < np.inf:
             raise ValueError(f"need finite lb < ub, got {self.lb} and {self.ub}")
+        if not np.isfinite(self.ub - self.lb):     # decode would give NaN
+            raise ValueError(f"box width ub - lb overflows: lb={self.lb}, ub={self.ub}")
         if self.rotation.shape != (self.dim, self.dim):
             raise ValueError("rotation shape mismatch")
         if self.shift.shape != (self.dim,):
@@ -273,27 +275,37 @@ def _function(key: str) -> BasicFunction:
     raise ValueError(f"unknown function: {key!r}")
 
 
+_JSON_NUMBERS = {int, float}   # float() and numpy also read strings and bools
+
+
 def _number(doc: dict, key: str) -> float:
-    if isinstance(doc[key], bool):     # float() would read it as 0 or 1
+    if type(doc[key]) not in _JSON_NUMBERS:
         raise ValueError(f"{key} must be a number, got {doc[key]!r}")
     return float(doc[key])
+
+
+def _numbers(doc: dict, key: str) -> np.ndarray:
+    values = doc[key]
+    if type(values) is not list or not _JSON_NUMBERS.issuperset(map(type, values)):
+        raise ValueError(f"{key} must be a flat list of numbers")
+    return np.array(values, dtype=np.float64)
 
 
 def instance_from_dict(doc: dict) -> MTOInstance:
     instance_id = doc["instance_id"]
     if type(instance_id) is not str or not instance_id:
         raise ValueError(f"instance_id must be a non-empty string, got {instance_id!r}")
+    shift_level = _number(doc, "shift_level")
+    _level_name(shift_level)      # rejects a level outside SHIFT_LEVELS
     subs = []
     for st in doc["sub_tasks"]:
         d = st["D"]
         if type(d) is not int:
             raise ValueError(f"D must be an integer, got {d!r}")
         subs.append(SubTaskDefinition(
-            _function(st["function"]), d,
-            np.array(st["rotation"], dtype=np.float64).reshape(d, d),
-            np.array(st["shift"], dtype=np.float64),
-            _number(st, "lb"), _number(st, "ub")))
-    return MTOInstance(instance_id, _number(doc, "shift_level"),
+            _function(st["function"]), d, _numbers(st, "rotation").reshape(d, d),
+            _numbers(st, "shift"), _number(st, "lb"), _number(st, "ub")))
+    return MTOInstance(instance_id, shift_level,
                        tuple(_function(k) for k in doc["combination"]), subs)
 
 
@@ -318,7 +330,7 @@ def load_instances(path: str) -> list:
                 inst = instance_from_dict(json.loads(line))
             except KeyError as err:
                 raise ValueError(f"{path}, line {lineno}: missing key {err}") from err
-            except (ValueError, TypeError) as err:
+            except (ValueError, TypeError, OverflowError) as err:
                 raise ValueError(f"{path}, line {lineno}: {err}") from err
             if inst.instance_id in seen:
                 raise ValueError(f"{path}, line {lineno}: instance {inst.instance_id} "

@@ -124,10 +124,9 @@ def _cmd_compare(args):
     print(text, end="")
 
 
-def _add_run_flags(p, dataset_flag="--dataset", **dataset_kwargs):
-    """Flags of the commands that run a checkpoint on a dataset file."""
+def _add_run_flags(p):
+    """Flags shared by the commands that run a checkpoint on a dataset file."""
     p.add_argument("--checkpoint", required=True)
-    p.add_argument(dataset_flag, required=True, dest="dataset", **dataset_kwargs)
     p.add_argument("--seed", type=int, default=0)
     p.add_argument("--out", required=True)
     p.add_argument("--pop-size", type=int, default=50, dest="pop_size")
@@ -156,12 +155,15 @@ def build_parser():
 
     p = sub.add_parser("evaluate", aliases=["ablate"], help="evaluate a checkpoint")
     _add_run_flags(p)
+    p.add_argument("--dataset", required=True)
     p.add_argument("--runs", type=int, default=10)
     p.add_argument("--variant", choices=harness.ABLATION_VARIANTS, default="full")
     p.set_defaults(func=_run_evaluation)
 
     p = sub.add_parser("export-attention", help="dump routing score matrices")
-    _add_run_flags(p, "--instance", help="dataset file; --index picks the instance")
+    _add_run_flags(p)
+    p.add_argument("--instance", required=True, dest="dataset",
+                   help="dataset file; --index picks the instance")
     p.add_argument("--index", type=int, default=0)
     p.set_defaults(func=_cmd_export_attention, variant="full")
 

@@ -80,8 +80,7 @@ class Controller:
         if v in ("no_tr", "random_all"):
             r = ablation_rng.integers(0, k - 1, size=k)
             forced_a1 = np.where(r < np.arange(k), r, r + 1)
-        bundle, scores = act_with_context(self.store, features,
-                                          forced_a1=forced_a1)
+        bundle, scores = act_with_context(self.store, features, forced_a1)
         if v in ("no_kc", "random_all"):
             bundle.a2 = ablation_rng.uniform(0.0, 1.0, size=k)
         if v in ("no_op", "random_all"):
@@ -192,6 +191,10 @@ def evaluate(controller: Controller, instances, runs: int, master_seed: int,
         for r in range(runs):
             ep_seed = derive_seed(master_seed, "eval", inst.instance_id, r)
             ep = run_episode(inst, controller, ep_seed, pop_size, budget)
+            # normalized_ratios would score a NaN final value as the optimum
+            if not np.isfinite(ep.best_trace[[0, -1]]).all():
+                raise ValueError(f"instance {inst.instance_id} run {r}: initial or "
+                                 "final best-so-far is not finite")
             ratios = normalized_ratios(ep.best_trace[-1], ep.best_trace[0])
             rows.append(EvaluationRow(inst.instance_id, r, float(ratios.mean()),
                                       ratios, ep.kt_ratio))

@@ -8,7 +8,6 @@ import numpy as np
 from .tape import Node
 
 CHECKPOINT_VERSION = 2
-READABLE_VERSIONS = (1, CHECKPOINT_VERSION)   # format 1 also held Adam state, not read
 RECORD_KEYS = ("name", "shape", "values")
 BETA1, BETA2, EPS = 0.9, 0.999, 1e-8   # Adam's decay rates and offset
 
@@ -118,9 +117,9 @@ def load_checkpoint(path: str) -> ParameterStore:
     if not isinstance(doc, dict):
         raise CheckpointError(f"checkpoint {path} is not a JSON object")
     version = doc.get("format_version")
-    if type(version) is not int or version not in READABLE_VERSIONS:
+    if type(version) is not int or version != CHECKPOINT_VERSION:
         raise CheckpointError(f"checkpoint {path} has format_version={version!r}, "
-                              f"expected one of {READABLE_VERSIONS}")
+                              f"expected {CHECKPOINT_VERSION}")
     store = ParameterStore()
     for i, rec in enumerate(doc.get("parameters", [])):
         if not isinstance(rec, dict):

@@ -15,22 +15,22 @@ small MLP heads:
 Continuous actions are drawn from Gaussians with fixed standard deviation
 0.1 around the head means and clamped to their ranges; their log-density
 is scored as that of the unclamped Gaussian at the clamped value.
-Given per-task RNG streams (training), every action is drawn; without
-them (inference), discrete actions take the argmax and continuous ones
-the mean.  Sampling for task j consumes only the j-th RNG stream (order
-per task: routing, amount, operator, F, Cr), which keeps the whole
-controller permutation-equivariant in the task axis.
+`act`, the sampled pass of training, draws every action, task j's only
+from the j-th RNG stream (order per task: routing, amount, operator, F,
+Cr), which keeps the whole controller permutation-equivariant in the
+task axis.  `act_with_context`, the deterministic pass of inference,
+takes the argmax of discrete actions and the mean of continuous ones.
 
 A value critic (MLP on the mean task embedding) provides the baseline for
 advantage estimation; it is permutation-invariant and K-agnostic.
 
 Acting and scoring share one forward path: `_trunk` (embedding,
 attention, masked routing softmax) and `_heads` (the four per-task
-distributions given a routing).  `act_with_context` only chooses actions
-from them and records no probabilities; `evaluate_actions` rebuilds the
-same graph for a chosen bundle and adds `_log_prob` (the joint
-log-probability, routing included), the critic and the entropy.  The
-policy update scores each collected bundle there, once per pass.
+distributions given a routing).  `act` and `act_with_context` only
+choose actions from them and record no probabilities; `evaluate_actions`
+rebuilds the same graph for a chosen bundle and adds `_log_prob` (the
+joint log-probability, routing included), the critic and the entropy.
+The policy update scores each collected bundle there, once per pass.
 """
 
 import math
@@ -175,42 +175,36 @@ def _sample_gaussian(rngs, mu: np.ndarray, lo: float, hi: float) -> np.ndarray:
     return np.clip(draws, lo, hi)
 
 
-def act_with_context(store, features, rngs=None, forced_a1=None):
-    """Full controller pass.  Returns (ActionBundle, masked routing scores),
-    the scores being the (K, K) pre-softmax matrix with -inf on the diagonal.
-
-    Given rngs (one stream per task), draws every action not forced by
-    forced_a1.  Without rngs, takes the routing row argmax (ties to the
-    lowest index), the operator argmax and the Gaussian means, and
-    consumes no randomness.
-    """
-    features = np.atleast_2d(np.asarray(features, dtype=np.float64))
-    k = features.shape[0]
-    if rngs is not None and len(rngs) != k:
-        raise ValueError("sampling needs one rng stream per task")
+def act(store, features, rngs) -> ActionBundle:
+    """Sampled pass: an ActionBundle drawn from the per-task streams rngs."""
     _, decision, masked, route_probs = _trunk(store, features)
-    if forced_a1 is not None:
-        a1 = np.asarray(forced_a1, dtype=int)
-    elif rngs is None:
+    k = len(masked.value)
+    if len(rngs) != k:
+        raise ValueError("sampling needs one rng stream per task")
+    a1 = np.array([_sample_source(rngs[j], route_probs.value[j], masked.value[j])
+                   for j in range(k)])
+    mu_kc, op_probs, mu_f, mu_cr = (h.value for h in _heads(store, decision, a1))
+    a2 = _sample_gaussian(rngs, mu_kc[:, 0], 0.0, 0.5)
+    a31 = np.array([_sample_categorical(rngs[j], op_probs[j]) for j in range(k)]) + 1
+    a32 = _sample_gaussian(rngs, mu_f[:, 0], 0.0, 1.0)
+    a33 = _sample_gaussian(rngs, mu_cr[:, 0], 0.0, 1.0)
+    return ActionBundle(a1, a2, a31, a32, a33)
+
+
+def act_with_context(store, features, forced_a1):
+    """Deterministic pass: (ActionBundle, masked routing scores), the scores
+    being the (K, K) pre-softmax matrix with -inf on the diagonal.  Routes
+    by forced_a1 when given, else by the row argmax (ties to the lowest
+    index), and draws no randomness.
+    """
+    _, decision, masked, _ = _trunk(store, features)
+    if forced_a1 is None:
         a1 = np.argmax(masked.value, axis=1)
     else:
-        a1 = np.array([_sample_source(rngs[j], route_probs.value[j], masked.value[j])
-                       for j in range(k)])
+        a1 = np.asarray(forced_a1, dtype=int)
     mu_kc, op_probs, mu_f, mu_cr = (h.value for h in _heads(store, decision, a1))
-    if rngs is None:
-        a2, a32, a33 = mu_kc[:, 0], mu_f[:, 0], mu_cr[:, 0]
-        a31 = np.argmax(op_probs, axis=1) + 1
-    else:
-        a2 = _sample_gaussian(rngs, mu_kc[:, 0], 0.0, 0.5)
-        a31 = np.array([_sample_categorical(rngs[j], op_probs[j])
-                        for j in range(k)]) + 1
-        a32 = _sample_gaussian(rngs, mu_f[:, 0], 0.0, 1.0)
-        a33 = _sample_gaussian(rngs, mu_cr[:, 0], 0.0, 1.0)
-    return ActionBundle(a1, a2, a31, a32, a33), masked.value
-
-
-def act(store, features, rngs) -> ActionBundle:
-    return act_with_context(store, features, rngs)[0]
+    return ActionBundle(a1, mu_kc[:, 0], np.argmax(op_probs, axis=1) + 1,
+                        mu_f[:, 0], mu_cr[:, 0]), masked.value
 
 
 def _critic(store, e: Node) -> Node:

@@ -352,7 +352,7 @@ class TestAblationHarness:
         instance = B.sample_instances(LEVEL, seed=71, n_tasks=N_TASKS, dim=DIM,
                                       count=1)[0]
         feats = random_features(N_TASKS, 71)
-        full = P.act_with_context(desk_policy, feats)[0]
+        full = P.act_with_context(desk_policy, feats, None)[0]
         action_fields = ("a1", "a2", "a31", "a32", "a33")
         substituted = {"no_tr": "a1", "no_kc": "a2", "no_op": "a31",
                        "no_f": "a32", "no_cr": "a33"}

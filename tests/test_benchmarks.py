@@ -243,7 +243,10 @@ class TestGeneration:
                                       "nan_rotation", "inf_shift", "inf_ub",
                                       "float_D", "bool_D", "null_id", "empty_id",
                                       "int_id", "repeated_id", "bool_lb",
-                                      "bool_ub", "bool_level"])
+                                      "bool_ub", "bool_level", "str_lb", "str_level",
+                                      "str_shift", "str_rotation", "bool_shift",
+                                      "bool_in_rotation", "unknown_level",
+                                      "wide_box", "huge_int_ub"])
     def test_load_errors_name_file_and_line(self, tmp_path, case):
         path = tmp_path / "d.jsonl"
         B.save_instances(B.sample_instances(0.2, seed=3, n_tasks=2, dim=3,
@@ -280,6 +283,24 @@ class TestGeneration:
             doc["sub_tasks"][0]["ub"] = True
         elif case == "bool_level":
             doc["shift_level"] = True
+        elif case == "str_lb":         # float() would read it as -100.0
+            doc["sub_tasks"][0]["lb"] = "-100"
+        elif case == "str_level":
+            doc["shift_level"] = "0.2"
+        elif case in ("str_shift", "str_rotation"):
+            st = doc["sub_tasks"][1]
+            key = case[len("str_"):]
+            st[key] = [str(v) for v in st[key]]
+        elif case == "bool_shift":     # numpy would read it as [1.0, 0.0, 1.0]
+            doc["sub_tasks"][0]["shift"] = [True, False, True]
+        elif case == "bool_in_rotation":
+            doc["sub_tasks"][0]["rotation"][0] = True
+        elif case == "unknown_level":
+            doc["shift_level"] = 0.25
+        elif case == "wide_box":       # ub - lb overflows, decode gives NaN
+            doc["sub_tasks"][1].update(lb=-1e308, ub=1e308)
+        elif case == "huge_int_ub":    # a JSON integer too large for a float
+            doc["sub_tasks"][1]["ub"] = 10 ** 400
         lines[2] = "{not json" if case == "json" else json.dumps(doc)
         path.write_text("\n".join(lines) + "\n")
         expected = {"json": "Expecting", "key": "missing key 'shift_level'",
@@ -296,7 +317,16 @@ class TestGeneration:
                     "repeated_id": r"instance awcci-m-c\d{3} repeats line 1$",
                     "bool_lb": "lb must be a number, got True$",
                     "bool_ub": "ub must be a number, got True$",
-                    "bool_level": "shift_level must be a number, got True$"}
+                    "bool_level": "shift_level must be a number, got True$",
+                    "str_lb": "lb must be a number, got '-100'$",
+                    "str_level": "shift_level must be a number, got '0.2'$",
+                    "str_shift": "shift must be a flat list of numbers$",
+                    "str_rotation": "rotation must be a flat list of numbers$",
+                    "bool_shift": "shift must be a flat list of numbers$",
+                    "bool_in_rotation": "rotation must be a flat list of numbers$",
+                    "unknown_level": "unknown shift level: 0.25$",
+                    "wide_box": "box width ub - lb overflows",
+                    "huge_int_ub": "int too large to convert to float"}
         with pytest.raises(ValueError, match=f"d.jsonl, line 3: .*{expected[case]}"):
             B.load_instances(str(path))
 

@@ -91,7 +91,7 @@ class TestControllers:
     def test_full_matches_plain_policy(self):
         store, f = self._setup()
         bundle, _ = H.Controller(store, "full").act(f, derive_rng(0, "ab"))
-        direct = P.act_with_context(store, f)[0]
+        direct = P.act_with_context(store, f, None)[0]
         np.testing.assert_array_equal(bundle.a1, direct.a1)
         np.testing.assert_array_equal(bundle.a2, direct.a2)
         np.testing.assert_array_equal(bundle.a31, direct.a31)
@@ -105,7 +105,7 @@ class TestControllers:
     def test_fixed_value_variants_change_only_their_field(self, variant,
                                                           field, others):
         store, f = self._setup()
-        full = P.act_with_context(store, f)[0]
+        full = P.act_with_context(store, f, None)[0]
         bundle, _ = H.Controller(store, variant).act(f, derive_rng(0, "ab"))
         np.testing.assert_array_equal(getattr(bundle, field), 0.5)
         for name in others:
@@ -287,6 +287,31 @@ class TestEvaluate:
             assert 0.0 <= r.perf <= 1.0
             assert (r.perf_tasks >= 0).all() and (r.perf_tasks <= 1).all()
             assert 0.0 <= r.kt_success_ratio <= 1.0
+
+    def test_overflowing_fitness_raises(self):
+        # sphere on a +-1e200 box overflows to inf; random_all acts without
+        # the policy, so no NaN feature stops the episode first
+        sphere = B.BasicFunction.SPHERE
+        subs = [B.SubTaskDefinition(sphere, 3, np.eye(3), np.zeros(3), -bound, bound)
+                for bound in (100.0, 1e200)]
+        inst = B.MTOInstance("wide-box", 0.2, (sphere,), subs)
+        controller = H.Controller(P.init_policy(47), "random_all")
+        with pytest.raises(ValueError, match="^instance wide-box run 0: .* not finite"):
+            H.evaluate(controller, [inst], runs=1, master_seed=3, pop_size=8, budget=3)
+
+    def test_nan_final_best_raises(self, monkeypatch):
+        # normalized_ratios scores a NaN final value as 0, the optimum
+        run_episode = H.run_episode
+
+        def nan_final(*args):
+            ep = run_episode(*args)
+            ep.best_trace[-1, 1] = np.nan
+            return ep
+        monkeypatch.setattr(H, "run_episode", nan_final)
+        insts = instances_for_tests(2)
+        controller = H.Controller(P.init_policy(47), "full")
+        with pytest.raises(ValueError, match=f"^instance {insts[0].instance_id} run 0: "):
+            H.evaluate(controller, insts, runs=2, master_seed=3, pop_size=8, budget=3)
 
 
 class TestWilcoxon:

@@ -116,36 +116,15 @@ class TestCheckpoint:
             json.dump({"format_version": 2, "parameters": records}, fh)
         assert path.read_bytes() == reference.read_bytes()
 
-    def test_format1_file_loads_bit_equal_values(self, tmp_path):
-        # format 1 also held Adam's moments and a per-record step count
-        rng = np.random.default_rng(11)
-        store = ParameterStore()
-        store.add("x", rng.standard_normal((4, 3)))
-        store.add("y", [[-0.0, 5e-324, 1.7976931348623157e308]])
-        for p in store.params.values():
-            p.m1[...] = rng.standard_normal(p.value.shape)
-            p.m2[...] = rng.random(p.value.shape)
-        store.step = 9
+    def test_format1_file_rejected(self, tmp_path):
+        # format 1 also held Adam's moments and a per-record step count;
+        # nothing writes it since format 2
         path = tmp_path / "v1.json"
-        write_format1(store, path)
-        loaded = load_checkpoint(str(path))
-        assert list(loaded.params) == ["x", "y"]
-        for name in list(store.params):
-            np.testing.assert_array_equal(loaded[name].value, store[name].value)
-            assert np.array_equal(np.signbit(loaded[name].value),
-                                  np.signbit(store[name].value))
-
-    def test_format1_misfit_moments_still_load(self, tmp_path):
-        # moments are not read, so a moment that does not fit its shape
-        # cannot stop the parameter values from loading
-        store = make_store()
-        path = tmp_path / "v1.json"
-        write_format1(store, path)
-        doc = json.loads(path.read_text())
-        doc["parameters"][1]["moment2"].append(0.5)   # sorted: "b", then "w"
-        path.write_text(json.dumps(doc))
-        loaded = load_checkpoint(str(path))
-        np.testing.assert_array_equal(loaded["w"].value, store["w"].value)
+        write_format1(make_store(), path)
+        with pytest.raises(CheckpointError, match=f"format_version=1, expected "
+                                                  f"{CHECKPOINT_VERSION}$") as info:
+            load_checkpoint(str(path))
+        assert str(path) in str(info.value)
 
     def test_double_round_trip_identical_bytes(self, tmp_path):
         store = make_store()
@@ -228,6 +207,6 @@ class TestCheckpoint:
 
     def test_empty_parameter_list_rejected(self, tmp_path):
         path = tmp_path / "empty.json"
-        path.write_text(json.dumps({"format_version": 1, "parameters": []}))
+        path.write_text(json.dumps({"format_version": 2, "parameters": []}))
         with pytest.raises(CheckpointError, match="no parameters"):
             load_checkpoint(str(path))

@@ -8,6 +8,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from emtlab import harness as H
 from emtlab import policy as P
 from emtlab.nn import tape
 from emtlab.nn.tape import constant
@@ -124,7 +125,7 @@ def _routing_store(raw, seed=3):
 class TestRoute:
     def test_two_tasks_forced_choice(self):
         store = P.init_policy(3)
-        bundle = P.act_with_context(store, random_features(2, 7))[0]
+        bundle = P.act_with_context(store, random_features(2, 7), None)[0]
         np.testing.assert_array_equal(bundle.a1, [1, 0])
 
     def test_deterministic_picks_highest_unmasked(self):
@@ -133,7 +134,7 @@ class TestRoute:
                         [0.0, 3.0, 9.0, 2.0],
                         [1.0, 0.0, 2.5, 9.0]])
         store, f = _routing_store(raw)
-        bundle, scores = P.act_with_context(store, f)
+        bundle, scores = P.act_with_context(store, f, None)
         np.testing.assert_array_equal(bundle.a1, [1, 0, 1, 2])
         masked = raw.copy()
         np.fill_diagonal(masked, -np.inf)
@@ -142,8 +143,8 @@ class TestRoute:
     def test_argmax_invariant_under_positive_affine(self):
         rng = derive_rng(4, "rows")
         raw = rng.standard_normal((5, 5))
-        a1 = P.act_with_context(*_routing_store(raw))[0].a1
-        a1b = P.act_with_context(*_routing_store(raw * 3.7 + 11.0))[0].a1
+        a1 = P.act_with_context(*_routing_store(raw), None)[0].a1
+        a1b = P.act_with_context(*_routing_store(raw * 3.7 + 11.0), None)[0].a1
         np.testing.assert_array_equal(a1, a1b)
 
     def test_sampling_frequencies_match_softmax(self):
@@ -201,14 +202,14 @@ class TestContinuousHeads:
         store = P.init_policy(5)
         store["kc2.W"].value[...] = 0.0
         store["kc2.b"].value[...] = 0.0
-        bundle = P.act_with_context(store, random_features(3))[0]
+        bundle = P.act_with_context(store, random_features(3), None)[0]
         np.testing.assert_allclose(bundle.a2, 0.25)
 
     def test_kc_saturated_negative_gives_zero(self):
         store = P.init_policy(5)
         store["kc2.W"].value[...] = 0.0
         store["kc2.b"].value[...] = -40.0  # tanh saturates to -1
-        bundle = P.act_with_context(store, random_features(3))[0]
+        bundle = P.act_with_context(store, random_features(3), None)[0]
         np.testing.assert_allclose(bundle.a2, 0.0, atol=1e-12)
 
     def test_fcr_zero_mlp_gives_half(self):
@@ -216,7 +217,7 @@ class TestContinuousHeads:
         for head in ("f", "cr"):
             store[f"{head}2.W"].value[...] = 0.0
             store[f"{head}2.b"].value[...] = 0.0
-        bundle = P.act_with_context(store, random_features(3))[0]
+        bundle = P.act_with_context(store, random_features(3), None)[0]
         np.testing.assert_allclose(bundle.a32, 0.5)
         np.testing.assert_allclose(bundle.a33, 0.5)
 
@@ -224,7 +225,7 @@ class TestContinuousHeads:
         store = P.init_policy(5)
         store["f2.W"].value[...] = 0.0
         store["f2.b"].value[...] = 40.0
-        bundle = P.act_with_context(store, random_features(3))[0]
+        bundle = P.act_with_context(store, random_features(3), None)[0]
         np.testing.assert_allclose(bundle.a32, 1.0, atol=1e-12)
 
     def test_sampled_bounds_hold_in_bulk(self):
@@ -248,17 +249,17 @@ class TestOperatorHead:
         store["op2.b"].value[...] = 0.0
         _, op_probs, _, _ = _heads_for(store, 4)
         np.testing.assert_allclose(op_probs.value, 0.25)
-        bundle = P.act_with_context(store, random_features(4))[0]
+        bundle = P.act_with_context(store, random_features(4), None)[0]
         np.testing.assert_array_equal(bundle.a31, 1)  # ties resolve to the lowest id
 
     def test_dominant_logit_selected(self):
         store = P.init_policy(7)
         store["op2.W"].value[...] = 0.0
         store["op2.b"].value[...] = np.array([[10.0, 0.0, 0.0, 0.0]])
-        bundle = P.act_with_context(store, random_features(4))[0]
+        bundle = P.act_with_context(store, random_features(4), None)[0]
         np.testing.assert_array_equal(bundle.a31, 1)
         store["op2.b"].value[...] = np.array([[0.0, 0.0, 10.0, 0.0]])
-        bundle = P.act_with_context(store, random_features(4))[0]
+        bundle = P.act_with_context(store, random_features(4), None)[0]
         np.testing.assert_array_equal(bundle.a31, 3)
 
     def test_sampling_frequencies(self):
@@ -279,8 +280,8 @@ class TestAct:
     def test_deterministic_is_pure(self):
         store = P.init_policy(9)
         f = random_features(4, 9)
-        a = P.act_with_context(store, f)[0]
-        b = P.act_with_context(store, f)[0]
+        a = P.act_with_context(store, f, None)[0]
+        b = P.act_with_context(store, f, None)[0]
         np.testing.assert_array_equal(a.a1, b.a1)
         np.testing.assert_array_equal(a.a2, b.a2)
         np.testing.assert_array_equal(a.a31, b.a31)
@@ -310,6 +311,43 @@ class TestAct:
                 assert (b.a33 >= 0).all() and (b.a33 <= 1).all()
                 assert math.isfinite(P.evaluate_actions(store, f, b)[0].value.item())
 
+    def test_streams_read_in_documented_order(self):
+        # task j's stream alone yields routing, amount, operator, F and Cr,
+        # in that order; replayed by hand from the trunk and heads
+        store, k = P.init_policy(21), 5
+        f = random_features(k, 24)
+        act_streams, streams = task_rngs(k, 6), task_rngs(k, 6)
+        bundle = P.act(store, f, act_streams)
+        _, decision, masked, route_probs = P._trunk(store, f)
+
+        def inverse_cdf(probs, rng):
+            cdf = np.cumsum(probs)
+            cdf[-1] = 1.0
+            return int(np.searchsorted(cdf, rng.random(), side="right"))
+        a1 = []
+        for j, rng in enumerate(streams):
+            order = np.argsort(-masked.value[j], kind="stable")
+            a1.append(order[inverse_cdf(route_probs.value[j][order], rng)])
+        mu_kc, op_probs, mu_f, mu_cr = (h.value for h in
+                                        P._heads(store, decision, np.array(a1)))
+        for j, rng in enumerate(streams):
+            assert bundle.a1[j] == a1[j]
+            assert bundle.a2[j] == np.clip(rng.normal(mu_kc[j, 0], P.ACTION_STD), 0, 0.5)
+            assert bundle.a31[j] == 1 + inverse_cdf(op_probs[j], rng)
+            assert bundle.a32[j] == np.clip(rng.normal(mu_f[j, 0], P.ACTION_STD), 0, 1)
+            assert bundle.a33[j] == np.clip(rng.normal(mu_cr[j, 0], P.ACTION_STD), 0, 1)
+            assert act_streams[j].bit_generator.state == rng.bit_generator.state
+
+    def test_deterministic_pass_draws_nothing(self):
+        # the harness holds each episode's ablation stream while the full
+        # controller acts through act_with_context
+        store, f = P.init_policy(21), random_features(4, 25)
+        rng = derive_rng(3, "ablation")
+        state = rng.bit_generator.state
+        bundle = H.Controller(store, "full").act(f, rng)[0]
+        P.act_with_context(store, f, forced_a1=bundle.a1)
+        assert rng.bit_generator.state == state
+
     def test_log_prob_decomposes_against_numpy_oracle(self):
         store = P.init_policy(11)
         f = random_features(5, 11)
@@ -333,7 +371,7 @@ class TestAct:
     def test_context_scores_match_oracle(self):
         store = P.init_policy(11)
         f = random_features(4, 12)
-        bundle, scores = P.act_with_context(store, f)
+        bundle, scores = P.act_with_context(store, f, None)
         ref = numpy_forward(store, f, bundle.a1)
         np.testing.assert_allclose(scores, ref["scores"], rtol=1e-12)
         assert np.isneginf(np.diag(scores)).all()

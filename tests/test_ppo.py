@@ -343,8 +343,8 @@ class TestTrain:
             assert (tmp_path / name).exists()
         loaded = load_checkpoint(str(tmp_path / "checkpoint.json"))
         f = random_features(2, 77)
-        a = P.act_with_context(result.params, f)[0]
-        b = P.act_with_context(loaded, f)[0]
+        a = P.act_with_context(result.params, f, None)[0]
+        b = P.act_with_context(loaded, f, None)[0]
         np.testing.assert_array_equal(a.a2, b.a2)
         np.testing.assert_array_equal(a.a1, b.a1)
 
