@@ -128,7 +128,8 @@ class EMTState:
 def init_populations(instance: MTOInstance, pop_size: int, seed: int,
                      budget: int) -> EMTState:
     """Uniform random populations, evaluated, with per-task RNG streams
-    derived from (seed, "task", j)."""
+    derived from (seed, "task", j).  A task whose initial fitness is not
+    finite raises ValueError naming the instance, the task and its box."""
     if pop_size < MIN_POP_SIZE:
         raise ValueError(f"population size must be >= {MIN_POP_SIZE} for "
                          f"DE/rand/1, got {pop_size}")
@@ -137,6 +138,12 @@ def init_populations(instance: MTOInstance, pop_size: int, seed: int,
                           for defn, rng in zip(instance.sub_tasks, rngs)])
     fitness = np.stack([evaluate_subtask_batch(defn, x)
                         for defn, x in zip(instance.sub_tasks, positions)])
+    finite = np.isfinite(fitness).all(axis=1)
+    if not finite.all():
+        j = int(np.argmin(finite))
+        defn = instance.sub_tasks[j]
+        raise ValueError(f"instance {instance.instance_id} task {j} ({defn.function.key} "
+                         f"on [{defn.lb:g}, {defn.ub:g}]): initial fitness is not finite")
     return EMTState(instance, positions, fitness, budget, rngs,
                     evaluations=fitness.size)
 

@@ -17,17 +17,16 @@ class CheckpointError(ValueError):
 
 
 class Parameter:
-    __slots__ = ("value", "grad", "m1", "m2")
+    __slots__ = ("value", "m1", "m2")
 
     def __init__(self, value):
         self.value = np.atleast_2d(np.asarray(value, dtype=np.float64)).copy()
-        self.grad = np.zeros_like(self.value)
         self.m1 = np.zeros_like(self.value)
         self.m2 = np.zeros_like(self.value)
 
 
 class ParameterStore:
-    """Mapping from unique names to parameters with grads and Adam moments.
+    """Mapping from unique names to parameters with Adam moments.
 
     step counts the number of adam_step applications, for bias correction.
     Moments and step live in memory only: training always starts from
@@ -52,13 +51,8 @@ class ParameterStore:
             raise KeyError(f"unknown parameter: {name}") from None
 
     def leaf(self, name: str) -> Node:
-        """Fresh graph leaf for a parameter; backward() adds into its grad."""
-        p = self[name]
-        return Node(p.value, param=p)
-
-    def zero_grads(self):
-        for p in self.params.values():
-            p.grad[...] = 0.0
+        """Fresh graph leaf for a parameter, tagged with its name for backward()."""
+        return Node(self[name].value, param=name)
 
 
 def uniform_init(rng: np.random.Generator, rows: int, cols: int, fan_in: int) -> np.ndarray:
@@ -72,19 +66,20 @@ def add_dense(store: ParameterStore, rng: np.random.Generator, layer: str,
     store.add(f"{layer}.b", uniform_init(rng, 1, fan_out, fan_in))
 
 
-def adam_step(store: ParameterStore, learning_rate: float) -> None:
-    """Bias-corrected adaptive-moment update; counts the step in
-    store.step and zeroes gradients afterwards."""
+def adam_step(store: ParameterStore, grads: dict, learning_rate: float) -> None:
+    """Bias-corrected adaptive-moment update of every parameter from grads,
+    a {name: gradient} dict as backward() returns it; a parameter missing
+    from grads steps with a zero gradient.  Counts the step in store.step."""
     store.step += 1
     c1 = 1.0 - BETA1 ** store.step
     c2 = 1.0 - BETA2 ** store.step
-    for p in store.params.values():
+    for name, p in store.params.items():
+        g = grads.get(name, 0.0)
         p.m1 *= BETA1
-        p.m1 += (1.0 - BETA1) * p.grad
+        p.m1 += (1.0 - BETA1) * g
         p.m2 *= BETA2
-        p.m2 += (1.0 - BETA2) * p.grad * p.grad
+        p.m2 += (1.0 - BETA2) * g * g
         p.value -= learning_rate * (p.m1 / c1) / (np.sqrt(p.m2 / c2) + EPS)
-        p.grad[...] = 0.0
 
 
 def save_checkpoint(store: ParameterStore, path: str) -> None:

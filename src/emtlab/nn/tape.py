@@ -3,8 +3,8 @@
 The graph is rebuilt dynamically on every forward pass: each operation
 returns a Node holding a float64 2-D value, its parents, and a closure
 that pushes the adjoint back to the parents.  backward() seeds the scalar
-loss with 1, walks the graph in reverse topological order, and finally
-accumulates leaf adjoints into their Parameter.grad buffers.
+loss with 1, walks the graph in reverse topological order, and returns
+each parameter's gradient: the sum of the adjoints of its leaves.
 
 All values are 2-D matrices; scalars are 1x1.  Broadcasting follows numpy
 rules, with adjoints summed back over broadcast axes.
@@ -221,12 +221,11 @@ def _topo_order(root):
     return order
 
 
-def backward(loss: Node) -> None:
-    """Fill adjoints for every ancestor of a scalar loss node.
-
-    Leaf nodes created from a Parameter accumulate their adjoint into the
-    parameter's grad buffer, so repeated backward calls over different
-    graphs sum their contributions.
+def backward(loss: Node) -> dict:
+    """Fill adjoints for every ancestor of a scalar loss node; returns
+    {parameter name: gradient}, each the sum of that parameter's leaf
+    adjoints added in forward order to 0.0 (no leaf on the graph, no entry).
+    A gradient is summed in place in its first leaf's adjoint buffer.
     """
     if loss.value.size != 1:
         raise ValueError(f"backward requires a scalar loss, got shape {loss.value.shape}")
@@ -235,6 +234,11 @@ def backward(loss: Node) -> None:
     for node in reversed(order):
         if node.bprop is not None and node.grad is not None:
             node.bprop(node.grad)
+    grads = {}
     for node in order:
         if node.param is not None and node.grad is not None:
-            node.param.grad += node.grad
+            if node.param in grads:
+                grads[node.param] += node.grad
+            else:   # adding 0.0 turns -0.0 into 0.0, as a zero-filled sum does
+                grads[node.param] = np.add(node.grad, 0.0, out=node.grad)
+    return grads

@@ -119,9 +119,13 @@ def pair_concat(h_decision: Node, a1: np.ndarray) -> Node:
 
 def _trunk(store, features):
     """Shared trunk: embeddings, decision embedding, masked routing scores
-    and their row softmax (the routing distribution)."""
+    and their row softmax (the routing distribution).  Non-finite scores
+    raise ValueError, before they can route a task to itself."""
     e = embed(store, features)
     scores, decision = tr_forward(store, e)
+    if not np.isfinite(scores.value).all():
+        raise ValueError("routing scores are not finite: the policy forward "
+                         "overflowed or a parameter is not finite")
     # a task never routes to itself
     masked = tape.add(scores, constant(np.diag(np.full(len(scores.value), -np.inf))))
     return e, decision, masked, tape.softmax_rows(masked)

@@ -138,15 +138,15 @@ def _ppo_loss(columns, advantages, returns, old_logp, config: PPOConfig):
 
 def ppo_update(buffer, store: ParameterStore, config: PPOConfig,
                bootstrap_value: float) -> dict:
-    """k_ppo clipped-surrogate passes over one segment; applies Adam steps.
+    """k_ppo clipped-surrogate passes over one segment, one Adam step each.
 
-    A non-finite loss aborts the update before any gradient is applied in
-    that pass and reports the diagnostic in the returned statistics.
+    A non-finite loss aborts the update: that pass applies no step, earlier
+    passes keep theirs, and the returned statistics hold the diagnostic.
+    Non-finite routing scores raise the policy's ValueError instead.
     """
     rewards = np.array([t.reward for t in buffer])
     stats = {"iterations": [], "aborted": False, "diagnostic": None}
     for it in range(config.k_ppo):
-        store.zero_grads()
         columns = score_segment(store, buffer)
         if it == 0:
             old_logp = columns[0].value[:, 0]
@@ -158,11 +158,9 @@ def ppo_update(buffer, store: ParameterStore, config: PPOConfig,
             stats["diagnostic"] = (
                 f"non-finite loss (surrogate={parts['surrogate']}, "
                 f"value_loss={parts['value_loss']}, ratio={parts['mean_ratio']})")
-            store.zero_grads()
             log.warning("ppo_update aborted: %s", stats["diagnostic"])
             break
-        backward(loss)
-        adam_step(store, config.learning_rate)
+        adam_step(store, backward(loss), config.learning_rate)
         parts["loss"] = loss.value.item()
         stats["iterations"].append(parts)
     return stats

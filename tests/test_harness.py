@@ -23,6 +23,18 @@ def instances_for_tests(count=2, n_tasks=3, dim=3, seed=5):
                               count=count)
 
 
+# sphere on a +-1e200 box overflows to inf at every point of task 1
+OVERFLOW_MESSAGE = (r"^instance wide-box task 1 \(sphere on \[-1e\+200, 1e\+200\]\): "
+                    "initial fitness is not finite$")
+
+
+def overflowing_instance():
+    sphere = B.BasicFunction.SPHERE
+    subs = [B.SubTaskDefinition(sphere, 3, np.eye(3), np.zeros(3), -bound, bound)
+            for bound in (100.0, 1e200, 100.0)]
+    return B.MTOInstance("wide-box", 0.2, (sphere,), subs)
+
+
 class TestKTSuccessRatio:
     """(G, K) transfer and survivor counts per generation and task."""
 
@@ -289,15 +301,13 @@ class TestEvaluate:
             assert 0.0 <= r.kt_success_ratio <= 1.0
 
     def test_overflowing_fitness_raises(self):
-        # sphere on a +-1e200 box overflows to inf; random_all acts without
-        # the policy, so no NaN feature stops the episode first
-        sphere = B.BasicFunction.SPHERE
-        subs = [B.SubTaskDefinition(sphere, 3, np.eye(3), np.zeros(3), -bound, bound)
-                for bound in (100.0, 1e200)]
-        inst = B.MTOInstance("wide-box", 0.2, (sphere,), subs)
-        controller = H.Controller(P.init_policy(47), "random_all")
-        with pytest.raises(ValueError, match="^instance wide-box run 0: .* not finite"):
-            H.evaluate(controller, [inst], runs=1, master_seed=3, pop_size=8, budget=3)
+        # the policy-driven and the policy-free controller both stop at
+        # initialization, before a NaN feature or routing can stop them
+        for variant in ("full", "random_all"):
+            controller = H.Controller(P.init_policy(47), variant)
+            with pytest.raises(ValueError, match=OVERFLOW_MESSAGE):
+                H.evaluate(controller, [overflowing_instance()], runs=1,
+                           master_seed=3, pop_size=8, budget=3)
 
     def test_nan_final_best_raises(self, monkeypatch):
         # normalized_ratios scores a NaN final value as 0, the optimum

@@ -42,23 +42,42 @@ class TestAdam:
     def test_zero_gradient_is_identity(self):
         store = make_store()
         before = {n: store[n].value.copy() for n in list(store.params)}
-        adam_step(store, 0.01)
+        adam_step(store, {}, 0.01)
         for n in list(store.params):
             np.testing.assert_array_equal(store[n].value, before[n])
+
+    def test_missing_gradient_steps_as_zero_gradient(self):
+        # after a first step with gradients, moments and values move; a
+        # parameter absent from the dict must then move as a zero gradient
+        # moves it, to the bit
+        missing, zero = make_store(), make_store()
+        first = {"w": np.array([[0.3, -0.7], [1e-3, -0.0]]), "b": np.array([[-2.0]])}
+        for store in (missing, zero):
+            adam_step(store, first, 0.01)
+        g = np.array([[0.1, 0.2], [-0.3, 0.4]])
+        adam_step(missing, {"w": g}, 0.01)
+        adam_step(zero, {"w": g, "b": np.zeros((1, 1))}, 0.01)
+        assert missing.step == zero.step == 2
+        for n in ("w", "b"):
+            for attr in ("value", "m1", "m2"):
+                a, b = getattr(missing[n], attr), getattr(zero[n], attr)
+                np.testing.assert_array_equal(a, b, err_msg=f"{n}.{attr}")
+                np.testing.assert_array_equal(np.signbit(a), np.signbit(b))
+        assert not np.array_equal(missing["b"].value, make_store()["b"].value)
 
     def test_first_step_matches_hand_computation(self):
         store = ParameterStore()
         store.add("w", np.array([[0.5]]))
         g = 0.3
         lr = 0.01
-        store["w"].grad[...] = g
-        adam_step(store, lr)
+        grads = {"w": np.array([[g]])}
+        adam_step(store, grads, lr)
         assert store.step == 1
         # bias-corrected first step: m_hat = g, v_hat = g^2
         expected = 0.5 - lr * g / (abs(g) + 1e-8)
         np.testing.assert_allclose(store["w"].value, [[expected]], rtol=1e-12)
-        # gradients zeroed afterwards
-        np.testing.assert_array_equal(store["w"].grad, 0.0)
+        # the caller's gradients are read, not consumed
+        np.testing.assert_array_equal(grads["w"], [[g]])
 
     def test_quadratic_descent(self):
         # repeated steps on f(w) = w^2 from w = 1 shrink |w| after warm-up;
@@ -68,8 +87,7 @@ class TestAdam:
         store.add("w", np.array([[1.0]]))
         trajectory = [1.0]
         for _ in range(50):
-            store["w"].grad[...] = 2.0 * store["w"].value
-            adam_step(store, 0.01)
+            adam_step(store, {"w": 2.0 * store["w"].value}, 0.01)
             trajectory.append(abs(store["w"].value.item()))
         assert all(b <= a + 1e-12 for a, b in zip(trajectory[5:], trajectory[6:]))
         assert trajectory[-1] < 0.7

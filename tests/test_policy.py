@@ -410,6 +410,22 @@ class TestAct:
             P.act_with_context(store, random_features(4, 22),
                                forced_a1=np.array([0, 0, 1, 2]))
 
+    def test_overflowing_forward_raises(self):
+        # 1e300 is finite, so a checkpoint holding it loads; the scores it
+        # gives are not, and every pass through the trunk must say so
+        store = P.init_policy(13)
+        f = random_features(4, 24)
+        bundle = P.act(store, f, task_rngs(4, 1))
+        store["fe.W"].value[...] = 1e300
+        calls = {"act": lambda: P.act(store, f, task_rngs(4, 1)),
+                 "act_with_context": lambda: P.act_with_context(store, f, None),
+                 "evaluate_actions": lambda: P.evaluate_actions(store, f, bundle)}
+        for name, call in calls.items():
+            with np.errstate(all="ignore"), pytest.raises(
+                    ValueError, match="^routing scores are not finite: the policy "
+                                      "forward overflowed or a parameter is not finite$"):
+                call()
+
     def test_sample_mode_requires_stream_per_task(self):
         store = P.init_policy(13)
         with pytest.raises(ValueError, match="one rng stream per task"):

@@ -2,6 +2,7 @@
 loop's determinism and accounting."""
 
 import os
+import re
 
 import numpy as np
 import pytest
@@ -16,6 +17,7 @@ from emtlab.nn import tape
 from emtlab.nn.params import load_checkpoint
 from emtlab.nn.tape import backward, constant
 from emtlab.seeds import derive_rng
+from tests.test_harness import OVERFLOW_MESSAGE, overflowing_instance
 from tests.test_policy import random_features, task_rngs
 
 
@@ -196,18 +198,16 @@ class TestUpdate:
         # behaviour log-probabilities off by up to 0.5 either way, so the
         # ratios straddle the clip range
         old_logp = old_logp + rng.uniform(-0.5, 0.5, size=n)
-        store.zero_grads()
         loss, _ = ppo._ppo_loss(columns, adv, ret, old_logp, config)
-        backward(loss)
-        grads = {name: p.grad.copy() for name, p in store.params.items()}
-        store.zero_grads()
+        grads = backward(loss)
         scored = [P.evaluate_actions(store, t.features, t.action) for t in buf]
         reference = per_transition_loss(scored, adv, ret, old_logp, config)
-        backward(reference)
+        reference_grads = backward(reference)
         assert loss.value.item() == pytest.approx(reference.value.item(),
                                                   rel=1e-12, abs=1e-15)
-        for name, p in store.params.items():
-            np.testing.assert_array_equal(grads[name], p.grad, err_msg=name)
+        assert grads.keys() == reference_grads.keys()
+        for name, g in grads.items():
+            np.testing.assert_array_equal(g, reference_grads[name], err_msg=name)
 
     def test_clip_boundary_engages(self):
         store = P.init_policy(23)
@@ -249,21 +249,19 @@ class TestUpdate:
         config = ppo.PPOConfig(k_ppo=1, clip_eps=1e9, value_coef=0.0,
                                learning_rate=1e-3)
 
-        store.zero_grads()
         scored, old_logp, adv, ret = scored_segment(store, buf, config)
         loss, _ = ppo._ppo_loss(scored, adv, ret, old_logp, config)
-        backward(loss)
-        surrogate_grads = {n: store[n].grad.copy() for n in list(store.params)}
+        surrogate_grads = backward(loss)
 
-        store.zero_grads()
         total = None
         for a, tr in zip(adv, buf):
             logp, _, _ = P.evaluate_actions(store, tr.features, tr.action)
             term = tape.scale(logp, -a / len(buf))
             total = term if total is None else tape.add(total, term)
-        backward(total)
-        for n in list(store.params):
-            np.testing.assert_allclose(store[n].grad, surrogate_grads[n],
+        # the critic is on the surrogate's graph (scaled by 0) only
+        reference = backward(total)
+        for n, g in surrogate_grads.items():
+            np.testing.assert_allclose(reference.get(n, 0.0), g,
                                        rtol=1e-8, atol=1e-12)
 
     def test_non_finite_loss_aborts(self):
@@ -276,6 +274,31 @@ class TestUpdate:
         assert stats["iterations"] == []
         for n in list(store.params):
             np.testing.assert_array_equal(store[n].value, before[n])
+
+    def test_abort_keeps_earlier_passes(self, monkeypatch):
+        # the second pass's loss is NaN: the first pass's step stays, and
+        # the store ends as one single-pass update leaves it
+        rewards = [0.5, -1.0, 2.0]
+        reference = P.init_policy(29)
+        buf = sampled_buffer(reference, 3, seed=4, rewards=rewards)
+        ppo.ppo_update(buf, reference, ppo.PPOConfig(k_ppo=1), 0.0)
+        loss_of = ppo._ppo_loss
+        calls = []
+
+        def nan_second_loss(*args):
+            loss, parts = loss_of(*args)
+            calls.append(1)
+            return (tape.scale(loss, np.nan) if len(calls) == 2 else loss), parts
+
+        monkeypatch.setattr(ppo, "_ppo_loss", nan_second_loss)
+        store = P.init_policy(29)
+        stats = ppo.ppo_update(buf, store, ppo.PPOConfig(k_ppo=3), 0.0)
+        assert stats["aborted"] and len(stats["iterations"]) == 1
+        assert len(calls) == 2 and store.step == 1
+        for n, p in reference.params.items():
+            for attr in ("value", "m1", "m2"):
+                np.testing.assert_array_equal(getattr(store[n], attr),
+                                              getattr(p, attr), err_msg=n)
 
     def test_update_changes_parameters(self):
         store = P.init_policy(23)
@@ -401,6 +424,16 @@ class TestTrain:
         result = ppo.train(instances, config, seed=19, pop_size=6,
                            out_dir=str(tmp_path))
         assert len(result.log) == 1  # first instance failed, second logged
+
+    def test_overflowing_instance_logged_and_skipped(self, tmp_path, caplog):
+        config = ppo.PPOConfig(epochs=1, budget=4, t_ppo=4)
+        with caplog.at_level("ERROR", logger=ppo.__name__):
+            result = ppo.train([overflowing_instance()], config, seed=19,
+                               pop_size=6, out_dir=str(tmp_path))
+        assert result.log == []
+        [record] = caplog.records
+        assert record.getMessage() == "episode failed on wide-box (epoch 1), skipping"
+        assert re.match(OVERFLOW_MESSAGE, str(record.exc_info[1]))
 
     def test_training_log_csv(self, tmp_path):
         config = ppo.PPOConfig(epochs=1, budget=4, t_ppo=4)

@@ -21,10 +21,9 @@ from emtlab.seeds import derive_rng
 
 def fd_gradcheck(store, build_loss, rng, h=1e-5, rel_tol=1e-4, abs_floor=1e-7,
                  max_coords=6):
-    """Central finite differences on sampled coordinates of every parameter."""
-    store.zero_grads()
-    backward(build_loss())
-    grads = {name: store[name].grad.copy() for name in list(store.params)}
+    """Central finite differences on sampled coordinates of every parameter;
+    one off the graph has no gradient entry and must read as zero."""
+    grads = backward(build_loss())
     for name in list(store.params):
         flat = store[name].value.ravel()
         n = flat.size
@@ -38,7 +37,7 @@ def fd_gradcheck(store, build_loss, rng, h=1e-5, rel_tol=1e-4, abs_floor=1e-7,
             f_minus = build_loss().value.item()
             flat[c] = orig
             fd = (f_plus - f_minus) / (2.0 * h)
-            ad = grads[name].ravel()[c]
+            ad = grads[name].ravel()[c] if name in grads else 0.0
             err = abs(ad - fd)
             rel = err / max(abs(ad), abs(fd), 1e-6)
             assert err <= abs_floor or rel < rel_tol, (
@@ -258,19 +257,31 @@ class TestBackward:
         store = ParameterStore()
         store.add("a", np.arange(6.0).reshape(2, 3))
         store.add("b", np.ones((1, 4)))
-        store.zero_grads()
         loss = tape.add(tape.sum_all(store.leaf("a")),
                         tape.sum_all(store.leaf("b")))
-        backward(loss)
-        np.testing.assert_allclose(store["a"].grad, 1.0)
-        np.testing.assert_allclose(store["b"].grad, 1.0)
+        grads = backward(loss)
+        assert sorted(grads) == ["a", "b"]
+        np.testing.assert_array_equal(grads["a"], np.ones((2, 3)))
+        np.testing.assert_array_equal(grads["b"], np.ones((1, 4)))
 
     def test_constant_loss_gives_zero_gradients(self):
+        # no parameter is on the graph, so none gets an entry; adam_step
+        # steps a missing parameter with a zero gradient
         store = ParameterStore()
         store.add("a", np.ones((2, 2)))
-        store.zero_grads()
-        backward(constant(0.0))
-        np.testing.assert_allclose(store["a"].grad, 0.0)
+        assert backward(constant(0.0)) == {}
+
+    def test_calls_over_one_store_return_independent_gradients(self):
+        store = ParameterStore()
+        store.add("a", np.array([[2.0, -1.0]]))
+        first = backward(tape.sum_all(tape.scale(store.leaf("a"), 3.0)))
+        kept = first["a"].copy()
+        second = backward(tape.sum_all(tape.mul(store.leaf("a"),
+                                                store.leaf("a"))))
+        np.testing.assert_array_equal(first["a"], kept)
+        np.testing.assert_array_equal(kept, [[3.0, 3.0]])
+        np.testing.assert_array_equal(second["a"], [[4.0, -2.0]])
+        assert second["a"] is not first["a"]
 
     def test_non_scalar_loss_rejected(self):
         with pytest.raises(ValueError, match="scalar"):
@@ -279,11 +290,9 @@ class TestBackward:
     def test_reused_node_accumulates(self):
         store = ParameterStore()
         store.add("a", np.array([[2.0]]))
-        store.zero_grads()
         leaf = store.leaf("a")
         loss = tape.sum_all(tape.add(leaf, leaf))  # 2a
-        backward(loss)
-        np.testing.assert_allclose(store["a"].grad, 2.0)
+        np.testing.assert_array_equal(backward(loss)["a"], [[2.0]])
 
     @pytest.mark.parametrize("seed", range(20))
     def test_composite_net_matches_finite_differences(self, seed):
@@ -309,13 +318,10 @@ class TestBackward:
         # parameter gradients must not move by a bit, nor a zero flip sign
         store, build_loss = ppo_loss_graph(k, n, seed, entropy_coef)
 
-        def gradients():
-            store.zero_grads()
-            backward(build_loss())
-            return {name: p.grad.copy() for name, p in store.params.items()}
-        grads = gradients()
+        grads = backward(build_loss())
         with mock.patch.object(tape, "_accum", zero_fill_accum):
-            reference = gradients()
+            reference = backward(build_loss())
+        assert grads.keys() == reference.keys()
         for name, g in grads.items():
             np.testing.assert_array_equal(g, reference[name], err_msg=name)
             np.testing.assert_array_equal(np.signbit(g),
@@ -432,17 +438,15 @@ class TestPrimitiveGradients:
     def test_clip_blocks_gradient_outside_range(self):
         store = ParameterStore()
         store.add("a", np.array([[2.0, 0.2, -3.0]]))
-        store.zero_grads()
-        backward(tape.sum_all(tape.clip(store.leaf("a"), -1.0, 1.0)))
-        np.testing.assert_allclose(store["a"].grad, [[0.0, 1.0, 0.0]])
+        grads = backward(tape.sum_all(tape.clip(store.leaf("a"), -1.0, 1.0)))
+        np.testing.assert_allclose(grads["a"], [[0.0, 1.0, 0.0]])
 
     def test_softmax_handles_masked_minus_infinity(self):
         x = np.array([[-np.inf, 1.0, 2.0], [0.5, -np.inf, 0.0]])
         store = ParameterStore()
         store.add("a", np.zeros((2, 3)))
-        store.zero_grads()
         p = tape.softmax_rows(tape.add(store.leaf("a"), constant(x)))
         assert p.value[0, 0] == 0.0 and p.value[1, 1] == 0.0
         np.testing.assert_allclose(p.value.sum(axis=1), 1.0)
-        backward(tape.sum_all(tape.log(tape.take(p, ([0, 1], [2, 0])))))
-        assert np.isfinite(store["a"].grad).all()
+        grads = backward(tape.sum_all(tape.log(tape.take(p, ([0, 1], [2, 0])))))
+        assert np.isfinite(grads["a"]).all()
