@@ -64,7 +64,6 @@ def _cmd_train(args):
             if key in doc and doc[key] != found:
                 raise ValueError(f"config {key}={doc[key]} but {doc['dataset']} "
                                  f"instance {inst.instance_id} has {found}")
-    os.makedirs(args.out, exist_ok=True)
     result = ppo.train(instances, config, doc["seed"], doc["pop_size"], args.out)
     ppo.write_training_log(result.log, os.path.join(args.out, "training_log.csv"))
     total = config.epochs * len(instances)
@@ -83,6 +82,16 @@ def _load_run(args):
     return instances, harness.Controller(store, args.variant)
 
 
+def _make_out_dir(path, runs, budget):
+    """Creates the directory path before the first episode, so a bad path
+    costs no episode, and after the counts harness.evaluate checks, so a
+    bad count leaves no directory."""
+    for flag, value in (("runs", runs), ("budget", budget)):
+        if value < 1:
+            raise ValueError(f"{flag} must be >= 1, got {value}")
+    os.makedirs(path, exist_ok=True)
+
+
 def _run_evaluation(args):
     instances, controller = _load_run(args)
     for inst in instances:   # results.csv has one perf_task column per task
@@ -90,10 +99,10 @@ def _run_evaluation(args):
             raise ValueError(f"{args.dataset}: instance {inst.instance_id} has "
                              f"{inst.n_tasks} tasks, {instances[0].instance_id} "
                              f"has {instances[0].n_tasks}")
+    _make_out_dir(args.out, args.runs, args.budget)
     rows, episodes = harness.evaluate(controller, instances, args.runs,
                                       args.seed, args.pop_size, args.budget,
                                       collect_trace=True)
-    os.makedirs(args.out, exist_ok=True)
     harness.write_results_csv(rows, os.path.join(args.out, "results.csv"))
     paired = [(row.run_index, ep) for row, ep in zip(rows, episodes)]
     harness.write_trace_csv(paired, os.path.join(args.out, "trace.csv"))
@@ -107,6 +116,7 @@ def _cmd_export_attention(args):
         raise ValueError(f"--index {args.index} is out of range: {args.dataset} "
                          f"holds {len(instances)} instances")
     inst = instances[args.index]
+    _make_out_dir(os.path.dirname(os.path.abspath(args.out)), 1, args.budget)
     _, (ep,) = harness.evaluate(controller, [inst], 1, args.seed, args.pop_size,
                                 args.budget, collect_trace=True)
     harness.write_attention_csv(ep.attention, args.out)

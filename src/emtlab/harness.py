@@ -211,6 +211,11 @@ def write_results_csv(rows, path: str) -> None:
     if not rows:
         raise ValueError("no rows to write")
     k = len(rows[0].perf_tasks)
+    for r in rows:   # the header has one perf_task column per task
+        if len(r.perf_tasks) != k:
+            raise ValueError(f"instance {r.instance_id} run {r.run_index} has "
+                             f"{len(r.perf_tasks)} tasks, instance "
+                             f"{rows[0].instance_id} run {rows[0].run_index} has {k}")
     with open(path, "w", newline="") as fh:
         writer = csv.writer(fh)
         writer.writerow(["instance_id", "run", "perf", "kt_success_ratio"]

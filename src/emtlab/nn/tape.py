@@ -2,9 +2,11 @@
 
 The graph is rebuilt dynamically on every forward pass: each operation
 returns a Node holding a float64 2-D value, its parents, and a closure
-that pushes the adjoint back to the parents.  backward() seeds the scalar
-loss with 1, walks the graph in reverse topological order, and returns
-each parameter's gradient: the sum of the adjoints of its leaves.
+that adds the parents' shares of the node's adjoint to an adjoint table.
+backward() seeds the scalar loss with 1 in a table of its own, walks the
+graph in reverse topological order, and returns each parameter's
+gradient: the sum of the adjoints of its leaves.  The graph keeps no
+adjoints, so differentiating it again gives the same gradients.
 
 All values are 2-D matrices; scalars are 1x1.  Broadcasting follows numpy
 rules, with adjoints summed back over broadcast axes.
@@ -14,11 +16,10 @@ import numpy as np
 
 
 class Node:
-    __slots__ = ("value", "grad", "parents", "bprop", "param")
+    __slots__ = ("value", "parents", "bprop", "param")
 
     def __init__(self, value, parents=(), bprop=None, param=None):
         self.value = value
-        self.grad = None
         self.parents = parents
         self.bprop = bprop
         self.param = param
@@ -29,15 +30,15 @@ def constant(x) -> Node:
     return Node(np.atleast_2d(np.asarray(x, dtype=np.float64)))
 
 
-def _accum(node, g):
+def _accum(adj, node, g):
     # The first adjoint is copied, which saves adding it into zeros.  It must
     # be ndarray.copy(), which is C-ordered even for a transposed g: a copy
     # in g's F order (np.array, np.copy) sends later matmuls down another
     # BLAS path and moves gradients in the last bit.
-    if node.grad is None:
-        node.grad = g.copy()
+    if node in adj:
+        adj[node] += g
     else:
-        node.grad += g
+        adj[node] = g.copy()
 
 
 def _unbroadcast(g, shape):
@@ -51,31 +52,32 @@ def _unbroadcast(g, shape):
 
 def add(a: Node, b: Node) -> Node:
     out = Node(a.value + b.value, (a, b))
-    out.bprop = lambda g: (_accum(a, _unbroadcast(g, a.value.shape)),
-                           _accum(b, _unbroadcast(g, b.value.shape)))
+    out.bprop = lambda g, adj: (_accum(adj, a, _unbroadcast(g, a.value.shape)),
+                                _accum(adj, b, _unbroadcast(g, b.value.shape)))
     return out
 
 
 def sub(a: Node, b: Node) -> Node:
     out = Node(a.value - b.value, (a, b))
-    out.bprop = lambda g: (_accum(a, _unbroadcast(g, a.value.shape)),
-                           _accum(b, _unbroadcast(-g, b.value.shape)))
+    out.bprop = lambda g, adj: (_accum(adj, a, _unbroadcast(g, a.value.shape)),
+                                _accum(adj, b, _unbroadcast(-g, b.value.shape)))
     return out
 
 
 def mul(a: Node, b: Node) -> Node:
     out = Node(a.value * b.value, (a, b))
-    out.bprop = lambda g: (_accum(a, _unbroadcast(g * b.value, a.value.shape)),
-                           _accum(b, _unbroadcast(g * a.value, b.value.shape)))
+    out.bprop = lambda g, adj: (
+        _accum(adj, a, _unbroadcast(g * b.value, a.value.shape)),
+        _accum(adj, b, _unbroadcast(g * a.value, b.value.shape)))
     return out
 
 
 def div(a: Node, b: Node) -> Node:
     out = Node(a.value / b.value, (a, b))
 
-    def bprop(g):
-        _accum(a, _unbroadcast(g / b.value, a.value.shape))
-        _accum(b, _unbroadcast(-g * a.value / (b.value * b.value), b.value.shape))
+    def bprop(g, adj):
+        _accum(adj, a, _unbroadcast(g / b.value, a.value.shape))
+        _accum(adj, b, _unbroadcast(-g * a.value / (b.value * b.value), b.value.shape))
     out.bprop = bprop
     return out
 
@@ -83,7 +85,7 @@ def div(a: Node, b: Node) -> Node:
 def scale(a: Node, c) -> Node:
     """Multiply by a constant: a float, or an array of a's shape."""
     out = Node(a.value * c, (a,))
-    out.bprop = lambda g: _accum(a, g * c)
+    out.bprop = lambda g, adj: _accum(adj, a, g * c)
     return out
 
 
@@ -91,60 +93,61 @@ def matmul(a: Node, b: Node) -> Node:
     if a.value.shape[1] != b.value.shape[0]:
         raise ValueError(f"matmul shape mismatch: {a.value.shape} @ {b.value.shape}")
     out = Node(a.value @ b.value, (a, b))
-    out.bprop = lambda g: (_accum(a, g @ b.value.T), _accum(b, a.value.T @ g))
+    out.bprop = lambda g, adj: (_accum(adj, a, g @ b.value.T),
+                                _accum(adj, b, a.value.T @ g))
     return out
 
 
 def transpose(a: Node) -> Node:
     out = Node(a.value.T.copy(), (a,))
-    out.bprop = lambda g: _accum(a, g.T)
+    out.bprop = lambda g, adj: _accum(adj, a, g.T)
     return out
 
 
 def tanh(a: Node) -> Node:
     y = np.tanh(a.value)
     out = Node(y, (a,))
-    out.bprop = lambda g: _accum(a, g * (1.0 - y * y))
+    out.bprop = lambda g, adj: _accum(adj, a, g * (1.0 - y * y))
     return out
 
 
 def relu(a: Node) -> Node:
     y = np.maximum(a.value, 0.0)
     out = Node(y, (a,))
-    out.bprop = lambda g: _accum(a, g * (a.value > 0.0))
+    out.bprop = lambda g, adj: _accum(adj, a, g * (a.value > 0.0))
     return out
 
 
 def exp(a: Node) -> Node:
     y = np.exp(a.value)
     out = Node(y, (a,))
-    out.bprop = lambda g: _accum(a, g * y)
+    out.bprop = lambda g, adj: _accum(adj, a, g * y)
     return out
 
 
 def log(a: Node) -> Node:
     out = Node(np.log(a.value), (a,))
-    out.bprop = lambda g: _accum(a, g / a.value)
+    out.bprop = lambda g, adj: _accum(adj, a, g / a.value)
     return out
 
 
 def sqrt(a: Node) -> Node:
     y = np.sqrt(a.value)
     out = Node(y, (a,))
-    out.bprop = lambda g: _accum(a, g / (2.0 * y))
+    out.bprop = lambda g, adj: _accum(adj, a, g / (2.0 * y))
     return out
 
 
 def sum_all(a: Node) -> Node:
     out = Node(np.array([[a.value.sum()]]), (a,))
-    out.bprop = lambda g: _accum(a, np.full_like(a.value, g[0, 0]))
+    out.bprop = lambda g, adj: _accum(adj, a, np.full_like(a.value, g[0, 0]))
     return out
 
 
 def mean_axis(a: Node, axis: int) -> Node:
     n = a.value.shape[axis]
     out = Node(a.value.mean(axis=axis, keepdims=True), (a,))
-    out.bprop = lambda g: _accum(a, np.broadcast_to(g / n, a.value.shape))
+    out.bprop = lambda g, adj: _accum(adj, a, np.broadcast_to(g / n, a.value.shape))
     return out
 
 
@@ -155,9 +158,9 @@ def softmax_rows(a: Node) -> Node:
     p = e / e.sum(axis=1, keepdims=True)
     out = Node(p, (a,))
 
-    def bprop(g):
+    def bprop(g, adj):
         dot = (g * p).sum(axis=1, keepdims=True)
-        _accum(a, p * (g - dot))
+        _accum(adj, a, p * (g - dot))
     out.bprop = bprop
     return out
 
@@ -168,10 +171,11 @@ def take(a: Node, index) -> Node:
     picked = a.value[index]
     out = Node(picked.reshape(-1, 1) if picked.ndim == 1 else picked, (a,))
 
-    def bprop(g):
-        if a.grad is None:
-            a.grad = np.zeros_like(a.value)
-        np.add.at(a.grad, index, g.reshape(picked.shape))
+    def bprop(g, adj):
+        # np.add.at in place: a dense sum would reorder repeated indices' adds
+        if a not in adj:
+            adj[a] = np.zeros_like(a.value)
+        np.add.at(adj[a], index, g.reshape(picked.shape))
     out.bprop = bprop
     return out
 
@@ -181,8 +185,8 @@ def concat(nodes, axis: int) -> Node:
     columns side by side."""
     ends = np.cumsum([n.value.shape[axis] for n in nodes])[:-1]
     out = Node(np.concatenate([n.value for n in nodes], axis=axis), tuple(nodes))
-    out.bprop = lambda g: [_accum(n, part) for n, part
-                           in zip(nodes, np.split(g, ends, axis=axis))]
+    out.bprop = lambda g, adj: [_accum(adj, n, part) for n, part
+                                in zip(nodes, np.split(g, ends, axis=axis))]
     return out
 
 
@@ -190,7 +194,8 @@ def clip(a: Node, lo: float, hi: float) -> Node:
     """Clamp values; adjoint passes through only inside [lo, hi]."""
     y = np.clip(a.value, lo, hi)
     out = Node(y, (a,))
-    out.bprop = lambda g: _accum(a, g * ((a.value >= lo) & (a.value <= hi)))
+    out.bprop = lambda g, adj: _accum(adj, a,
+                                      g * ((a.value >= lo) & (a.value <= hi)))
     return out
 
 
@@ -198,8 +203,9 @@ def minimum(a: Node, b: Node) -> Node:
     """Elementwise min; adjoint follows the selected branch (ties go to a)."""
     mask = a.value <= b.value
     out = Node(np.where(mask, a.value, b.value), (a, b))
-    out.bprop = lambda g: (_accum(a, _unbroadcast(g * mask, a.value.shape)),
-                           _accum(b, _unbroadcast(g * ~mask, b.value.shape)))
+    out.bprop = lambda g, adj: (
+        _accum(adj, a, _unbroadcast(g * mask, a.value.shape)),
+        _accum(adj, b, _unbroadcast(g * ~mask, b.value.shape)))
     return out
 
 
@@ -222,23 +228,25 @@ def _topo_order(root):
 
 
 def backward(loss: Node) -> dict:
-    """Fill adjoints for every ancestor of a scalar loss node; returns
-    {parameter name: gradient}, each the sum of that parameter's leaf
-    adjoints added in forward order to 0.0 (no leaf on the graph, no entry).
-    A gradient is summed in place in its first leaf's adjoint buffer.
+    """{parameter name: gradient} of a scalar loss node, each the sum of
+    that parameter's leaf adjoints added in forward order to 0.0 (no leaf
+    on the graph, no entry).  Adjoints live in a table local to the call:
+    the returned arrays are the caller's, and a second call gives equal ones.
     """
     if loss.value.size != 1:
         raise ValueError(f"backward requires a scalar loss, got shape {loss.value.shape}")
     order = _topo_order(loss)
-    loss.grad = np.ones_like(loss.value)
+    # each op passes an adjoint to every parent, so every node of the order
+    # has its whole adjoint when the reverse walk reaches it
+    adj = {loss: np.ones_like(loss.value)}
     for node in reversed(order):
-        if node.bprop is not None and node.grad is not None:
-            node.bprop(node.grad)
+        if node.bprop is not None:
+            node.bprop(adj[node], adj)
     grads = {}
     for node in order:
-        if node.param is not None and node.grad is not None:
+        if node.param is not None:
             if node.param in grads:
-                grads[node.param] += node.grad
+                grads[node.param] += adj[node]
             else:   # adding 0.0 turns -0.0 into 0.0, as a zero-filled sum does
-                grads[node.param] = np.add(node.grad, 0.0, out=node.grad)
+                grads[node.param] = np.add(adj[node], 0.0, out=adj[node])
     return grads

@@ -90,13 +90,6 @@ def embed(store: ParameterStore, features: np.ndarray) -> Node:
     return dense(store, "fe", constant(feats))
 
 
-def tr_forward(store: ParameterStore, e: Node):
-    """Attention scores (pre-softmax) and the batch-normalized decision
-    embedding used by all downstream heads."""
-    scores, out = single_head_attention(store, e, "tr")
-    return scores, batch_norm(store, out, "trbn")
-
-
 def _sample_categorical(rng: np.random.Generator, probs: np.ndarray) -> int:
     cdf = np.cumsum(probs)
     cdf[-1] = 1.0
@@ -112,17 +105,13 @@ def _sample_source(rng: np.random.Generator, probs: np.ndarray,
     return int(order[_sample_categorical(rng, probs[order])])
 
 
-def pair_concat(h_decision: Node, a1: np.ndarray) -> Node:
-    """Row j becomes [decision_j | decision_{a1[j]}]."""
-    return tape.concat([h_decision, tape.take(h_decision, a1)], axis=1)
-
-
 def _trunk(store, features):
     """Shared trunk: embeddings, decision embedding, masked routing scores
     and their row softmax (the routing distribution).  Non-finite scores
     raise ValueError, before they can route a task to itself."""
     e = embed(store, features)
-    scores, decision = tr_forward(store, e)
+    scores, attended = single_head_attention(store, e, "tr")
+    decision = batch_norm(store, attended, "trbn")
     if not np.isfinite(scores.value).all():
         raise ValueError("routing scores are not finite: the policy forward "
                          "overflowed or a parameter is not finite")
@@ -140,10 +129,11 @@ def _mu_head(store, head: str, h_concat: Node, center: float, half_range: float)
 def _heads(store, decision: Node, a1: np.ndarray):
     """Per-task distributions given the routing a1: (amount mean, operator
     probabilities, F mean, Cr mean).  The amount mean lies in [0, 0.5],
-    F and Cr means in [0, 1]; the operator head has a ReLU output layer."""
+    F and Cr means in [0, 1]; the operator head has a ReLU output layer.
+    Every head reads row j as [decision_j | decision_{a1[j]}]."""
     if np.any(a1 == np.arange(decision.value.shape[0])):
         raise ValueError("routing selected a task as its own source")
-    h_concat = pair_concat(decision, a1)
+    h_concat = tape.concat([decision, tape.take(decision, a1)], axis=1)
     mu_kc = _mu_head(store, "kc", h_concat, 0.25, 0.25)
     op_hidden = tape.relu(dense(store, "op1", h_concat))
     op_probs = tape.softmax_rows(tape.relu(dense(store, "op2", op_hidden)))

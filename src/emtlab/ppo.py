@@ -217,7 +217,8 @@ def run_training_episode(store, instance, config: PPOConfig, pop_size: int,
 def train(train_set, config: PPOConfig, seed: int, pop_size: int,
           out_dir: str) -> TrainResult:
     """Full training loop: `epochs` passes over the instance set, one
-    episode per instance, a checkpoint per epoch in the directory out_dir;
+    episode per instance, a checkpoint per epoch in the directory out_dir,
+    which is created with its parents before the first episode;
     checkpoint.json is a copy of the last one (of the initial parameters
     when epochs is 0).  A failing instance run is logged and skipped."""
     if not train_set:
@@ -225,6 +226,7 @@ def train(train_set, config: PPOConfig, seed: int, pop_size: int,
     if pop_size < MIN_POP_SIZE:
         raise ValueError(f"population size must be >= {MIN_POP_SIZE} for "
                          f"DE/rand/1, got {pop_size}")
+    os.makedirs(out_dir, exist_ok=True)
     store = init_policy(seed)
     result = TrainResult(store)
     last_checkpoint = None

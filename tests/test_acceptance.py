@@ -131,8 +131,7 @@ class TestGradientSuite:
                 w = rng.standard_normal((k, 64))
 
                 def build():
-                    e = P.embed(store, feats)
-                    scores, decision = P.tr_forward(store, e)
+                    decision = P._trunk(store, feats)[1]
                     probe = tape.sum_all(tape.mul(decision, tape.constant(w)))
                     logp, value, entropy = P.evaluate_actions(
                         store, feats, bundle)

@@ -346,6 +346,68 @@ class TestBadDatasetInputs:
         assert not out.exists()
 
 
+class TestOutputPaths:
+    """Outputs are prepared before the first episode, so a bad path costs
+    no episode and the error names it."""
+    @pytest.fixture()
+    def episodes(self, monkeypatch):
+        calls = []
+        original = H.run_episode
+
+        def counting(*args):
+            calls.append(args)
+            return original(*args)
+        monkeypatch.setattr(H, "run_episode", counting)
+        return calls
+
+    @pytest.fixture()
+    def run_flags(self, tmp_path):
+        checkpoint, dataset = tmp_path / "policy.json", tmp_path / "one.jsonl"
+        save_checkpoint(init_policy(0), str(checkpoint))
+        B.save_instances(B.sample_instances(0.2, seed=2, n_tasks=2, dim=2,
+                                            count=1), str(dataset))
+        return ["--checkpoint", str(checkpoint), "--pop-size", "6",
+                "--budget", "2"], str(dataset)
+
+    @pytest.mark.parametrize("command", [["evaluate"],
+                                         ["ablate", "--variant", "no_transfer"]])
+    def test_evaluate_out_is_a_file(self, tmp_path, run_flags, episodes, command):
+        flags, dataset = run_flags
+        out = tmp_path / "taken"
+        out.write_text("")
+        with pytest.raises(FileExistsError, match=re.escape(str(out))):
+            run([*command, *flags, "--dataset", dataset, "--out", str(out)])
+        assert episodes == []
+
+    def test_export_attention_out_under_a_file(self, tmp_path, run_flags, episodes):
+        flags, dataset = run_flags
+        parent = tmp_path / "taken"
+        parent.write_text("")
+        with pytest.raises(FileExistsError, match=re.escape(str(parent))):
+            run(["export-attention", *flags, "--instance", dataset,
+                 "--out", str(parent / "a.csv")])
+        assert episodes == []
+
+    def test_export_attention_zero_budget_leaves_no_directory(self, tmp_path,
+                                                              run_flags, episodes):
+        flags, dataset = run_flags
+        out = tmp_path / "new" / "attention.csv"
+        with pytest.raises(ValueError, match="^budget must be >= 1, got 0$"):
+            run(["export-attention", *flags, "--instance", dataset,
+                 "--out", str(out), "--budget", "0"])
+        assert not out.parent.exists()
+        assert episodes == []
+
+    def test_export_attention_creates_missing_directory(self, tmp_path, run_flags,
+                                                        episodes):
+        flags, dataset = run_flags
+        out = tmp_path / "a" / "b" / "attention.csv"
+        run(["export-attention", *flags, "--instance", dataset, "--out", str(out)])
+        assert len(episodes) == 1
+        # a header and K x K scores for each of the 2 generations
+        assert len(out.read_text().splitlines()) == 1 + 2 * 2 * 2
+
+
 class TestCompareInputs:
     """A results file that compare cannot read fails with its file and line."""
 

@@ -290,6 +290,17 @@ class TestEvaluate:
             assert orig.perf == back.perf
             np.testing.assert_array_equal(orig.perf_tasks, back.perf_tasks)
 
+    def test_results_csv_rejects_differing_task_counts(self, tmp_path):
+        # the header has one perf_task column per task of the first row
+        rows = [H.EvaluationRow("a", 0, 0.5, np.full(3, 0.5), 0.0),
+                H.EvaluationRow("a", 1, 0.5, np.full(3, 0.5), 0.0),
+                H.EvaluationRow("b", 2, 0.5, np.full(2, 0.5), 0.0)]
+        path = tmp_path / "r.csv"
+        with pytest.raises(ValueError, match="^instance b run 2 has 2 tasks, "
+                                             "instance a run 0 has 3$"):
+            H.write_results_csv(rows, str(path))
+        assert not path.exists()
+
     def test_perf_in_unit_interval(self):
         insts = instances_for_tests(2)
         controller = H.Controller(P.init_policy(47), "random_all")

@@ -93,18 +93,22 @@ class TestEmbed:
 
 
 class TestTRForward:
+    """The attention (tr) block's forward, read through `_trunk`."""
     def test_shapes(self):
         store = P.init_policy(2)
         for k in (2, 5, 9):
-            scores, decision = P.tr_forward(store, P.embed(store, random_features(k)))
-            assert scores.value.shape == (k, k)
-            assert decision.value.shape == (k, 64)
+            e, decision, masked, route_probs = P._trunk(store, random_features(k))
+            assert e.value.shape == decision.value.shape == (k, 64)
+            assert masked.value.shape == route_probs.value.shape == (k, k)
 
     def test_identical_embeddings_constant_score_rows(self):
         store = P.init_policy(2)
         f = np.tile(random_features(2, 5)[0], (4, 1))
-        scores, _ = P.tr_forward(store, P.embed(store, f))
-        assert np.ptp(scores.value) < 1e-10
+        _, _, masked, route_probs = P._trunk(store, f)
+        off_diagonal = ~np.eye(4, dtype=bool)
+        assert np.ptp(masked.value[off_diagonal]) < 1e-10
+        np.testing.assert_allclose(route_probs.value[off_diagonal], 1.0 / 3.0,
+                                   rtol=1e-12)
 
 
 def _routing_store(raw, seed=3):
@@ -169,25 +173,61 @@ class TestRoute:
         assert (np.abs(freq - probs) <= 3 * sigma + 1e-9).all()
 
 
+def _half_read_stores(store):
+    """Two copies of store whose heads' first layers read only one half of
+    the pair row [decision_j | decision_{a1[j]}]: `own` keeps store's
+    weights on the first half, `source` moves them onto the second."""
+    own, source = P.init_policy(4), P.init_policy(4)
+    for head in ("kc", "op", "f", "cr"):
+        w = store[f"{head}1.W"].value
+        own[f"{head}1.W"].value[64:] = 0.0
+        source[f"{head}1.W"].value[:64] = 0.0
+        source[f"{head}1.W"].value[64:] = w[:64]
+    return own, source
+
+
 class TestPairConcat:
+    """Every head reads row j as [decision_j | decision_{a1[j]}]."""
+
     def test_two_task_layout(self):
-        d = tape.constant(np.array([[1.0, 2.0], [3.0, 4.0]]))
-        out = P.pair_concat(d, np.array([1, 0]))
-        np.testing.assert_array_equal(out.value, [[1, 2, 3, 4], [3, 4, 1, 2]])
+        # two tasks route to each other: a head that reads only the second
+        # half sees the rows that the same head reading only the first half
+        # sees, swapped
+        store = P.init_policy(4)
+        decision = P._trunk(store, random_features(2))[1]
+        first, second = _half_read_stores(store)
+        own = P._heads(first, decision, np.array([1, 0]))
+        source = P._heads(second, decision, np.array([1, 0]))
+        for head_own, head_source in zip(own, source):
+            assert not np.allclose(head_own.value[0], head_own.value[1])
+            np.testing.assert_allclose(head_source.value, head_own.value[::-1],
+                                       rtol=1e-12, atol=1e-15)
 
     def test_width_doubles(self):
         store = P.init_policy(4)
-        _, decision = P.tr_forward(store, P.embed(store, random_features(5)))
-        out = P.pair_concat(decision, np.array([1, 2, 3, 4, 0]))
-        assert out.value.shape == (5, 128)
+        decision = P._trunk(store, random_features(5))[1]
+        assert decision.value.shape == (5, 64)
+        for head in ("kc", "op", "f", "cr"):
+            assert store[f"{head}1.W"].value.shape[0] == 128
+        heads = P._heads(store, decision, np.array([1, 2, 3, 4, 0]))
+        for head, width in zip(heads, (1, 4, 1, 1)):
+            assert head.value.shape == (5, width)
 
     def test_changing_source_changes_only_second_half(self):
-        d = tape.constant(derive_rng(1, "d").random((4, 3)))
-        a = P.pair_concat(d, np.array([1, 0, 0, 0])).value
-        b = P.pair_concat(d, np.array([2, 0, 0, 0])).value
-        np.testing.assert_array_equal(a[0, :3], b[0, :3])
-        assert not np.array_equal(a[0, 3:], b[0, 3:])
-        np.testing.assert_array_equal(a[1:], b[1:])
+        store = P.init_policy(4)
+        decision = P._trunk(store, random_features(4))[1]
+        a = P._heads(store, decision, np.array([1, 0, 0, 0]))
+        b = P._heads(store, decision, np.array([2, 0, 0, 0]))
+        for head_a, head_b in zip(a, b):
+            assert not np.array_equal(head_a.value[0], head_b.value[0])
+            np.testing.assert_array_equal(head_a.value[1:], head_b.value[1:])
+
+        # a head that reads only the first half does not see the source
+        first, _ = _half_read_stores(store)
+        a = P._heads(first, decision, np.array([1, 0, 0, 0]))
+        b = P._heads(first, decision, np.array([2, 0, 0, 0]))
+        for head_a, head_b in zip(a, b):
+            np.testing.assert_array_equal(head_a.value, head_b.value)
 
 
 def _heads_for(store, k, seed=0):

@@ -342,6 +342,24 @@ class TestTrain:
                       out_dir=str(tmp_path))
         assert list(tmp_path.iterdir()) == []
 
+    def test_missing_nested_out_dir_created(self, tmp_path):
+        out = tmp_path / "a" / "b"
+        ppo.train(desk_instances(1), ppo.PPOConfig(epochs=1, budget=4, t_ppo=4),
+                  seed=13, pop_size=6, out_dir=str(out))
+        assert (out / "checkpoint.json").exists()
+
+    def test_out_dir_that_is_a_file_fails_before_any_episode(self, tmp_path,
+                                                              monkeypatch):
+        out = tmp_path / "taken"
+        out.write_text("")
+        calls = []
+        monkeypatch.setattr(ppo, "run_training_episode",
+                            lambda *args: calls.append(args))
+        with pytest.raises(FileExistsError, match=re.escape(str(out))):
+            ppo.train(desk_instances(1), ppo.PPOConfig(epochs=1, budget=4),
+                      seed=13, pop_size=6, out_dir=str(out))
+        assert calls == []
+
     def test_deterministic_log_and_params(self, tmp_path):
         config = ppo.PPOConfig(epochs=2, budget=6, t_ppo=4)
         a = ppo.train(desk_instances(), config, seed=11, pop_size=6,

@@ -205,12 +205,12 @@ class TestBatchNorm:
         fd_gradcheck(store, build, rng)
 
 
-def zero_fill_accum(node, g):
+def zero_fill_accum(adj, node, g):
     """Reference for `tape._accum`: every adjoint is added, the first one
     into a zero-filled buffer."""
-    if node.grad is None:
-        node.grad = np.zeros_like(node.value)
-    node.grad += g
+    if node not in adj:
+        adj[node] = np.zeros_like(node.value)
+    adj[node] += g
 
 
 def id_keyed_topo_order(root):
@@ -282,6 +282,19 @@ class TestBackward:
         np.testing.assert_array_equal(kept, [[3.0, 3.0]])
         np.testing.assert_array_equal(second["a"], [[4.0, -2.0]])
         assert second["a"] is not first["a"]
+
+    def test_second_call_on_one_graph_returns_equal_separate_gradients(self):
+        # the graph keeps no adjoints: a second call neither sums onto the
+        # first nor writes into the arrays the first returned
+        loss = ppo_loss_graph(4, 3, 7, 0.01)[1]()
+        first = backward(loss)
+        kept = {name: g.copy() for name, g in first.items()}
+        second = backward(loss)
+        assert first.keys() == second.keys() == kept.keys()
+        for name, g in second.items():
+            assert g is not first[name]
+            np.testing.assert_array_equal(g, kept[name], err_msg=name)
+            np.testing.assert_array_equal(first[name], kept[name], err_msg=name)
 
     def test_non_scalar_loss_rejected(self):
         with pytest.raises(ValueError, match="scalar"):
