@@ -25,9 +25,11 @@ sub-task's function drawn with replacement from the subset.  The five
 shift levels (vs, s, m, l, vl) give 5 x 127 = 635 instances total.
 """
 
+import base64
 import enum
 import json
 import math
+import os
 from dataclasses import dataclass, field
 from itertools import combinations
 
@@ -260,7 +262,7 @@ def instance_to_dict(inst: MTOInstance) -> dict:
                 "D": st.dim,
                 "lb": st.lb,
                 "ub": st.ub,
-                "rotation": st.rotation.ravel().tolist(),
+                "rotation": _encode_rotation(st.rotation),
                 "shift": st.shift.tolist(),
             }
             for st in inst.sub_tasks
@@ -291,6 +293,29 @@ def _numbers(doc: dict, key: str) -> np.ndarray:
     return np.array(values, dtype=np.float64)
 
 
+def _encode_rotation(rotation: np.ndarray) -> str:
+    """Base64 of the matrix's little-endian float64 values in row-major order."""
+    return base64.b64encode(np.asarray(rotation, dtype="<f8").tobytes()).decode("ascii")
+
+
+def _decode_rotation(text, d: int) -> np.ndarray:
+    """The (d, d) float64 matrix that _encode_rotation wrote, as an array of
+    its own: writeable and C-contiguous."""
+    if type(text) is list:
+        raise ValueError("rotation is a list of numbers: the file predates the "
+                         "base64 float64 rotation encoding; regenerate it with "
+                         "`emtlab generate`")
+    if type(text) is not str:
+        raise ValueError(f"rotation must be a base64 string, got {text!r}")
+    try:
+        raw = base64.b64decode(text, validate=True)
+    except ValueError as err:     # binascii.Error
+        raise ValueError(f"rotation is not valid base64: {err}") from None
+    if len(raw) != 8 * d * d:
+        raise ValueError(f"rotation holds {len(raw)} bytes, D = {d} needs {8 * d * d}")
+    return np.frombuffer(raw, dtype="<f8").reshape(d, d).astype(np.float64)
+
+
 def instance_from_dict(doc: dict) -> MTOInstance:
     instance_id = doc["instance_id"]
     if type(instance_id) is not str or not instance_id:
@@ -303,7 +328,7 @@ def instance_from_dict(doc: dict) -> MTOInstance:
         if type(d) is not int:
             raise ValueError(f"D must be an integer, got {d!r}")
         subs.append(SubTaskDefinition(
-            _function(st["function"]), d, _numbers(st, "rotation").reshape(d, d),
+            _function(st["function"]), d, _decode_rotation(st["rotation"], d),
             _numbers(st, "shift"), _number(st, "lb"), _number(st, "ub")))
     return MTOInstance(instance_id, shift_level,
                        tuple(_function(k) for k in doc["combination"]), subs)
@@ -311,10 +336,20 @@ def instance_from_dict(doc: dict) -> MTOInstance:
 
 def save_instances(instances, path: str) -> None:
     """Write a dataset file: one JSON document per line, one per instance.
-    Realized rotation matrices and shift vectors are stored, not seeds."""
-    with open(path, "w") as fh:
-        for inst in instances:
-            fh.write(json.dumps(instance_to_dict(inst)) + "\n")
+    Realized rotation matrices and shift vectors are stored, not seeds:
+    each rotation as one base64 string of its D*D little-endian float64
+    values in row-major order, which loads bit for bit.  The lines go to a
+    temporary file that replaces `path` once all are written, so a save
+    that fails part way leaves the previous file as it was."""
+    tmp = path + ".tmp"
+    try:
+        with open(tmp, "w") as fh:
+            for inst in instances:
+                fh.write(json.dumps(instance_to_dict(inst)) + "\n")
+        os.replace(tmp, path)
+    finally:
+        if os.path.exists(tmp):
+            os.remove(tmp)
 
 
 def load_instances(path: str) -> list:

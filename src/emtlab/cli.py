@@ -82,13 +82,16 @@ def _load_run(args):
     return instances, harness.Controller(store, args.variant)
 
 
-def _make_out_dir(path, runs, budget):
+def _make_out_dir(path, runs, budget, pop_size):
     """Creates the directory path before the first episode, so a bad path
-    costs no episode, and after the counts harness.evaluate checks, so a
-    bad count leaves no directory."""
+    costs no episode, and after the counts that harness.evaluate and the
+    engine check, so a bad count leaves no directory."""
     for flag, value in (("runs", runs), ("budget", budget)):
         if value < 1:
             raise ValueError(f"{flag} must be >= 1, got {value}")
+    if pop_size < MIN_POP_SIZE:
+        raise ValueError(f"population size must be >= {MIN_POP_SIZE} for "
+                         f"DE/rand/1, got {pop_size}")
     os.makedirs(path, exist_ok=True)
 
 
@@ -99,7 +102,7 @@ def _run_evaluation(args):
             raise ValueError(f"{args.dataset}: instance {inst.instance_id} has "
                              f"{inst.n_tasks} tasks, {instances[0].instance_id} "
                              f"has {instances[0].n_tasks}")
-    _make_out_dir(args.out, args.runs, args.budget)
+    _make_out_dir(args.out, args.runs, args.budget, args.pop_size)
     rows, episodes = harness.evaluate(controller, instances, args.runs,
                                       args.seed, args.pop_size, args.budget,
                                       collect_trace=True)
@@ -116,7 +119,8 @@ def _cmd_export_attention(args):
         raise ValueError(f"--index {args.index} is out of range: {args.dataset} "
                          f"holds {len(instances)} instances")
     inst = instances[args.index]
-    _make_out_dir(os.path.dirname(os.path.abspath(args.out)), 1, args.budget)
+    _make_out_dir(os.path.dirname(os.path.abspath(args.out)), 1, args.budget,
+                  args.pop_size)
     _, (ep,) = harness.evaluate(controller, [inst], 1, args.seed, args.pop_size,
                                 args.budget, collect_trace=True)
     harness.write_attention_csv(ep.attention, args.out)

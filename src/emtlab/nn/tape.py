@@ -6,7 +6,10 @@ that adds the parents' shares of the node's adjoint to an adjoint table.
 backward() seeds the scalar loss with 1 in a table of its own, walks the
 graph in reverse topological order, and returns each parameter's
 gradient: the sum of the adjoints of its leaves.  The graph keeps no
-adjoints, so differentiating it again gives the same gradients.
+adjoints, so differentiating it again gives the same gradients.  A
+constant leaf, a node with neither parents nor a parameter, gets no
+adjoint from the ops that take two or more operands: nothing would read
+it, so its share is not computed.
 
 All values are 2-D matrices; scalars are 1x1.  Broadcasting follows numpy
 rules, with adjoints summed back over broadcast axes.
@@ -28,6 +31,12 @@ class Node:
 def constant(x) -> Node:
     """Wrap an array or scalar as a non-differentiable leaf."""
     return Node(np.atleast_2d(np.asarray(x, dtype=np.float64)))
+
+
+def _wants(node):
+    # a constant leaf (no parents, no parameter) passes its adjoint on to
+    # nothing, so the ops that take one skip computing its share
+    return node.parents or node.param is not None
 
 
 def _accum(adj, node, g):
@@ -52,23 +61,37 @@ def _unbroadcast(g, shape):
 
 def add(a: Node, b: Node) -> Node:
     out = Node(a.value + b.value, (a, b))
-    out.bprop = lambda g, adj: (_accum(adj, a, _unbroadcast(g, a.value.shape)),
-                                _accum(adj, b, _unbroadcast(g, b.value.shape)))
+
+    def bprop(g, adj):
+        if _wants(a):
+            _accum(adj, a, _unbroadcast(g, a.value.shape))
+        if _wants(b):
+            _accum(adj, b, _unbroadcast(g, b.value.shape))
+    out.bprop = bprop
     return out
 
 
 def sub(a: Node, b: Node) -> Node:
     out = Node(a.value - b.value, (a, b))
-    out.bprop = lambda g, adj: (_accum(adj, a, _unbroadcast(g, a.value.shape)),
-                                _accum(adj, b, _unbroadcast(-g, b.value.shape)))
+
+    def bprop(g, adj):
+        if _wants(a):
+            _accum(adj, a, _unbroadcast(g, a.value.shape))
+        if _wants(b):
+            _accum(adj, b, _unbroadcast(-g, b.value.shape))
+    out.bprop = bprop
     return out
 
 
 def mul(a: Node, b: Node) -> Node:
     out = Node(a.value * b.value, (a, b))
-    out.bprop = lambda g, adj: (
-        _accum(adj, a, _unbroadcast(g * b.value, a.value.shape)),
-        _accum(adj, b, _unbroadcast(g * a.value, b.value.shape)))
+
+    def bprop(g, adj):
+        if _wants(a):
+            _accum(adj, a, _unbroadcast(g * b.value, a.value.shape))
+        if _wants(b):
+            _accum(adj, b, _unbroadcast(g * a.value, b.value.shape))
+    out.bprop = bprop
     return out
 
 
@@ -76,8 +99,11 @@ def div(a: Node, b: Node) -> Node:
     out = Node(a.value / b.value, (a, b))
 
     def bprop(g, adj):
-        _accum(adj, a, _unbroadcast(g / b.value, a.value.shape))
-        _accum(adj, b, _unbroadcast(-g * a.value / (b.value * b.value), b.value.shape))
+        if _wants(a):
+            _accum(adj, a, _unbroadcast(g / b.value, a.value.shape))
+        if _wants(b):
+            _accum(adj, b, _unbroadcast(-g * a.value / (b.value * b.value),
+                                        b.value.shape))
     out.bprop = bprop
     return out
 
@@ -93,8 +119,13 @@ def matmul(a: Node, b: Node) -> Node:
     if a.value.shape[1] != b.value.shape[0]:
         raise ValueError(f"matmul shape mismatch: {a.value.shape} @ {b.value.shape}")
     out = Node(a.value @ b.value, (a, b))
-    out.bprop = lambda g, adj: (_accum(adj, a, g @ b.value.T),
-                                _accum(adj, b, a.value.T @ g))
+
+    def bprop(g, adj):
+        if _wants(a):
+            _accum(adj, a, g @ b.value.T)
+        if _wants(b):
+            _accum(adj, b, a.value.T @ g)
+    out.bprop = bprop
     return out
 
 
@@ -186,7 +217,8 @@ def concat(nodes, axis: int) -> Node:
     ends = np.cumsum([n.value.shape[axis] for n in nodes])[:-1]
     out = Node(np.concatenate([n.value for n in nodes], axis=axis), tuple(nodes))
     out.bprop = lambda g, adj: [_accum(adj, n, part) for n, part
-                                in zip(nodes, np.split(g, ends, axis=axis))]
+                                in zip(nodes, np.split(g, ends, axis=axis))
+                                if _wants(n)]
     return out
 
 
@@ -203,9 +235,13 @@ def minimum(a: Node, b: Node) -> Node:
     """Elementwise min; adjoint follows the selected branch (ties go to a)."""
     mask = a.value <= b.value
     out = Node(np.where(mask, a.value, b.value), (a, b))
-    out.bprop = lambda g, adj: (
-        _accum(adj, a, _unbroadcast(g * mask, a.value.shape)),
-        _accum(adj, b, _unbroadcast(g * ~mask, b.value.shape)))
+
+    def bprop(g, adj):
+        if _wants(a):
+            _accum(adj, a, _unbroadcast(g * mask, a.value.shape))
+        if _wants(b):
+            _accum(adj, b, _unbroadcast(g * ~mask, b.value.shape))
+    out.bprop = bprop
     return out
 
 

@@ -1,9 +1,14 @@
 """Base functions, transformations, and problem-set generation."""
 
+import base64
 import json
+import struct
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as hs
+from hypothesis.extra.numpy import arrays
 
 from emtlab import benchmarks as B
 from emtlab.seeds import derive_rng
@@ -120,6 +125,68 @@ class TestEncodeDecode:
     def test_out_of_range_clamped(self):
         out = B.decode(np.array([-0.5, 1.5]), 0.0, 10.0)
         np.testing.assert_allclose(out, [0.0, 10.0])
+
+
+# finite float64 values, with the signed zero and subnormals drawn often
+FINITE_FLOATS = hs.one_of(
+    hs.floats(allow_nan=False, allow_infinity=False),
+    hs.sampled_from([-0.0, 5e-324, -5e-324, 2.2250738585072009e-308]))
+
+
+class TestRotationEncoding:
+    @given(hs.integers(1, 12).flatmap(
+        lambda d: arrays(np.float64, (d, d), elements=FINITE_FLOATS)))
+    @example(np.array([[-0.0]]))
+    @example(np.array([[5e-324, -0.0], [-2.2250738585072009e-308, 1.0]]))
+    @settings(max_examples=60, deadline=None)
+    def test_round_trip_is_bit_equal(self, matrix):
+        d = len(matrix)
+        decoded = B._decode_rotation(B._encode_rotation(matrix), d)
+        assert decoded.dtype == np.float64 and decoded.shape == (d, d)
+        np.testing.assert_array_equal(decoded.view(np.uint64),
+                                      matrix.view(np.uint64))
+        assert decoded.flags.c_contiguous and decoded.flags.writeable
+        assert decoded.flags.owndata
+
+    def test_file_holds_little_endian_row_major_base64(self, tmp_path):
+        path = tmp_path / "d.jsonl"
+        inst = B.sample_instances(0.2, seed=3, n_tasks=2, dim=3, count=1)[0]
+        B.save_instances([inst], str(path))
+        stored = json.loads(path.read_text())["sub_tasks"][1]["rotation"]
+        rotation = inst.sub_tasks[1].rotation
+        # nine little-endian doubles, row after row
+        assert base64.b64decode(stored) == struct.pack(
+            "<9d", *(v for row in rotation.tolist() for v in row))
+
+    def test_paper_dimension_rotations_load_bit_equal(self, tmp_path):
+        path = tmp_path / "d.jsonl"
+        original = B.sample_instances(0.2, seed=5, n_tasks=3, dim=50, count=4)
+        B.save_instances(original, str(path))
+        for o, l in zip(original, B.load_instances(str(path))):
+            for so, sl in zip(o.sub_tasks, l.sub_tasks):
+                np.testing.assert_array_equal(sl.rotation.view(np.uint64),
+                                              so.rotation.view(np.uint64))
+                assert sl.rotation.flags.c_contiguous
+
+    def test_failed_save_keeps_previous_file(self, tmp_path, monkeypatch):
+        path = tmp_path / "d.jsonl"
+        B.save_instances(B.sample_instances(0.2, seed=3, n_tasks=2, dim=3,
+                                            count=2), str(path))
+        before = path.read_bytes()
+        calls, to_dict = [], B.instance_to_dict
+
+        def failing_third(inst):
+            calls.append(inst)
+            if len(calls) == 3:
+                raise RuntimeError("planted")
+            return to_dict(inst)
+        monkeypatch.setattr(B, "instance_to_dict", failing_third)
+        with pytest.raises(RuntimeError, match="planted"):
+            B.save_instances(B.sample_instances(0.2, seed=4, n_tasks=2, dim=3,
+                                                count=5), str(path))
+        assert len(calls) == 3
+        assert path.read_bytes() == before
+        assert sorted(p.name for p in tmp_path.iterdir()) == ["d.jsonl"]
 
 
 def make_subtask(fid=B.BasicFunction.SPHERE, dim=6, seed=0, level=0.1):
@@ -246,7 +313,7 @@ class TestGeneration:
                                       "bool_ub", "bool_level", "str_lb", "str_level",
                                       "str_shift", "str_rotation", "bool_shift",
                                       "bool_in_rotation", "unknown_level",
-                                      "wide_box", "huge_int_ub"])
+                                      "wide_box", "huge_int_ub", "bad_base64"])
     def test_load_errors_name_file_and_line(self, tmp_path, case):
         path = tmp_path / "d.jsonl"
         B.save_instances(B.sample_instances(0.2, seed=3, n_tasks=2, dim=3,
@@ -257,14 +324,19 @@ class TestGeneration:
             del doc["shift_level"]
         elif case == "function":
             doc["sub_tasks"][1]["function"] = "sphear"
-        elif case == "shape":
-            doc["sub_tasks"][0]["rotation"] = doc["sub_tasks"][0]["rotation"][:-1]
+        elif case == "shape":          # one value short of D * D
+            st = doc["sub_tasks"][0]
+            st["rotation"] = B._encode_rotation(
+                B._decode_rotation(st["rotation"], 3).ravel()[:-1])
         elif case == "dim":
             wider = B.sample_instances(0.2, seed=3, n_tasks=2, dim=4, count=1)[0]
             doc["sub_tasks"][1] = dict(B.instance_to_dict(wider)["sub_tasks"][1],
                                        function=doc["combination"][0])
         elif case == "nan_rotation":   # NaN > 1e-10 is false: passes orthogonality
-            doc["sub_tasks"][1]["rotation"][4] = float("nan")
+            st = doc["sub_tasks"][1]
+            rotation = B._decode_rotation(st["rotation"], 3)
+            rotation.flat[4] = float("nan")
+            st["rotation"] = B._encode_rotation(rotation)
         elif case == "inf_shift":
             doc["sub_tasks"][0]["shift"][2] = float("-inf")
         elif case == "inf_ub":
@@ -287,24 +359,29 @@ class TestGeneration:
             doc["sub_tasks"][0]["lb"] = "-100"
         elif case == "str_level":
             doc["shift_level"] = "0.2"
-        elif case in ("str_shift", "str_rotation"):
+        elif case == "str_shift":
             st = doc["sub_tasks"][1]
-            key = case[len("str_"):]
-            st[key] = [str(v) for v in st[key]]
+            st["shift"] = [str(v) for v in st["shift"]]
+        elif case == "str_rotation":   # the decimal list form of older files
+            st = doc["sub_tasks"][1]
+            st["rotation"] = B._decode_rotation(st["rotation"], 3).ravel().tolist()
         elif case == "bool_shift":     # numpy would read it as [1.0, 0.0, 1.0]
             doc["sub_tasks"][0]["shift"] = [True, False, True]
         elif case == "bool_in_rotation":
-            doc["sub_tasks"][0]["rotation"][0] = True
+            doc["sub_tasks"][0]["rotation"] = True
         elif case == "unknown_level":
             doc["shift_level"] = 0.25
         elif case == "wide_box":       # ub - lb overflows, decode gives NaN
             doc["sub_tasks"][1].update(lb=-1e308, ub=1e308)
         elif case == "huge_int_ub":    # a JSON integer too large for a float
             doc["sub_tasks"][1]["ub"] = 10 ** 400
+        elif case == "bad_base64":
+            doc["sub_tasks"][0]["rotation"] = "AAAA AAAA"
         lines[2] = "{not json" if case == "json" else json.dumps(doc)
         path.write_text("\n".join(lines) + "\n")
         expected = {"json": "Expecting", "key": "missing key 'shift_level'",
-                    "function": "unknown function: 'sphear'", "shape": "reshape",
+                    "function": "unknown function: 'sphear'",
+                    "shape": "rotation holds 64 bytes, D = 3 needs 72$",
                     "dim": r"sub-task dims \[3, 4\] differ",
                     "nan_rotation": "rotation holds a non-finite value",
                     "inf_shift": "shift holds a non-finite value",
@@ -321,12 +398,16 @@ class TestGeneration:
                     "str_lb": "lb must be a number, got '-100'$",
                     "str_level": "shift_level must be a number, got '0.2'$",
                     "str_shift": "shift must be a flat list of numbers$",
-                    "str_rotation": "rotation must be a flat list of numbers$",
+                    "str_rotation": "rotation is a list of numbers: the file "
+                                    "predates the base64 float64 rotation "
+                                    "encoding; regenerate it with "
+                                    "`emtlab generate`$",
                     "bool_shift": "shift must be a flat list of numbers$",
-                    "bool_in_rotation": "rotation must be a flat list of numbers$",
+                    "bool_in_rotation": "rotation must be a base64 string, got True$",
                     "unknown_level": "unknown shift level: 0.25$",
                     "wide_box": "box width ub - lb overflows",
-                    "huge_int_ub": "int too large to convert to float"}
+                    "huge_int_ub": "int too large to convert to float",
+                    "bad_base64": "rotation is not valid base64: "}
         with pytest.raises(ValueError, match=f"d.jsonl, line 3: .*{expected[case]}"):
             B.load_instances(str(path))
 

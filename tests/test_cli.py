@@ -398,6 +398,22 @@ class TestOutputPaths:
         assert not out.parent.exists()
         assert episodes == []
 
+    @pytest.mark.parametrize("command,dataset_flag", [
+        (["evaluate"], "--dataset"),
+        (["ablate", "--variant", "no_transfer"], "--dataset"),
+        (["export-attention"], "--instance")])
+    def test_population_below_four_leaves_no_directory(self, tmp_path, run_flags,
+                                                       episodes, command,
+                                                       dataset_flag):
+        flags, dataset = run_flags
+        out = tmp_path / "new" / "out"
+        with pytest.raises(ValueError, match="^population size must be >= 4 "
+                                             "for DE/rand/1, got 3$"):
+            run([*command, *flags, dataset_flag, dataset, "--out", str(out),
+                 "--pop-size", "3"])
+        assert not (tmp_path / "new").exists()
+        assert episodes == []
+
     def test_export_attention_creates_missing_directory(self, tmp_path, run_flags,
                                                         episodes):
         flags, dataset = run_flags

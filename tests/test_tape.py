@@ -296,6 +296,25 @@ class TestBackward:
             np.testing.assert_array_equal(g, kept[name], err_msg=name)
             np.testing.assert_array_equal(first[name], kept[name], err_msg=name)
 
+    def test_constant_leaves_get_no_adjoint(self):
+        # nothing reads a constant leaf's adjoint, so no op passes one on:
+        # not for a transition's feature matrix, the diagonal mask, the
+        # action centres, the old log-probabilities or the returns
+        def is_constant_leaf(node):
+            return not node.parents and node.param is None
+
+        loss = ppo_loss_graph(5, 10, 3, 0.01)[1]()
+        assert sum(map(is_constant_leaf, tape._topo_order(loss))) > 100
+        reached, accum = [], tape._accum
+
+        def recording(adj, node, g):
+            reached.append(node)
+            accum(adj, node, g)
+        with mock.patch.object(tape, "_accum", recording):
+            backward(loss)
+        assert reached
+        assert sum(map(is_constant_leaf, reached)) == 0
+
     def test_non_scalar_loss_rejected(self):
         with pytest.raises(ValueError, match="scalar"):
             backward(constant(np.ones((2, 2))))
