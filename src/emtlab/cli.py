@@ -12,7 +12,7 @@ import json
 import os
 
 from . import benchmarks, harness, ppo
-from .engine import MIN_POP_SIZE
+from .engine import MIN_POP_SIZE, check_pop_size
 from .nn.params import load_checkpoint
 
 
@@ -89,9 +89,7 @@ def _make_out_dir(path, runs, budget, pop_size):
     for flag, value in (("runs", runs), ("budget", budget)):
         if value < 1:
             raise ValueError(f"{flag} must be >= 1, got {value}")
-    if pop_size < MIN_POP_SIZE:
-        raise ValueError(f"population size must be >= {MIN_POP_SIZE} for "
-                         f"DE/rand/1, got {pop_size}")
+    check_pop_size(pop_size)
     os.makedirs(path, exist_ok=True)
 
 

@@ -125,14 +125,19 @@ class EMTState:
         return self.best.copy()
 
 
+def check_pop_size(pop_size: int) -> None:
+    """Raises ValueError unless DE/rand/1 can draw its partners."""
+    if pop_size < MIN_POP_SIZE:
+        raise ValueError(f"population size must be >= {MIN_POP_SIZE} for "
+                         f"DE/rand/1, got {pop_size}")
+
+
 def init_populations(instance: MTOInstance, pop_size: int, seed: int,
                      budget: int) -> EMTState:
     """Uniform random populations, evaluated, with per-task RNG streams
     derived from (seed, "task", j).  A task whose initial fitness is not
     finite raises ValueError naming the instance, the task and its box."""
-    if pop_size < MIN_POP_SIZE:
-        raise ValueError(f"population size must be >= {MIN_POP_SIZE} for "
-                         f"DE/rand/1, got {pop_size}")
+    check_pop_size(pop_size)
     rngs = [derive_rng(seed, "task", j) for j in range(instance.n_tasks)]
     positions = np.stack([rng.random((pop_size, defn.dim))
                           for defn, rng in zip(instance.sub_tasks, rngs)])

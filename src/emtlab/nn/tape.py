@@ -8,8 +8,8 @@ graph in reverse topological order, and returns each parameter's
 gradient: the sum of the adjoints of its leaves.  The graph keeps no
 adjoints, so differentiating it again gives the same gradients.  A
 constant leaf, a node with neither parents nor a parameter, gets no
-adjoint from the ops that take two or more operands: nothing would read
-it, so its share is not computed.
+adjoint from add, sub or matmul's left operand, where the policy and the
+PPO loss pass one: nothing would read it, so its share is not computed.
 
 All values are 2-D matrices; scalars are 1x1.  Broadcasting follows numpy
 rules, with adjoints summed back over broadcast axes.
@@ -35,7 +35,7 @@ def constant(x) -> Node:
 
 def _wants(node):
     # a constant leaf (no parents, no parameter) passes its adjoint on to
-    # nothing, so the ops that take one skip computing its share
+    # nothing, so the ops that are given one skip computing its share
     return node.parents or node.param is not None
 
 
@@ -85,13 +85,9 @@ def sub(a: Node, b: Node) -> Node:
 
 def mul(a: Node, b: Node) -> Node:
     out = Node(a.value * b.value, (a, b))
-
-    def bprop(g, adj):
-        if _wants(a):
-            _accum(adj, a, _unbroadcast(g * b.value, a.value.shape))
-        if _wants(b):
-            _accum(adj, b, _unbroadcast(g * a.value, b.value.shape))
-    out.bprop = bprop
+    out.bprop = lambda g, adj: (
+        _accum(adj, a, _unbroadcast(g * b.value, a.value.shape)),
+        _accum(adj, b, _unbroadcast(g * a.value, b.value.shape)))
     return out
 
 
@@ -99,11 +95,8 @@ def div(a: Node, b: Node) -> Node:
     out = Node(a.value / b.value, (a, b))
 
     def bprop(g, adj):
-        if _wants(a):
-            _accum(adj, a, _unbroadcast(g / b.value, a.value.shape))
-        if _wants(b):
-            _accum(adj, b, _unbroadcast(-g * a.value / (b.value * b.value),
-                                        b.value.shape))
+        _accum(adj, a, _unbroadcast(g / b.value, a.value.shape))
+        _accum(adj, b, _unbroadcast(-g * a.value / (b.value * b.value), b.value.shape))
     out.bprop = bprop
     return out
 
@@ -123,8 +116,7 @@ def matmul(a: Node, b: Node) -> Node:
     def bprop(g, adj):
         if _wants(a):
             _accum(adj, a, g @ b.value.T)
-        if _wants(b):
-            _accum(adj, b, a.value.T @ g)
+        _accum(adj, b, a.value.T @ g)
     out.bprop = bprop
     return out
 
@@ -217,8 +209,7 @@ def concat(nodes, axis: int) -> Node:
     ends = np.cumsum([n.value.shape[axis] for n in nodes])[:-1]
     out = Node(np.concatenate([n.value for n in nodes], axis=axis), tuple(nodes))
     out.bprop = lambda g, adj: [_accum(adj, n, part) for n, part
-                                in zip(nodes, np.split(g, ends, axis=axis))
-                                if _wants(n)]
+                                in zip(nodes, np.split(g, ends, axis=axis))]
     return out
 
 
@@ -235,13 +226,9 @@ def minimum(a: Node, b: Node) -> Node:
     """Elementwise min; adjoint follows the selected branch (ties go to a)."""
     mask = a.value <= b.value
     out = Node(np.where(mask, a.value, b.value), (a, b))
-
-    def bprop(g, adj):
-        if _wants(a):
-            _accum(adj, a, _unbroadcast(g * mask, a.value.shape))
-        if _wants(b):
-            _accum(adj, b, _unbroadcast(g * ~mask, b.value.shape))
-    out.bprop = bprop
+    out.bprop = lambda g, adj: (
+        _accum(adj, a, _unbroadcast(g * mask, a.value.shape)),
+        _accum(adj, b, _unbroadcast(g * ~mask, b.value.shape)))
     return out
 
 
@@ -272,8 +259,9 @@ def backward(loss: Node) -> dict:
     if loss.value.size != 1:
         raise ValueError(f"backward requires a scalar loss, got shape {loss.value.shape}")
     order = _topo_order(loss)
-    # each op passes an adjoint to every parent, so every node of the order
-    # has its whole adjoint when the reverse walk reaches it
+    # every node with a bprop or a param gets its whole adjoint before the
+    # reverse walk reaches it; a constant leaf has neither, so it is never
+    # read, and add, sub and matmul give it none
     adj = {loss: np.ones_like(loss.value)}
     for node in reversed(order):
         if node.bprop is not None:

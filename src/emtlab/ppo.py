@@ -28,7 +28,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .engine import MIN_POP_SIZE, emt_step, extract_state, init_populations
+from .engine import check_pop_size, emt_step, extract_state, init_populations
 from .nn import tape
 from .nn.params import ParameterStore, adam_step, save_checkpoint
 from .nn.tape import backward, constant
@@ -223,9 +223,7 @@ def train(train_set, config: PPOConfig, seed: int, pop_size: int,
     when epochs is 0).  A failing instance run is logged and skipped."""
     if not train_set:
         raise ValueError("training set must not be empty")
-    if pop_size < MIN_POP_SIZE:
-        raise ValueError(f"population size must be >= {MIN_POP_SIZE} for "
-                         f"DE/rand/1, got {pop_size}")
+    check_pop_size(pop_size)
     os.makedirs(out_dir, exist_ok=True)
     store = init_policy(seed)
     result = TrainResult(store)
