@@ -327,6 +327,8 @@ def instance_from_dict(doc: dict) -> MTOInstance:
         d = st["D"]
         if type(d) is not int:
             raise ValueError(f"D must be an integer, got {d!r}")
+        if d < 1:
+            raise ValueError(f"D must be an integer >= 1, got {d!r}")
         subs.append(SubTaskDefinition(
             _function(st["function"]), d, _decode_rotation(st["rotation"], d),
             _numbers(st, "shift"), _number(st, "lb"), _number(st, "ub")))

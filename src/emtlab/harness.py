@@ -59,17 +59,14 @@ class Controller:
                              f"expected one of {ABLATION_VARIANTS}")
         expected = {n: p.value.shape for n, p in init_policy(0).params.items()}
         found = {n: p.value.shape for n, p in store.params.items()}
-        misfit = "parameters do not fit the policy network: "
-        for name, shape in expected.items():
-            if name not in found:
-                raise ValueError(f"{misfit}{name} (expected shape {shape}) "
-                                 "is missing")
-            if found[name] != shape:
-                raise ValueError(f"{misfit}{name} has shape {found[name]}, "
-                                 f"expected {shape}")
-        for name, shape in found.items():
-            if name not in expected:
-                raise ValueError(f"{misfit}unexpected {name} (shape {shape})")
+        if found != expected:
+            name = next(n for n in {**expected, **found}
+                        if found.get(n) != expected.get(n))
+            shape, want = found.get(name), expected.get(name)
+            raise ValueError("parameters do not fit the policy network: " + (
+                f"{name} (expected shape {want}) is missing" if shape is None
+                else f"unexpected {name} (shape {shape})" if want is None
+                else f"{name} has shape {shape}, expected {want}"))
         self.store = store
         self.variant = variant
 

@@ -1,7 +1,7 @@
 """Reverse-mode automatic differentiation over matrix-valued nodes.
 
 The graph is rebuilt dynamically on every forward pass: each operation
-returns a Node holding a float64 2-D value, its parents, and a closure
+returns a Node holding a float64 value, its parents, and a closure
 that adds the parents' shares of the node's adjoint to an adjoint table.
 backward() seeds the scalar loss with 1 in a table of its own, walks the
 graph in reverse topological order, and returns each parameter's
@@ -11,8 +11,15 @@ constant leaf, a node with neither parents nor a parameter, gets no
 adjoint from add, sub or matmul's left operand, where the policy and the
 PPO loss pass one: nothing would read it, so its share is not computed.
 
-All values are 2-D matrices; scalars are 1x1.  Broadcasting follows numpy
-rules, with adjoints summed back over broadcast axes.
+All values are 2-D matrices, scalars 1x1, or stacks of T such matrices of
+shape (T, rows, cols), on which every op acts item by item: matmul and
+transpose on the last two axes, sum_all, mean_axis, softmax_rows and take
+within each item.  Broadcasting follows numpy rules, with adjoints summed
+back over broadcast axes.  A 2-D value broadcast over a stack, such as a
+parameter, gets one adjoint: the items' adjoints added from the last to
+the first, the order in which backward() would add the adjoints of T
+separate leaves, so a stacked graph gives the gradients of T 2-D graphs
+bit for bit.
 """
 
 import numpy as np
@@ -51,11 +58,19 @@ def _accum(adj, node, g):
 
 
 def _unbroadcast(g, shape):
-    # sum the adjoint back over axes that were broadcast on the forward pass;
-    # every value is 2-D, so only length-1 axes can have been broadcast
-    for axis, n in enumerate(shape):
+    # sum the adjoint back over axes that were broadcast on the forward pass:
+    # each item's length-1 axes first, then the items of a stack that a 2-D
+    # value was broadcast over, last to first from a copy of the last; a
+    # single reduce over the items adds them first to last, or pairwise
+    lead = g.ndim - len(shape)
+    for axis, n in enumerate(shape, start=lead):
         if n == 1 and g.shape[axis] != 1:
             g = g.sum(axis=axis, keepdims=True)
+    if lead:
+        total = g[-1].copy()
+        for item in g[-2::-1]:
+            total += item
+        g = total
     return g
 
 
@@ -109,21 +124,27 @@ def scale(a: Node, c) -> Node:
 
 
 def matmul(a: Node, b: Node) -> Node:
-    if a.value.shape[1] != b.value.shape[0]:
+    if a.value.shape[-1] != b.value.shape[-2]:
         raise ValueError(f"matmul shape mismatch: {a.value.shape} @ {b.value.shape}")
     out = Node(a.value @ b.value, (a, b))
 
     def bprop(g, adj):
         if _wants(a):
-            _accum(adj, a, g @ b.value.T)
-        _accum(adj, b, a.value.T @ g)
+            _accum(adj, a, g @ b.value.swapaxes(-1, -2))
+        _accum(adj, b, _unbroadcast(a.value.swapaxes(-1, -2) @ g, b.value.shape))
     out.bprop = bprop
     return out
 
 
 def transpose(a: Node) -> Node:
-    out = Node(a.value.T.copy(), (a,))
-    out.bprop = lambda g, adj: _accum(adj, a, g.T)
+    out = Node(a.value.swapaxes(-1, -2).copy(), (a,))
+    out.bprop = lambda g, adj: _accum(adj, a, g.swapaxes(-1, -2))
+    return out
+
+
+def reshape(a: Node, shape) -> Node:
+    out = Node(a.value.reshape(shape), (a,))
+    out.bprop = lambda g, adj: _accum(adj, a, g.reshape(a.value.shape))
     return out
 
 
@@ -162,8 +183,10 @@ def sqrt(a: Node) -> Node:
 
 
 def sum_all(a: Node) -> Node:
-    out = Node(np.array([[a.value.sum()]]), (a,))
-    out.bprop = lambda g, adj: _accum(adj, a, np.full_like(a.value, g[0, 0]))
+    """Sum of all entries: 1x1 for a 2-D value, (T, 1, 1) for a stack."""
+    v = a.value
+    out = Node(v.reshape(v.shape[:-2] + (-1,)).sum(axis=-1)[..., None, None], (a,))
+    out.bprop = lambda g, adj: _accum(adj, a, np.broadcast_to(g, v.shape))
     return out
 
 
@@ -176,23 +199,27 @@ def mean_axis(a: Node, axis: int) -> Node:
 
 def softmax_rows(a: Node) -> Node:
     """Row-wise softmax; rows with -inf entries get exactly zero there."""
-    shifted = a.value - a.value.max(axis=1, keepdims=True)
+    shifted = a.value - a.value.max(axis=-1, keepdims=True)
     e = np.exp(shifted)
-    p = e / e.sum(axis=1, keepdims=True)
+    p = e / e.sum(axis=-1, keepdims=True)
     out = Node(p, (a,))
 
     def bprop(g, adj):
-        dot = (g * p).sum(axis=1, keepdims=True)
+        dot = (g * p).sum(axis=-1, keepdims=True)
         _accum(adj, a, p * (g - dot))
     out.bprop = bprop
     return out
 
 
 def take(a: Node, index) -> Node:
-    """Gather a.value[index]: rows for an index array, or an (n, 1) column
-    of entries a[rows[i], cols[i]] for a (rows, cols) pair."""
+    """Gather from a.value: rows for an index array, or an (n, 1) column of
+    entries a[rows[i], cols[i]] for a (rows, cols) pair.  On a stack the
+    indices are per item, arrays of shape (T, n) or broadcasting to it."""
+    entries = isinstance(index, tuple)
+    items = (np.arange(len(a.value))[:, None],) if a.value.ndim == 3 else ()
+    index = items + (index if entries else (index,))
     picked = a.value[index]
-    out = Node(picked.reshape(-1, 1) if picked.ndim == 1 else picked, (a,))
+    out = Node(picked[..., None] if entries else picked, (a,))
 
     def bprop(g, adj):
         # np.add.at in place: a dense sum would reorder repeated indices' adds

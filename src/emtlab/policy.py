@@ -30,7 +30,9 @@ distributions given a routing).  `act` and `act_with_context` only
 choose actions from them and record no probabilities; `evaluate_actions`
 rebuilds the same graph for a chosen bundle and adds `_log_prob` (the
 joint log-probability, routing included), the critic and the entropy.
-The policy update scores each collected bundle there, once per pass.
+The policy update scores a whole segment there in one call per pass, on
+(T, K, .) stacks of its features and bundles: the same ops act on each
+item, and give each transition's scores and gradients bit for bit.
 """
 
 import math
@@ -83,9 +85,9 @@ def init_policy(seed: int) -> ParameterStore:
 def embed(store: ParameterStore, features: np.ndarray) -> Node:
     """Shared per-task linear map of the 5 state features to 64 dims."""
     feats = np.atleast_2d(np.asarray(features, dtype=np.float64))
-    if feats.shape[0] < 2:
+    if feats.shape[-2] < 2:
         raise ValueError("need at least 2 tasks")
-    if feats.shape[1] != FEATURE_DIM:
+    if feats.shape[-1] != FEATURE_DIM:
         raise ValueError(f"expected {FEATURE_DIM} features per task")
     return dense(store, "fe", constant(feats))
 
@@ -116,7 +118,7 @@ def _trunk(store, features):
         raise ValueError("routing scores are not finite: the policy forward "
                          "overflowed or a parameter is not finite")
     # a task never routes to itself
-    masked = tape.add(scores, constant(np.diag(np.full(len(scores.value), -np.inf))))
+    masked = tape.add(scores, constant(np.diag(np.full(scores.value.shape[-1], -np.inf))))
     return e, decision, masked, tape.softmax_rows(masked)
 
 
@@ -131,9 +133,9 @@ def _heads(store, decision: Node, a1: np.ndarray):
     probabilities, F mean, Cr mean).  The amount mean lies in [0, 0.5],
     F and Cr means in [0, 1]; the operator head has a ReLU output layer.
     Every head reads row j as [decision_j | decision_{a1[j]}]."""
-    if np.any(a1 == np.arange(decision.value.shape[0])):
+    if np.any(a1 == np.arange(decision.value.shape[-2])):
         raise ValueError("routing selected a task as its own source")
-    h_concat = tape.concat([decision, tape.take(decision, a1)], axis=1)
+    h_concat = tape.concat([decision, tape.take(decision, a1)], axis=-1)
     mu_kc = _mu_head(store, "kc", h_concat, 0.25, 0.25)
     op_hidden = tape.relu(dense(store, "op1", h_concat))
     op_probs = tape.softmax_rows(tape.relu(dense(store, "op2", op_hidden)))
@@ -143,13 +145,13 @@ def _heads(store, decision: Node, a1: np.ndarray):
 
 def _gaussian_logp(mu: Node, values) -> Node:
     values = np.asarray(values, dtype=np.float64)
-    diff = tape.sub(constant(values.reshape(-1, 1)), mu)
+    diff = tape.sub(constant(values[..., None]), mu)
     quad = tape.scale(tape.mul(diff, diff), 1.0 / (2.0 * ACTION_STD ** 2))
-    return tape.sub(constant(-len(values) * _LOG_NORM), tape.sum_all(quad))
+    return tape.sub(constant(-values.shape[-1] * _LOG_NORM), tape.sum_all(quad))
 
 
 def _categorical_logp(probs: Node, choice) -> Node:
-    rows = np.arange(probs.value.shape[0])
+    rows = np.arange(probs.value.shape[-2])
     return tape.sum_all(tape.log(tape.take(probs, (rows, np.asarray(choice, dtype=int)))))
 
 
@@ -202,7 +204,7 @@ def act_with_context(store, features, forced_a1):
 
 
 def _critic(store, e: Node) -> Node:
-    hidden = tape.relu(dense(store, "critic1", tape.mean_axis(e, axis=0)))
+    hidden = tape.relu(dense(store, "critic1", tape.mean_axis(e, axis=-2)))
     return dense(store, "critic2", hidden)
 
 
@@ -220,8 +222,9 @@ def _entropy(probs: Node) -> Node:
 def evaluate_actions(store, features, bundle: ActionBundle):
     """Joint log-probability of a bundle (routing included), the state
     value and the routing-plus-operator entropy, on the gradient tape,
-    through the same trunk and heads that acting uses.  The policy-update
-    step scores every collected bundle here."""
+    through the same trunk and heads that acting uses: three 1x1 nodes for
+    (K, 5) features and a bundle of (K,) fields, or three (T, 1, 1) nodes,
+    one entry per transition, for (T, K, 5) features and (T, K) fields."""
     e, decision, _, route_probs = _trunk(store, features)
     heads = _heads(store, decision, np.asarray(bundle.a1, dtype=int))
     entropy = tape.add(_entropy(route_probs), _entropy(heads[1]))

@@ -9,8 +9,9 @@ the policy takes `k_ppo` full-batch update passes of
            + value_coef * E[(return - V)^2] - entropy_coef * H
 
 where r is the ratio of the current to the behaviour probability of the
-joint action.  Each pass scores the segment as (T, 1) columns
-(`score_segment`), and the loss is one array expression over them.
+joint action.  Each pass scores the segment as one stacked graph with
+(T, 1) columns (`score_segment`), and the loss is one array expression
+over them.
 Rollouts only act; the first pass scores the segment with the parameters
 that collected it, and those log-probabilities and values are the
 behaviour log-probabilities and GAE values of all k_ppo passes.
@@ -24,7 +25,7 @@ import numbers
 import os
 import shutil
 import time
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, fields
 
 import numpy as np
 
@@ -106,10 +107,14 @@ def compute_advantages(rewards, values, config: PPOConfig,
 
 
 def score_segment(store: ParameterStore, buffer):
-    """Score every transition of a segment with `evaluate_actions`; returns
-    its log-probabilities, values and entropies as three (T, 1) columns."""
-    scored = [evaluate_actions(store, t.features, t.action) for t in buffer]
-    return tuple(tape.concat(nodes, axis=0) for nodes in zip(*scored))
+    """Score a segment's T transitions with one `evaluate_actions` call on
+    their stacked (T, K, 5) features and (T, K) action fields; returns the
+    log-probabilities, values and entropies as three (T, 1) columns, each
+    entry bit for bit the transition's own score."""
+    bundle = ActionBundle(*(np.stack([getattr(t.action, f.name) for t in buffer])
+                            for f in fields(ActionBundle)))
+    scored = evaluate_actions(store, np.stack([t.features for t in buffer]), bundle)
+    return tuple(tape.reshape(node, (len(buffer), 1)) for node in scored)
 
 
 def _ppo_loss(columns, advantages, returns, old_logp, config: PPOConfig):

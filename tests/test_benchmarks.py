@@ -313,7 +313,8 @@ class TestGeneration:
                                       "bool_ub", "bool_level", "str_lb", "str_level",
                                       "str_shift", "str_rotation", "bool_shift",
                                       "bool_in_rotation", "unknown_level",
-                                      "wide_box", "huge_int_ub", "bad_base64"])
+                                      "wide_box", "huge_int_ub", "bad_base64",
+                                      "negative_D"])
     def test_load_errors_name_file_and_line(self, tmp_path, case):
         path = tmp_path / "d.jsonl"
         B.save_instances(B.sample_instances(0.2, seed=3, n_tasks=2, dim=3,
@@ -377,6 +378,8 @@ class TestGeneration:
             doc["sub_tasks"][1]["ub"] = 10 ** 400
         elif case == "bad_base64":
             doc["sub_tasks"][0]["rotation"] = "AAAA AAAA"
+        elif case == "negative_D":     # 72 bytes fit D * D = 9 values
+            doc["sub_tasks"][0]["D"] = -3
         lines[2] = "{not json" if case == "json" else json.dumps(doc)
         path.write_text("\n".join(lines) + "\n")
         expected = {"json": "Expecting", "key": "missing key 'shift_level'",
@@ -407,7 +410,8 @@ class TestGeneration:
                     "unknown_level": "unknown shift level: 0.25$",
                     "wide_box": "box width ub - lb overflows",
                     "huge_int_ub": "int too large to convert to float",
-                    "bad_base64": "rotation is not valid base64: "}
+                    "bad_base64": "rotation is not valid base64: ",
+                    "negative_D": "D must be an integer >= 1, got -3$"}
         with pytest.raises(ValueError, match=f"d.jsonl, line 3: .*{expected[case]}"):
             B.load_instances(str(path))
 

@@ -19,6 +19,7 @@ from emtlab.nn.tape import backward, constant
 from emtlab.seeds import derive_rng
 from tests.test_harness import OVERFLOW_MESSAGE, overflowing_instance
 from tests.test_policy import random_features, task_rngs
+from tests.test_tape import assert_same_bytes
 
 
 def sampled_buffer(store, n, k=3, seed=0, rewards=None):
@@ -208,6 +209,37 @@ class TestUpdate:
         assert grads.keys() == reference_grads.keys()
         for name, g in grads.items():
             np.testing.assert_array_equal(g, reference_grads[name], err_msg=name)
+
+    @pytest.mark.parametrize("n", [1, 8, 9, 16])
+    @given(st.integers(2, 10), st.integers(0, 2 ** 20),
+           st.sampled_from([0.0, 0.01]))
+    @settings(max_examples=6, deadline=None)
+    def test_stacked_scoring_equals_per_transition_scoring(
+            self, n, k, seed, entropy_coef):
+        # the reference scores each transition on its own graph and joins
+        # the scores; 8, 9 and 16 transitions cross numpy's pairwise-sum
+        # threshold for a sum over the stack
+        store = P.init_policy(seed)
+        rng = derive_rng(seed, "stacked-scoring")
+        buf = sampled_buffer(store, n, k=k, seed=seed,
+                             rewards=rng.normal(size=n).tolist())
+        config = ppo.PPOConfig(entropy_coef=entropy_coef)
+        columns, old_logp, adv, ret = scored_segment(store, buf, config)
+        scored = [P.evaluate_actions(store, t.features, t.action) for t in buf]
+        reference = tuple(tape.concat(nodes, axis=0) for nodes in zip(*scored))
+        for column, expected in zip(columns, reference):
+            assert_same_bytes(column.value, expected.value)
+        old_logp = old_logp + rng.uniform(-0.5, 0.5, size=n)
+        loss, parts = ppo._ppo_loss(columns, adv, ret, old_logp, config)
+        expected_loss, expected_parts = ppo._ppo_loss(reference, adv, ret,
+                                                      old_logp, config)
+        assert_same_bytes(loss.value, expected_loss.value)
+        assert parts == expected_parts
+        grads, reference_grads = backward(loss), backward(expected_loss)
+        assert grads.keys() == reference_grads.keys()
+        for name, g in grads.items():
+            np.testing.assert_array_equal(g, reference_grads[name], err_msg=name)
+            assert_same_bytes(g, reference_grads[name], name)
 
     def test_clip_boundary_engages(self):
         store = P.init_policy(23)

@@ -298,13 +298,19 @@ class TestBackward:
 
     def test_constant_leaves_get_no_adjoint(self):
         # nothing reads a constant leaf's adjoint, so no op passes one on:
-        # not for a transition's feature matrix, the diagonal mask, the
+        # not for the segment's feature stack, the diagonal mask, the
         # action centres, the old log-probabilities or the returns
         def is_constant_leaf(node):
             return not node.parents and node.param is None
 
         loss = ppo_loss_graph(5, 10, 3, 0.01)[1]()
-        assert sum(map(is_constant_leaf, tape._topo_order(loss))) > 100
+        leaves = [n.value for n in tape._topo_order(loss) if is_constant_leaf(n)]
+        shapes = [v.shape for v in leaves]
+        assert (10, 5, 5) in shapes
+        assert any(v.shape == (5, 5) and np.isneginf(np.diag(v)).all()
+                   for v in leaves)
+        assert {0.25, 0.5} <= {v.item() for v in leaves if v.size == 1}
+        assert shapes.count((10, 1)) == 2
         reached, accum = [], tape._accum
 
         def recording(adj, node, g):
@@ -369,6 +375,140 @@ class TestBackward:
         order, reference = tape._topo_order(loss), id_keyed_topo_order(loss)
         assert len(order) == len(reference)
         assert all(a is b for a, b in zip(order, reference))
+
+
+def assert_same_bytes(a, b, err_msg=""):
+    assert a.shape == b.shape, err_msg
+    assert a.tobytes() == b.tobytes(), err_msg
+
+
+def _dense(n, d):
+    return tape.add(tape.matmul(n["x"], n["W"]), n["b"])
+
+
+def _sum(n, d):
+    return tape.sum_all(n["x"])
+
+
+def _masked_softmax(n, d):
+    mask = np.diag(np.full(n["s"].value.shape[-1], -np.inf))
+    return tape.softmax_rows(tape.add(n["s"], constant(mask)))
+
+
+class TestStackedOps:
+    """Every op that the policy graph feeds a (T, K, .) stack, against the
+    same op on each item's 2-D values, byte for byte: the values, the
+    stacked parents' adjoints, and the gradient of a 2-D parameter
+    broadcast over the stack against backward's sum over the T per-item
+    graphs' leaves.  This pins the stacked numpy and BLAS calls to the
+    per-item ones on the installed build, as TestPickRows pins `choice`."""
+
+    # name: (op of the leaves n and the per-item indices d, and at K tasks
+    #        ({stacked parent: item shape}, {2-D parent: shape}))
+    CASES = {
+        "dense_features": (_dense, lambda k: ({"x": (k, 5)},
+                                              {"W": (5, 64), "b": (1, 64)})),
+        "dense_pair": (_dense, lambda k: ({"x": (k, 128)},
+                                          {"W": (128, 64), "b": (1, 64)})),
+        "dense_operators": (_dense, lambda k: ({"x": (k, 64)},
+                                               {"W": (64, 4), "b": (1, 4)})),
+        "dense_mean": (_dense, lambda k: ({"x": (k, 64)},
+                                          {"W": (64, 1), "b": (1, 1)})),
+        "dense_critic": (_dense, lambda k: ({"x": (1, 64)},
+                                            {"W": (64, 64), "b": (1, 64)})),
+        "dense_value": (_dense, lambda k: ({"x": (1, 64)},
+                                           {"W": (64, 1), "b": (1, 1)})),
+        "projection": (lambda n, d: tape.matmul(n["x"], n["W"]),
+                       lambda k: ({"x": (k, 64)}, {"W": (64, 64)})),
+        "scores": (lambda n, d: tape.scale(
+                       tape.matmul(n["q"], tape.transpose(n["k"])), 0.125),
+                   lambda k: ({"q": (k, 64), "k": (k, 64)}, {})),
+        "attended": (lambda n, d: tape.matmul(n["p"], n["v"]),
+                     lambda k: ({"p": (k, k), "v": (k, 64)}, {})),
+        "masked_softmax": (_masked_softmax, lambda k: ({"s": (k, k)}, {})),
+        "softmax": (lambda n, d: tape.softmax_rows(n["x"]),
+                    lambda k: ({"x": (k, 4)}, {})),
+        "mean_rows": (lambda n, d: tape.mean_axis(n["x"], axis=-2),
+                      lambda k: ({"x": (k, 64)}, {})),
+        "centre": (lambda n, d: tape.sub(n["x"], n["m"]),
+                   lambda k: ({"x": (k, 64), "m": (1, 64)}, {})),
+        "normalize": (lambda n, d: tape.div(
+                          n["x"], tape.sqrt(tape.add(n["v"], constant(1e-5)))),
+                      lambda k: ({"x": (k, 64), "v": (1, 64)}, {})),
+        "affine": (lambda n, d: tape.add(tape.mul(n["x"], n["gamma"]), n["beta"]),
+                   lambda k: ({"x": (k, 64)}, {"gamma": (1, 64), "beta": (1, 64)})),
+        "square": (lambda n, d: tape.mul(n["x"], n["x"]),
+                   lambda k: ({"x": (k, 64)}, {})),
+        "product": (lambda n, d: tape.mul(n["x"], n["y"]),
+                    lambda k: ({"x": (k, 4), "y": (k, 4)}, {})),
+        "head": (lambda n, d: tape.add(constant(0.5),
+                                       tape.scale(tape.tanh(n["x"]), 0.5)),
+                 lambda k: ({"x": (k, 1)}, {})),
+        "relu": (lambda n, d: tape.relu(n["x"]), lambda k: ({"x": (k, 64)}, {})),
+        "log": (lambda n, d: tape.log(tape.add(n["x"], constant(1e-12))),
+                lambda k: ({"x": (k, k)}, {})),
+        "rows": (lambda n, d: tape.take(n["x"], d["rows"]),
+                 lambda k: ({"x": (k, 64)}, {})),
+        "entries": (lambda n, d: tape.take(
+                        n["x"], (np.arange(n["x"].value.shape[-2]), d["cols"])),
+                    lambda k: ({"x": (k, 4)}, {})),
+        "pair": (lambda n, d: tape.concat([n["x"], n["y"]], axis=-1),
+                 lambda k: ({"x": (k, 64), "y": (k, 64)}, {})),
+        "sum_column": (_sum, lambda k: ({"x": (k, 1)}, {})),
+        "sum_square": (_sum, lambda k: ({"x": (k, k)}, {})),
+        "sum_operators": (_sum, lambda k: ({"x": (k, 4)}, {})),
+        "log_norm": (lambda n, d: tape.sub(constant(-2.5), n["x"]),
+                     lambda k: ({"x": (1, 1)}, {})),
+        "joint": (lambda n, d: tape.add(n["x"], n["y"]),
+                  lambda k: ({"x": (1, 1), "y": (1, 1)}, {})),
+    }
+    POSITIVE = {"normalize", "log"}
+
+    @staticmethod
+    def _loss(out, w):
+        # a scalar with out's adjoint w: the stack's items as rows of 2-D
+        # blocks, so one sum_all reads them all
+        width = out.value.shape[-1]
+        flat = tape.reshape(out, (-1, width))
+        return tape.sum_all(tape.mul(flat, constant(w.reshape(-1, width))))
+
+    @pytest.mark.parametrize("name", sorted(CASES))
+    @given(st.integers(1, 16), st.integers(2, 10), st.integers(0, 2 ** 20))
+    @settings(max_examples=15, deadline=None)
+    def test_equals_per_item_op(self, name, t, k, seed):
+        op, shapes = self.CASES[name]
+        stacked, shared = shapes(k)
+        rng = np.random.default_rng(seed)
+        draw = ((lambda s: rng.uniform(0.1, 2.0, s)) if name in self.POSITIVE
+                else rng.standard_normal)
+        data = {"rows": (np.arange(k) + rng.integers(1, k, (t, k))) % k,
+                "cols": rng.integers(0, 4, (t, k))}
+        store, items_store = ParameterStore(), ParameterStore()
+        for p, shape in stacked.items():
+            store.add(p, draw((t,) + shape))
+            for i in range(t):
+                items_store.add(f"{p}{i}", store[p].value[i])
+        for p, shape in shared.items():
+            store.add(p, draw(shape))
+            items_store.add(p, store[p].value)
+
+        out = op({p: store.leaf(p) for p in store.params}, data)
+        w = rng.standard_normal(out.value.shape)
+        grads = backward(self._loss(out, w))
+        items = [op({**{p: items_store.leaf(f"{p}{i}") for p in stacked},
+                     **{p: items_store.leaf(p) for p in shared}},
+                    {key: v[i] for key, v in data.items()}) for i in range(t)]
+        # the per-item graphs joined as the per-transition scoring joined
+        # them: backward meets them last to first
+        reference = backward(self._loss(tape.concat(items, axis=0), w))
+
+        assert out.value.shape == (t,) + items[0].value.shape
+        for i, item in enumerate(items):
+            assert_same_bytes(out.value[i], item.value, f"value {i}")
+            for p in stacked:
+                assert_same_bytes(grads[p][i], reference[f"{p}{i}"], f"{p}[{i}]")
+        for p in shared:
+            assert_same_bytes(grads[p], reference[p], p)
 
 
 class TestPrimitiveGradients:
