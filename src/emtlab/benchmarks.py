@@ -286,7 +286,7 @@ def _number(doc: dict, key: str) -> float:
     return float(doc[key])
 
 
-def _numbers(doc: dict, key: str) -> np.ndarray:
+def json_numbers(doc: dict, key: str) -> np.ndarray:
     values = doc[key]
     if type(values) is not list or not _JSON_NUMBERS.issuperset(map(type, values)):
         raise ValueError(f"{key} must be a flat list of numbers")
@@ -331,7 +331,7 @@ def instance_from_dict(doc: dict) -> MTOInstance:
             raise ValueError(f"D must be an integer >= 1, got {d!r}")
         subs.append(SubTaskDefinition(
             _function(st["function"]), d, _decode_rotation(st["rotation"], d),
-            _numbers(st, "shift"), _number(st, "lb"), _number(st, "ub")))
+            json_numbers(st, "shift"), _number(st, "lb"), _number(st, "ub")))
     return MTOInstance(instance_id, shift_level,
                        tuple(_function(k) for k in doc["combination"]), subs)
 

@@ -12,7 +12,6 @@ import json
 import os
 
 from . import benchmarks, harness, ppo
-from .engine import MIN_POP_SIZE, check_pop_size
 from .nn.params import load_checkpoint
 
 
@@ -44,15 +43,13 @@ def load_train_config(path):
                      - {"dataset", "seed", "pop_size", "n_tasks", "dim"})
     if unknown:
         raise ValueError(f"train config {path} has unknown keys: {', '.join(unknown)}")
+    doc.setdefault("pop_size", 50)   # its range is ppo.train's check_pop_size
     for key, kind, noun in (("dataset", str, "a string"), ("seed", int, "an integer"),
+                            ("pop_size", int, "an integer"),
                             ("n_tasks", int, "an integer"), ("dim", int, "an integer")):
         if key in doc and type(doc[key]) is not kind:
             raise ValueError(f"train config {path}: {key} must be {noun}, "
                              f"got {doc[key]!r}")
-    pop_size = doc.setdefault("pop_size", 50)
-    if type(pop_size) is not int or pop_size < MIN_POP_SIZE:
-        raise ValueError(f"train config {path}: pop_size must be an integer "
-                         f">= {MIN_POP_SIZE}, got {pop_size!r}")
     return doc, ppo.PPOConfig(**{k: v for k, v in doc.items() if k in ppo_keys})
 
 
@@ -83,13 +80,9 @@ def _load_run(args):
 
 
 def _make_out_dir(path, runs, budget, pop_size):
-    """Creates the directory path before the first episode, so a bad path
-    costs no episode, and after the counts that harness.evaluate and the
-    engine check, so a bad count leaves no directory."""
-    for flag, value in (("runs", runs), ("budget", budget)):
-        if value < 1:
-            raise ValueError(f"{flag} must be >= 1, got {value}")
-    check_pop_size(pop_size)
+    """Checks the counts, so a bad one leaves no directory, then creates
+    path, so a bad path fails before the first episode."""
+    harness.check_evaluation(runs, budget, pop_size)
     os.makedirs(path, exist_ok=True)
 
 

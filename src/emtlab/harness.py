@@ -13,8 +13,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .engine import (NORMALIZER_TOL, OPERATORS, emt_step, extract_state,
-                     init_populations)
+from .engine import (NORMALIZER_TOL, OPERATORS, check_pop_size, emt_step,
+                     extract_state, init_populations)
 from .policy import act_with_context, init_policy
 from .seeds import derive_rng, derive_seed
 from .stats import wilcoxon_signed_rank
@@ -141,8 +141,6 @@ def trace_rows(generation: int, features: np.ndarray, state, action,
 def run_episode(instance, controller: Controller, episode_seed: int,
                 pop_size: int, budget: int) -> EpisodeResult:
     """One full optimization run of an instance under a controller."""
-    if budget < 1:
-        raise ValueError(f"budget must be >= 1, got {budget}")
     state = init_populations(instance, pop_size,
                              derive_seed(episode_seed, "engine"), budget)
     ablation_rng = derive_rng(episode_seed, "ablation")
@@ -160,6 +158,15 @@ def run_episode(instance, controller: Controller, episode_seed: int,
     kt_ratio = kt_success_ratio(trace[..., _N_TRANSFER], trace[..., _N_SUCCESS])
     return EpisodeResult(instance.instance_id, best_trace, kt_ratio,
                          trace.reshape(-1, len(TRACE_COLUMNS)), attention)
+
+
+def check_evaluation(runs: int, budget: int, pop_size: int) -> None:
+    """Raises ValueError unless evaluate can run: at least one run of at
+    least one generation, on populations DE/rand/1 can draw partners from."""
+    for name, value in (("runs", runs), ("budget", budget)):
+        if value < 1:
+            raise ValueError(f"{name} must be >= 1, got {value}")
+    check_pop_size(pop_size)
 
 
 @dataclass
@@ -180,18 +187,17 @@ def evaluate(controller: Controller, instances, runs: int, master_seed: int,
     mean over tasks of the normalized final objective for that run;
     aggregating rows gives the run-averaged per-task metric.
     """
-    if runs < 1:
-        raise ValueError(f"runs must be >= 1, got {runs}")
+    check_evaluation(runs, budget, pop_size)
     rows = []
     episodes = []
     for inst in instances:
         for r in range(runs):
             ep_seed = derive_seed(master_seed, "eval", inst.instance_id, r)
             ep = run_episode(inst, controller, ep_seed, pop_size, budget)
-            # normalized_ratios would score a NaN final value as the optimum
-            if not np.isfinite(ep.best_trace[[0, -1]]).all():
-                raise ValueError(f"instance {inst.instance_id} run {r}: initial or "
-                                 "final best-so-far is not finite")
+            # init_populations checked f0; a NaN final value would score 0
+            if not np.isfinite(ep.best_trace[-1]).all():
+                raise ValueError(f"instance {inst.instance_id} run {r}: final "
+                                 "best-so-far is not finite")
             ratios = normalized_ratios(ep.best_trace[-1], ep.best_trace[0])
             rows.append(EvaluationRow(inst.instance_id, r, float(ratios.mean()),
                                       ratios, ep.kt_ratio))

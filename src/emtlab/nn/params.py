@@ -5,6 +5,7 @@ import os
 
 import numpy as np
 
+from ..benchmarks import json_numbers
 from .tape import Node
 
 CHECKPOINT_VERSION = 2
@@ -115,12 +116,17 @@ def load_checkpoint(path: str) -> ParameterStore:
     if type(version) is not int or version != CHECKPOINT_VERSION:
         raise CheckpointError(f"checkpoint {path} has format_version={version!r}, "
                               f"expected {CHECKPOINT_VERSION}")
+    records = doc.get("parameters")
+    if type(records) is not list or not records:
+        raise CheckpointError(f"checkpoint {path} contains no parameters list")
     store = ParameterStore()
-    for i, rec in enumerate(doc.get("parameters", [])):
+    for i, rec in enumerate(records):
         if not isinstance(rec, dict):
             raise CheckpointError(
                 f"checkpoint {path}: parameter record #{i} is not a JSON object")
         name = rec.get("name", f"#{i}")
+        if type(name) is not str:
+            raise CheckpointError(f"checkpoint {path}: parameter #{i} name is not a string")
         if name in store.params:
             raise CheckpointError(f"checkpoint {path}: parameter {name} appears twice")
         missing = [key for key in RECORD_KEYS if key not in rec]
@@ -128,13 +134,15 @@ def load_checkpoint(path: str) -> ParameterStore:
             raise CheckpointError(
                 f"checkpoint {path}: parameter {name} has no {missing[0]!r}")
         try:
-            value = np.array(rec["values"], dtype=np.float64).reshape(rec["shape"])
+            value = json_numbers(rec, "values")
+        except (OverflowError, ValueError) as err:   # an integer beyond float64
+            raise CheckpointError(f"checkpoint {path}: parameter {name}: {err}") from None
+        try:
+            value = value.reshape(rec["shape"])
         except (TypeError, ValueError) as err:
             raise CheckpointError(f"checkpoint {path}: parameter {name} does not "
                                   f"fit its shape: {err}") from None
         if not np.isfinite(value).all():
             raise CheckpointError(f"checkpoint {path}: parameter {name} is not finite")
         store.add(name, value)
-    if not store.params:
-        raise CheckpointError(f"checkpoint {path} contains no parameters")
     return store

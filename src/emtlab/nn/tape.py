@@ -124,8 +124,6 @@ def scale(a: Node, c) -> Node:
 
 
 def matmul(a: Node, b: Node) -> Node:
-    if a.value.shape[-1] != b.value.shape[-2]:
-        raise ValueError(f"matmul shape mismatch: {a.value.shape} @ {b.value.shape}")
     out = Node(a.value @ b.value, (a, b))
 
     def bprop(g, adj):

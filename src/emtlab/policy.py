@@ -87,8 +87,6 @@ def embed(store: ParameterStore, features: np.ndarray) -> Node:
     feats = np.atleast_2d(np.asarray(features, dtype=np.float64))
     if feats.shape[-2] < 2:
         raise ValueError("need at least 2 tasks")
-    if feats.shape[-1] != FEATURE_DIM:
-        raise ValueError(f"expected {FEATURE_DIM} features per task")
     return dense(store, "fe", constant(feats))
 
 

@@ -159,9 +159,8 @@ class TestTrainEvaluatePipeline:
         ({"budget": 0}, "^budget must be an integer >= 1, got 0$"),
         ({"learning_rate": -1}, "^learning_rate must be a finite number > 0, "
                                 "got -1$"),
-        ({"pop_size": 2}, "config.json: pop_size must be an integer >= 4, got 2$"),
-        ({"pop_size": 30.0}, "config.json: pop_size must be an integer >= 4, "
-                             "got 30.0$"),
+        ({"pop_size": 2}, "^population size must be >= 4 for DE/rand/1, got 2$"),
+        ({"pop_size": 30.0}, "config.json: pop_size must be an integer, got 30.0$"),
         ({"seed": True}, "config.json: seed must be an integer, got True$"),
         ({"seed": "3"}, "config.json: seed must be an integer, got '3'$"),
         # 0 and 1 would open stdin and stdout as the dataset file

@@ -334,6 +334,25 @@ class TestEvaluate:
         with pytest.raises(ValueError, match=f"^instance {insts[0].instance_id} run 0: "):
             H.evaluate(controller, insts, runs=2, master_seed=3, pop_size=8, budget=3)
 
+    @pytest.mark.parametrize("counts, message", [
+        ({"runs": 0}, "^runs must be >= 1, got 0$"),
+        ({"budget": 0}, "^budget must be >= 1, got 0$"),
+        ({"pop_size": 3}, "^population size must be >= 4 for DE/rand/1, got 3$"),
+    ], ids=["runs", "budget", "pop_size"])
+    def test_bad_count_raises_before_any_episode(self, monkeypatch, counts, message):
+        calls = []
+        run_episode = H.run_episode
+
+        def counting(*args):
+            calls.append(args)
+            return run_episode(*args)
+        monkeypatch.setattr(H, "run_episode", counting)
+        controller = H.Controller(P.init_policy(47), "full")
+        with pytest.raises(ValueError, match=message):
+            H.evaluate(controller, instances_for_tests(1), master_seed=3,
+                       **dict({"runs": 1, "pop_size": 8, "budget": 3}, **counts))
+        assert calls == []
+
 
 class TestWilcoxon:
     def test_identical_samples_rejected(self):

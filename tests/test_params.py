@@ -196,7 +196,18 @@ class TestCheckpoint:
     @pytest.mark.parametrize("spoil,error", [
         (lambda rec: rec.pop("values"), "parameter w has no 'values'"),
         (lambda rec: rec.update(values=[]), "parameter w does not fit its shape"),
-    ], ids=["missing-key", "values-size"])
+        # numpy reads bools and numeric strings as numbers
+        (lambda rec: rec.update(values=[True, False] * 2),
+         "parameter w: values must be a flat list of numbers$"),
+        (lambda rec: rec.update(values=["1e3", "2", "3", "4"]),
+         "parameter w: values must be a flat list of numbers$"),
+        (lambda rec: rec.update(values=True, shape=[1, 1]),
+         "parameter w: values must be a flat list of numbers$"),
+        (lambda rec: rec.update(values=[10 ** 400, 0, 0, 0]),
+         "parameter w: int too large to convert to float$"),
+        (lambda rec: rec.update(name=7), "parameter #1 name is not a string$"),
+    ], ids=["missing-key", "values-size", "values-bool", "values-str",
+            "values-scalar", "values-bigint", "name-int"])
     def test_misfit_record_names_file_and_parameter(self, tmp_path, spoil,
                                                     error):
         path = tmp_path / "ckpt.json"
@@ -214,7 +225,8 @@ class TestCheckpoint:
          "parameter record #0 is not a JSON object"),
         (lambda doc: dict(doc, parameters=doc["parameters"] * 2),
          "parameter b appears twice"),
-    ], ids=["document", "record", "duplicate"])
+        (lambda doc: dict(doc, parameters=5), "contains no parameters list$"),
+    ], ids=["document", "record", "duplicate", "parameters-int"])
     def test_malformed_document_names_file(self, tmp_path, spoil, error):
         path = tmp_path / "ckpt.json"
         save_checkpoint(make_store(), str(path))

@@ -91,6 +91,11 @@ class TestEmbed:
         with pytest.raises(ValueError, match="2 tasks"):
             P.embed(P.init_policy(1), random_features(5)[0:1])
 
+    def test_wrong_feature_count_names_layer(self):
+        with pytest.raises(ValueError, match="^dense 'fe': input has 4 columns, "
+                                             "weights expect 5$"):
+            P.embed(P.init_policy(1), random_features(3)[:, :4])
+
 
 class TestTRForward:
     """The attention (tr) block's forward, read through `_trunk`."""
