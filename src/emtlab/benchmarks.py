@@ -14,6 +14,15 @@ Seven base functions, each minimized at value 0:
                  a=0.5, b=3, k_max=20                         x in [-0.5, 0.5]
     Schwefel     418.9829 D - sum(z_i sin(sqrt|z_i|))         x in [-500, 500]
 
+Weierstrass phases reach 2 pi 3^20 (z_i + 0.5), so they are reduced
+exactly before any cosine: u = z_i + 0.5 (a double) less its floor, in
+units of 2^-60, times 3^k in wrapping 64-bit integers and masked to 60
+bits, is the fraction of 3^k u.  np.cos runs only for k = 0, 3, ..., 18;
+k + 1 and k + 2 follow from cos 3x = cos x (4 cos^2 x - 3).  A row agrees
+to 1.4e-14 at D = 50 with the same phases reduced in exact arithmetic,
+where phases rounded as doubles erred by up to 2e-11 at |z| <= 1.2 and
+8e-10 at |z| <= 60; a row with a NaN or infinite entry gives NaN.
+
 Each sub-task evaluates f(W^T (x - s)) for a random orthogonal W (a
 product of Householder reflections) and a shift vector s drawn inside a
 level-scaled copy of the search box.  Populations live in a unified
@@ -66,9 +75,11 @@ SHIFT_LEVELS = {"vs": 0.05, "s": 0.1, "m": 0.2, "l": 0.3, "vl": 0.4}
 
 _W_A, _W_B, _W_KMAX = 0.5, 3.0, 20
 _W_POWERS_A = _W_A ** np.arange(_W_KMAX + 1)
-_W_POWERS_B = _W_B ** np.arange(_W_KMAX + 1)
 # constant inner sum of the Weierstrass offset term, sum_k a^k cos(pi b^k)
-_W_OFFSET = float(np.sum(_W_POWERS_A * np.cos(np.pi * _W_POWERS_B)))
+_W_OFFSET = float(np.sum(_W_POWERS_A * np.cos(np.pi * _W_B ** np.arange(_W_KMAX + 1))))
+# 3^k for k = 0, 3, ..., 18, the terms that call np.cos
+_W_POW3 = 3 ** np.arange(0, _W_KMAX + 1, 3, dtype=np.uint64)
+_W_MASK = np.uint64(2 ** 60 - 1)
 
 
 def evaluate_basic_batch(fid: BasicFunction, z: np.ndarray) -> np.ndarray:
@@ -91,11 +102,26 @@ def evaluate_basic_batch(fid: BasicFunction, z: np.ndarray) -> np.ndarray:
         return (1.0 + np.sum(z * z, axis=1) / 4000.0
                 - np.prod(np.cos(z / idx), axis=1))
     if fid is BasicFunction.WEIERSTRASS:
-        # inner sum over k vectorized as (n, D, k_max+1), in place
-        phase = 2.0 * np.pi * _W_POWERS_B * (z[..., None] + 0.5)
-        np.cos(phase, out=phase)
-        phase *= _W_POWERS_A
-        return np.sum(phase.sum(axis=2), axis=1) - d * _W_OFFSET
+        # exact phase reduction (module docstring); uint64 wraps mod 2^64,
+        # a multiple of 2^60
+        finite = np.isfinite(z)
+        u = np.where(finite, z + 0.5, 0.0)          # no NaN reaches the cast
+        m = np.rint((u - np.floor(u)) * 2.0 ** 60).astype(np.uint64)
+        frac = (m[..., None] * _W_POW3) & _W_MASK   # (n, D, 7)
+        c = np.empty(frac.shape + (3,))
+        c0 = np.multiply(frac, 2.0 * np.pi / 2.0 ** 60, out=c[..., 0])
+        np.cos(c0, out=c0)
+        # cos 3x = cos x (4 cos^2 x - 3) gives k + 1 and k + 2; in place,
+        # since fresh temporaries of this size cost more than the arithmetic
+        q = np.empty(frac.shape)
+        for j in (1, 2):
+            np.square(c[..., j - 1], out=q)
+            q *= 4.0
+            q -= 3.0
+            np.multiply(c[..., j - 1], q, out=c[..., j])
+        c *= _W_POWERS_A.reshape(7, 3)
+        total = np.sum(c.sum(axis=(2, 3)), axis=1) - d * _W_OFFSET
+        return np.where(finite.all(axis=1), total, np.nan)
     if fid is BasicFunction.SCHWEFEL:
         return 418.9829 * d - np.sum(z * np.sin(np.sqrt(np.abs(z))), axis=1)
     raise ValueError(f"unknown function: {fid}")

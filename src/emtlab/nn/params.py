@@ -137,9 +137,14 @@ def load_checkpoint(path: str) -> ParameterStore:
             value = json_numbers(rec, "values")
         except (OverflowError, ValueError) as err:   # an integer beyond float64
             raise CheckpointError(f"checkpoint {path}: parameter {name}: {err}") from None
+        shape = rec["shape"]   # numpy would infer a -1 entry and take [4] or [true, 4]
+        if type(shape) is not list or len(shape) != 2 or not all(
+                type(n) is int and n >= 1 for n in shape):
+            raise CheckpointError(f"checkpoint {path}: parameter {name} shape must be "
+                                  f"two integers >= 1, got {shape!r}")
         try:
-            value = value.reshape(rec["shape"])
-        except (TypeError, ValueError) as err:
+            value = value.reshape(shape)
+        except ValueError as err:
             raise CheckpointError(f"checkpoint {path}: parameter {name} does not "
                                   f"fit its shape: {err}") from None
         if not np.isfinite(value).all():

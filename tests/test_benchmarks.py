@@ -2,7 +2,10 @@
 
 import base64
 import json
+import math
 import struct
+import warnings
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -22,6 +25,20 @@ MINIMIZERS = {B.BasicFunction.ROSENBROCK: 1.0, B.BasicFunction.SCHWEFEL: 420.968
 def evaluate_one(fid, z):
     """One point through the batch evaluator."""
     return B.evaluate_basic_batch(fid, np.asarray(z, dtype=np.float64)[None])[0]
+
+
+def weierstrass_reference(z):
+    """Weierstrass value of one row with every phase reduced exactly: the
+    fraction t of 3^k u_i, for the double u_i = z_i + 0.5 the evaluator
+    takes, is found in rationals, so only cos(2 pi t) and the sum round.
+    The offset sum_k a^k cos(pi 3^k) is -(2 - 0.5^20)."""
+    terms = []
+    for zi in z:
+        u = Fraction(float(zi) + 0.5)
+        for k in range(21):
+            t = (3 ** k * u) % 1
+            terms.append(0.5 ** k * math.cos(2 * math.pi * float(t)))
+    return math.fsum(terms) - len(z) * -(2 - 0.5 ** 20)
 
 
 class TestBaseFunctions:
@@ -62,6 +79,32 @@ class TestBaseFunctions:
             total -= len(z) * a ** k * np.cos(2 * np.pi * b ** k * 0.5)
         assert evaluate_one(B.BasicFunction.WEIERSTRASS, z) == pytest.approx(
             total, abs=1e-9)
+
+    @given(hs.integers(1, 50).flatmap(lambda d: arrays(
+        np.float64, d, elements=hs.floats(-60.0, 60.0))))
+    @settings(max_examples=60, deadline=None)
+    def test_weierstrass_within_1e12_of_exact_phases(self, z):
+        assert abs(evaluate_one(B.BasicFunction.WEIERSTRASS, z)
+                   - weierstrass_reference(z)) <= 1e-12
+
+    def test_weierstrass_fixed_batch_within_1e12_of_exact_phases(self):
+        # phases 2 pi 3^k (z + 0.5) rounded as doubles err by 1e-11 here
+        z = np.random.default_rng(24).uniform(-1.2, 1.2, (5, 50))
+        values = B.evaluate_basic_batch(B.BasicFunction.WEIERSTRASS, z)
+        errors = values - [weierstrass_reference(row) for row in z]
+        assert np.abs(errors).max() <= 1e-12
+
+    def test_weierstrass_non_finite_rows_give_nan(self):
+        z = np.random.default_rng(5).uniform(-1.0, 1.0, (6, 7))
+        z[1, 3], z[3, 0], z[4, 6] = np.nan, np.inf, -np.inf
+        bad = np.isin(np.arange(6), [1, 3, 4])
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            values = B.evaluate_basic_batch(B.BasicFunction.WEIERSTRASS, z)
+            finite = B.evaluate_basic_batch(B.BasicFunction.WEIERSTRASS, z[~bad])
+        assert np.isnan(values[bad]).all()
+        np.testing.assert_array_equal(values[~bad].view(np.uint64),
+                                      finite.view(np.uint64))
 
     def test_batch_matches_single(self):
         rng = np.random.default_rng(4)

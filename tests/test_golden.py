@@ -29,6 +29,8 @@ ATTENTION_SHA256 = "77b08c5d8a2458145f88054859cb63165776436d7c5cf953bd95e4d11112
 TRAIN_VALUES_SHA256 = "84e5ec3a7bca64e3488ab7c86009319d0c04d62844a42e8ed0484f3d482a6d14"
 TRAIN_CHECKPOINT_SHA256 = "adafb1786b041dbf5c7bda59012436a29df728f39582a5ba13aa6187c54dcbbf"
 COMPARE_REPORT_SHA256 = "3b108c53d8936a1a714e0b6c8190d88a2326b07524d3622b139ba3df375dcaf6"
+WEIERSTRASS_VALUES_SHA256 = "5c0b8348e2663537632af7937d5855ed880d849a70e741a1c5738ef161029677"
+WEIERSTRASS_TRACE_SHA256 = "5eaeaedfc890a88985a25a4203c0de1131151bded4824b978939aa0f20ad7437"
 
 
 def _sha256(path):
@@ -50,10 +52,10 @@ def _instances(count):
     return B.sample_instances(0.2, seed=3, n_tasks=3, dim=4, count=count)
 
 
-def _eval_sha256(variant, tmp_path):
+def _eval_sha256(variant, instances, tmp_path):
     """Digests of the (results.csv, trace.csv) an evaluation writes."""
     controller = H.Controller(init_policy(0), variant)
-    rows, episodes = H.evaluate(controller, _instances(2), runs=2,
+    rows, episodes = H.evaluate(controller, instances, runs=2,
                                 master_seed=0, pop_size=8, budget=10,
                                 collect_trace=True)
     results, trace = tmp_path / "results.csv", tmp_path / "trace.csv"
@@ -65,22 +67,36 @@ def _eval_sha256(variant, tmp_path):
 
 def test_deterministic_eval_trace(tmp_path):
     # this policy uses operators 1, 3 and 4 with two transfers per task
-    assert _eval_sha256("full", tmp_path)[1] == EVAL_TRACE_SHA256
+    assert _eval_sha256("full", _instances(2), tmp_path)[1] == EVAL_TRACE_SHA256
 
 
 def test_deterministic_eval_results(tmp_path):
     # perf and kt_success_ratio read the episode's transfer tally
-    assert _eval_sha256("full", tmp_path)[0] == EVAL_RESULTS_SHA256
+    assert _eval_sha256("full", _instances(2), tmp_path)[0] == EVAL_RESULTS_SHA256
 
 
 def test_random_all_eval_trace(tmp_path):
     # random substitutes reach all four operators and every transfer count
     # from a single elite (m_kt = 1) to full transfer (m_kt = N)
-    assert _eval_sha256("random_all", tmp_path)[1] == RANDOM_ALL_TRACE_SHA256
+    assert _eval_sha256("random_all", _instances(2), tmp_path)[1] == RANDOM_ALL_TRACE_SHA256
 
 
 def test_random_all_eval_results(tmp_path):
-    assert _eval_sha256("random_all", tmp_path)[0] == RANDOM_ALL_RESULTS_SHA256
+    assert _eval_sha256("random_all", _instances(2), tmp_path)[0] == RANDOM_ALL_RESULTS_SHA256
+
+
+def test_weierstrass_values():
+    z = np.random.default_rng(0).uniform(-1.2, 1.2, (50, 50))
+    values = B.evaluate_basic_batch(B.BasicFunction.WEIERSTRASS, z)
+    assert hashlib.sha256(values.tobytes()).hexdigest() == WEIERSTRASS_VALUES_SHA256
+
+
+def test_weierstrass_eval_trace(tmp_path):
+    # awcci-m-c017: one Rosenbrock and two Weierstrass tasks
+    instance = _instances(10)[1]
+    assert B.BasicFunction.WEIERSTRASS in {st.function for st in instance.sub_tasks}
+    trace_sha256 = _eval_sha256("full", [instance], tmp_path)[1]
+    assert trace_sha256 == WEIERSTRASS_TRACE_SHA256
 
 
 def test_compare_report():

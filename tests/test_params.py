@@ -206,8 +206,16 @@ class TestCheckpoint:
         (lambda rec: rec.update(values=[10 ** 400, 0, 0, 0]),
          "parameter w: int too large to convert to float$"),
         (lambda rec: rec.update(name=7), "parameter #1 name is not a string$"),
+        # numpy infers a -1 entry and would load (2, 2) values as (1, 4)
+        (lambda rec: rec.update(shape=[-1, 4]), r"parameter w shape must be "
+         r"two integers >= 1, got \[-1, 4\]$"),
+        (lambda rec: rec.update(shape=[4]), r"parameter w shape must be "
+         r"two integers >= 1, got \[4\]$"),
+        (lambda rec: rec.update(shape=[True, 4]), r"parameter w shape must be "
+         r"two integers >= 1, got \[True, 4\]$"),
     ], ids=["missing-key", "values-size", "values-bool", "values-str",
-            "values-scalar", "values-bigint", "name-int"])
+            "values-scalar", "values-bigint", "name-int", "shape-inferred",
+            "shape-one-axis", "shape-bool"])
     def test_misfit_record_names_file_and_parameter(self, tmp_path, spoil,
                                                     error):
         path = tmp_path / "ckpt.json"
