@@ -383,23 +383,26 @@ def save_instances(instances, path: str) -> None:
 def load_instances(path: str) -> list:
     """Read a dataset file written by save_instances.  A malformed line or
     a repeated instance_id raises ValueError naming the file and its 1-based
-    line number, and so does a file without instances, naming the file."""
+    line number; so does a file with no instances or not UTF-8, naming it."""
     out, seen = [], {}
     with open(path) as fh:
-        for lineno, line in enumerate(fh, start=1):
-            if not line.strip():
-                continue
-            try:
-                inst = instance_from_dict(json.loads(line))
-            except KeyError as err:
-                raise ValueError(f"{path}, line {lineno}: missing key {err}") from err
-            except (ValueError, TypeError, OverflowError) as err:
-                raise ValueError(f"{path}, line {lineno}: {err}") from err
-            if inst.instance_id in seen:
-                raise ValueError(f"{path}, line {lineno}: instance {inst.instance_id} "
-                                 f"repeats line {seen[inst.instance_id]}")
-            seen[inst.instance_id] = lineno
-            out.append(inst)
+        try:
+            for lineno, line in enumerate(fh, start=1):
+                if not line.strip():
+                    continue
+                try:
+                    inst = instance_from_dict(json.loads(line))
+                except KeyError as err:
+                    raise ValueError(f"{path}, line {lineno}: missing key {err}") from err
+                except (ValueError, TypeError, OverflowError) as err:
+                    raise ValueError(f"{path}, line {lineno}: {err}") from err
+                if inst.instance_id in seen:
+                    raise ValueError(f"{path}, line {lineno}: instance {inst.instance_id} "
+                                     f"repeats line {seen[inst.instance_id]}")
+                seen[inst.instance_id] = lineno
+                out.append(inst)
+        except UnicodeDecodeError as err:   # raised by the reads, not a line
+            raise ValueError(f"{path} is not UTF-8 text: {err}") from None
     if not out:
         raise ValueError(f"{path} holds no instances")
     return out

@@ -30,7 +30,7 @@ def load_train_config(path):
     with open(path) as fh:
         try:
             doc = json.load(fh)
-        except json.JSONDecodeError as err:
+        except (json.JSONDecodeError, UnicodeDecodeError) as err:
             raise ValueError(f"train config {path} is not valid JSON: {err}") from None
     if not isinstance(doc, dict):
         raise ValueError(f"train config {path} must be a JSON object, "
@@ -112,6 +112,8 @@ def _cmd_export_attention(args):
     inst = instances[args.index]
     _make_out_dir(os.path.dirname(os.path.abspath(args.out)), 1, args.budget,
                   args.pop_size)
+    if os.path.isdir(args.out):   # else writing the scores fails after the episode
+        raise IsADirectoryError(f"--out {args.out} is a directory, expected a file")
     _, (ep,) = harness.evaluate(controller, [inst], 1, args.seed, args.pop_size,
                                 args.budget, collect_trace=True)
     harness.write_attention_csv(ep.attention, args.out)

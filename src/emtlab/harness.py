@@ -231,44 +231,47 @@ def write_results_csv(rows, path: str) -> None:
 
 def read_results_csv(path: str):
     """Rows of a file written by write_results_csv.  A missing or misnamed
-    column, a line whose field count differs from the header's, a value
-    that does not parse, a non-finite perf or kt_success_ratio and a
-    repeated (instance_id, run) raise ValueError naming the file and line."""
+    column, a field count unlike the header's, a value that does not parse,
+    a non-finite perf or kt_success_ratio and a repeated (instance_id, run)
+    raise ValueError naming the file and line; non-UTF-8 text names the file."""
     rows, seen = [], {}
-    with open(path, newline="") as fh:
-        reader = csv.reader(fh)
-        header = next(reader, [])
-        for name in ("instance_id", "run", "perf", "kt_success_ratio"):
-            if name not in header:
-                raise ValueError(f"{path}, line 1: missing column {name}")
-        try:
-            task_cols = sorted((c for c in header if c.startswith("perf_task_")),
-                               key=lambda c: int(c[len("perf_task_"):]))
-        except ValueError as err:
-            raise ValueError(f"{path}, line 1: {err}") from None
-        for fields in filter(None, reader):     # blank lines hold no row
-            where = f"{path}, line {reader.line_num}"
-            if len(fields) != len(header):
-                raise ValueError(f"{where}: {len(fields)} fields, the header "
-                                 f"has {len(header)}")
-            rec = dict(zip(header, fields))
+    try:
+        with open(path, newline="") as fh:
+            reader = csv.reader(fh)
+            header = next(reader, [])
+            for name in ("instance_id", "run", "perf", "kt_success_ratio"):
+                if name not in header:
+                    raise ValueError(f"{path}, line 1: missing column {name}")
             try:
-                perf, ratio, *tasks = (float(rec[c]) for c in
-                                       ["perf", "kt_success_ratio", *task_cols])
-                row = EvaluationRow(rec["instance_id"], int(rec["run"]), perf,
-                                    np.array(tasks), ratio)
+                task_cols = sorted((c for c in header if c.startswith("perf_task_")),
+                                   key=lambda c: int(c[len("perf_task_"):]))
             except ValueError as err:
-                raise ValueError(f"{where}: {err}") from None
-            for name, value in (("perf", perf), ("kt_success_ratio", ratio)):
-                if not np.isfinite(value):
-                    raise ValueError(f"{where}: {name} is {value}, expected a "
-                                     "finite number")
-            key = (row.instance_id, row.run_index)
-            if key in seen:
-                raise ValueError(f"{where}: instance {key[0]} run {key[1]} "
-                                 f"repeats line {seen[key]}")
-            seen[key] = reader.line_num
-            rows.append(row)
+                raise ValueError(f"{path}, line 1: {err}") from None
+            for fields in filter(None, reader):     # blank lines hold no row
+                where = f"{path}, line {reader.line_num}"
+                if len(fields) != len(header):
+                    raise ValueError(f"{where}: {len(fields)} fields, the header "
+                                     f"has {len(header)}")
+                rec = dict(zip(header, fields))
+                try:
+                    perf, ratio, *tasks = (float(rec[c]) for c in
+                                           ["perf", "kt_success_ratio", *task_cols])
+                    row = EvaluationRow(rec["instance_id"], int(rec["run"]), perf,
+                                        np.array(tasks), ratio)
+                except ValueError as err:
+                    raise ValueError(f"{where}: {err}") from None
+                for name, value in (("perf", perf), ("kt_success_ratio", ratio)):
+                    if not np.isfinite(value):
+                        raise ValueError(f"{where}: {name} is {value}, expected a "
+                                         "finite number")
+                key = (row.instance_id, row.run_index)
+                if key in seen:
+                    raise ValueError(f"{where}: instance {key[0]} run {key[1]} "
+                                     f"repeats line {seen[key]}")
+                seen[key] = reader.line_num
+                rows.append(row)
+    except UnicodeDecodeError as err:   # raised by the reads, not a line
+        raise ValueError(f"{path} is not UTF-8 text: {err}") from None
     return rows
 
 

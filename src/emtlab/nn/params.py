@@ -108,7 +108,7 @@ def load_checkpoint(path: str) -> ParameterStore:
             doc = json.load(fh)
     except FileNotFoundError:
         raise CheckpointError(f"checkpoint not found: {path}") from None
-    except json.JSONDecodeError as err:
+    except (json.JSONDecodeError, UnicodeDecodeError) as err:
         raise CheckpointError(f"corrupt checkpoint {path}: {err}") from None
     if not isinstance(doc, dict):
         raise CheckpointError(f"checkpoint {path} is not a JSON object")

@@ -6,10 +6,9 @@ that adds the parents' shares of the node's adjoint to an adjoint table.
 backward() seeds the scalar loss with 1 in a table of its own, walks the
 graph in reverse topological order, and returns each parameter's
 gradient: the sum of the adjoints of its leaves.  The graph keeps no
-adjoints, so differentiating it again gives the same gradients.  A
-constant leaf, a node with neither parents nor a parameter, gets no
-adjoint from add, sub or matmul's left operand, where the policy and the
-PPO loss pass one: nothing would read it, so its share is not computed.
+adjoints, so differentiating it again gives the same gradients.  One
+rule makes every adjoint: it starts as a C-ordered buffer of zeros and
+each use of its node adds its share, every operand of every op alike.
 
 All values are 2-D matrices, scalars 1x1, or stacks of T such matrices of
 shape (T, rows, cols), on which every op acts item by item: matmul and
@@ -40,21 +39,17 @@ def constant(x) -> Node:
     return Node(np.atleast_2d(np.asarray(x, dtype=np.float64)))
 
 
-def _wants(node):
-    # a constant leaf (no parents, no parameter) passes its adjoint on to
-    # nothing, so the ops that are given one skip computing its share
-    return node.parents or node.param is not None
+def _buffer(table, key, shape):
+    # table[key], created as zeros on first use; its C order keeps later
+    # matmuls on one BLAS path, and shares of -0.0 sum to 0.0 in it
+    if key not in table:
+        table[key] = np.zeros(shape)
+    return table[key]
 
 
 def _accum(adj, node, g):
-    # The first adjoint is copied, which saves adding it into zeros.  It must
-    # be ndarray.copy(), which is C-ordered even for a transposed g: a copy
-    # in g's F order (np.array, np.copy) sends later matmuls down another
-    # BLAS path and moves gradients in the last bit.
-    if node in adj:
-        adj[node] += g
-    else:
-        adj[node] = g.copy()
+    buf = _buffer(adj, node, node.value.shape)
+    buf += g
 
 
 def _unbroadcast(g, shape):
@@ -76,25 +71,17 @@ def _unbroadcast(g, shape):
 
 def add(a: Node, b: Node) -> Node:
     out = Node(a.value + b.value, (a, b))
-
-    def bprop(g, adj):
-        if _wants(a):
-            _accum(adj, a, _unbroadcast(g, a.value.shape))
-        if _wants(b):
-            _accum(adj, b, _unbroadcast(g, b.value.shape))
-    out.bprop = bprop
+    out.bprop = lambda g, adj: (
+        _accum(adj, a, _unbroadcast(g, a.value.shape)),
+        _accum(adj, b, _unbroadcast(g, b.value.shape)))
     return out
 
 
 def sub(a: Node, b: Node) -> Node:
     out = Node(a.value - b.value, (a, b))
-
-    def bprop(g, adj):
-        if _wants(a):
-            _accum(adj, a, _unbroadcast(g, a.value.shape))
-        if _wants(b):
-            _accum(adj, b, _unbroadcast(-g, b.value.shape))
-    out.bprop = bprop
+    out.bprop = lambda g, adj: (
+        _accum(adj, a, _unbroadcast(g, a.value.shape)),
+        _accum(adj, b, _unbroadcast(-g, b.value.shape)))
     return out
 
 
@@ -125,12 +112,9 @@ def scale(a: Node, c) -> Node:
 
 def matmul(a: Node, b: Node) -> Node:
     out = Node(a.value @ b.value, (a, b))
-
-    def bprop(g, adj):
-        if _wants(a):
-            _accum(adj, a, g @ b.value.swapaxes(-1, -2))
-        _accum(adj, b, _unbroadcast(a.value.swapaxes(-1, -2) @ g, b.value.shape))
-    out.bprop = bprop
+    out.bprop = lambda g, adj: (
+        _accum(adj, a, g @ b.value.swapaxes(-1, -2)),
+        _accum(adj, b, _unbroadcast(a.value.swapaxes(-1, -2) @ g, b.value.shape)))
     return out
 
 
@@ -218,13 +202,9 @@ def take(a: Node, index) -> Node:
     index = items + (index if entries else (index,))
     picked = a.value[index]
     out = Node(picked[..., None] if entries else picked, (a,))
-
-    def bprop(g, adj):
-        # np.add.at in place: a dense sum would reorder repeated indices' adds
-        if a not in adj:
-            adj[a] = np.zeros_like(a.value)
-        np.add.at(adj[a], index, g.reshape(picked.shape))
-    out.bprop = bprop
+    # np.add.at in place: a dense sum would reorder repeated indices' adds
+    out.bprop = lambda g, adj: np.add.at(_buffer(adj, a, a.value.shape), index,
+                                         g.reshape(picked.shape))
     return out
 
 
@@ -284,18 +264,15 @@ def backward(loss: Node) -> dict:
     if loss.value.size != 1:
         raise ValueError(f"backward requires a scalar loss, got shape {loss.value.shape}")
     order = _topo_order(loss)
-    # every node with a bprop or a param gets its whole adjoint before the
-    # reverse walk reaches it; a constant leaf has neither, so it is never
-    # read, and add, sub and matmul give it none
+    # every node gets its whole adjoint before the reverse walk reaches it
     adj = {loss: np.ones_like(loss.value)}
     for node in reversed(order):
         if node.bprop is not None:
             node.bprop(adj[node], adj)
     grads = {}
-    for node in order:
-        if node.param is not None:
-            if node.param in grads:
-                grads[node.param] += adj[node]
-            else:   # adding 0.0 turns -0.0 into 0.0, as a zero-filled sum does
-                grads[node.param] = np.add(adj[node], 0.0, out=adj[node])
+    for node in order:   # the first leaf's adjoint buffer holds the sum
+        if node.param in grads:
+            grads[node.param] += adj[node]
+        elif node.param is not None:
+            grads[node.param] = adj[node]
     return grads

@@ -126,6 +126,18 @@ class TestRegression:
         assert summary["metrics"][name]["regression"] == "worse"
         assert not summary["no_regression"]
 
+    def test_pairs_past_bound_counts_each_pair(self):
+        # the median is worse by 30%, but two of the five pairs are equal
+        p = pairs(5)
+        set_metric(p, "cpu_s", [10.0, 10.0, 10.0, 14.0, 14.0],
+                   [13.0, 13.0, 13.0, 14.0, 14.0])
+        set_metric(p, "evals_per_s", [100.0] * 5, [74.0, 76.0, 80.0, 70.0, 75.0])
+        metrics = bench_pairs.summarize(p, SPEC)["metrics"]
+        assert metrics["cpu_s"]["regression"] == "worse"
+        assert metrics["cpu_s"]["pairs_past_bound"] == 3
+        # 75.0 is exactly at the bound, which is not past it
+        assert metrics["evals_per_s"]["pairs_past_bound"] == 2
+
     def test_wide_parent_spread_reads_unresolved(self):
         # the parent's quartiles span 5 s, more than 0.25 x its 10 s median
         p = pairs(3)

@@ -458,6 +458,13 @@ class TestGeneration:
         with pytest.raises(ValueError, match=f"d.jsonl, line 3: .*{expected[case]}"):
             B.load_instances(str(path))
 
+    def test_load_rejects_text_that_is_not_utf8(self, tmp_path):
+        path = tmp_path / "d.jsonl"
+        path.write_bytes(b"\xff\xfe{}\n")
+        with pytest.raises(ValueError, match=r"d\.jsonl is not UTF-8 text: "
+                                             r"'utf-8' codec can't decode"):
+            B.load_instances(str(path))
+
     def test_sample_instances_count_validation(self):
         with pytest.raises(ValueError):
             B.sample_instances(0.2, seed=3, n_tasks=3, dim=5, count=0)

@@ -132,6 +132,15 @@ class TestTrainEvaluatePipeline:
             run(["train", "--config", str(config_path), "--out", str(out)])
         assert not out.exists()
 
+    def test_config_not_utf8(self, tmp_path):
+        config_path = tmp_path / "config.json"
+        config_path.write_bytes(b'\xff\xfe{"dataset": "d.jsonl", "seed": 3}')
+        out = tmp_path / "run"
+        with pytest.raises(ValueError, match=r"config\.json is not valid JSON: "
+                                             r"'utf-8' codec can't decode"):
+            run(["train", "--config", str(config_path), "--out", str(out)])
+        assert not out.exists()
+
     def test_config_task_count_checked_on_every_instance(self, tmp_path,
                                                          mixed_dataset):
         dataset, _, second = mixed_dataset
@@ -387,6 +396,13 @@ class TestOutputPaths:
                  "--out", str(parent / "a.csv")])
         assert episodes == []
 
+    def test_export_attention_out_is_a_directory(self, tmp_path, run_flags, episodes):
+        flags, dataset = run_flags
+        with pytest.raises(IsADirectoryError, match=re.escape(str(tmp_path))):
+            run(["export-attention", *flags, "--instance", dataset,
+                 "--out", str(tmp_path)])
+        assert episodes == []
+
     def test_export_attention_zero_budget_leaves_no_directory(self, tmp_path,
                                                               run_flags, episodes):
         flags, dataset = run_flags
@@ -448,6 +464,13 @@ class TestCompareInputs:
         text += "i,0," + ",".join(["1"] * len(H.TRACE_COLUMNS)) + "\n"
         message = self.compare(tmp_path, results, text)
         assert message == f"{tmp_path / 'other.csv'}, line 1: missing column perf"
+
+    def test_text_that_is_not_utf8_rejected(self, tmp_path, results):
+        other = tmp_path / "other.csv"
+        other.write_bytes(b"\xff\xfe" + results.read_bytes())
+        with pytest.raises(ValueError, match=r"^\S*other\.csv is not UTF-8 text: "
+                                             r"'utf-8' codec can't decode"):
+            run(["compare", "--a", str(results), "--b", str(other)])
 
     def test_value_that_does_not_parse_rejected(self, tmp_path, results):
         lines = results.read_text().splitlines()

@@ -176,6 +176,13 @@ class TestCheckpoint:
         with pytest.raises(CheckpointError, match="corrupt"):
             load_checkpoint(str(path))
 
+    def test_file_not_utf8(self, tmp_path):
+        path = tmp_path / "bad.json"
+        path.write_bytes(b"\xff\xfe{}")
+        with pytest.raises(CheckpointError, match=r"^corrupt checkpoint .*bad\.json: "
+                                                  r"'utf-8' codec can't decode"):
+            load_checkpoint(str(path))
+
     def test_version_mismatch(self, tmp_path):
         path = tmp_path / "old.json"
         path.write_text(json.dumps({"format_version": 99, "parameters": []}))

@@ -26,6 +26,9 @@ is worse than the parent's by more than bound x the parent's median,
 `unresolved` when the parent's inter-quartile range exceeds bound x its
 median and not every working-tree run beats every parent run, and `none`
 otherwise.  A workload has `no_regression` when every metric reads `none`.
+Next to the verdict, `pairs_past_bound` counts the pairs in which the
+working tree's run is worse than its paired parent run by more than bound
+x that run, which shows whether a `worse` median repeats pair by pair.
 After its pairs, each workload runs once more per side with `--trace 1`
 for one traced round; the JSON keeps both sides' per-layer metrics,
 `counts_equal`, and `counts_differ`, the names of the `count/round`
@@ -161,6 +164,8 @@ def summarize(pairs, spec):
         sign = 1.0 if direction == "lower" else -1.0
         wins = sum(sign * (c - b) < 0 for b, c in zip(parent, change))
         losses = sum(sign * (c - b) > 0 for b, c in zip(parent, change))
+        past = sum(sign * (c - b) > metric["bound"] * abs(b)
+                   for b, c in zip(parent, change))
         before, after = quartiles(parent), quartiles(change)
         gain = sign * (before["median"] - after["median"])
         summary[name] = {
@@ -177,6 +182,7 @@ def summarize(pairs, spec):
                                and gain > before["q3"] - before["q1"]),
             "regression": regression(parent, change, direction,
                                      metric["bound"]),
+            "pairs_past_bound": past,
         }
     return {"outputs": kept, "metrics": summary,
             "no_regression": all(s["regression"] == "none"
@@ -278,7 +284,10 @@ def run_pairs(args, spec, count_names, parent_dir):
                             "parent's by more than bound x the parent's "
                             "median; unresolved: the parent's inter-quartile "
                             "range exceeds bound x its median and not every "
-                            "change run beats every parent run"),
+                            "change run beats every parent run; "
+                            "pairs_past_bound: the pairs whose change run is "
+                            "worse than their parent run by more than bound x "
+                            "that run"),
         "environment": environment,
         "workloads": {},
     }
@@ -304,7 +313,8 @@ def run_pairs(args, spec, count_names, parent_dir):
                   f"{s['change']['median']:.6g} wins "
                   f"{s['change_wins']}/{len(result['pairs'])} "
                   f"claim {s['claim_rule_met']} "
-                  f"regression {s['regression']}")
+                  f"regression {s['regression']} past bound "
+                  f"{s['pairs_past_bound']}/{len(result['pairs'])}")
         print(f"{workload:12s} no_regression {result['no_regression']}")
         trace = result["trace"]
         print(f"{workload:12s} counts_equal {trace['counts_equal']} "
