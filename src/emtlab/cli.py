@@ -18,6 +18,7 @@ from .nn.params import load_checkpoint
 def _cmd_generate(args):
     if args.limit is not None and args.limit < 1:
         raise ValueError(f"--limit must be >= 1, got {args.limit}")
+    os.makedirs(os.path.dirname(os.path.abspath(args.out)), exist_ok=True)
     level = benchmarks.SHIFT_LEVELS[args.level]
     instances = benchmarks.generate_awcci(level, args.seed, args.tasks, args.dim)
     if args.limit is not None:

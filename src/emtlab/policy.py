@@ -31,8 +31,8 @@ choose actions from them and record no probabilities; `evaluate_actions`
 rebuilds the same graph for a chosen bundle and adds `_log_prob` (the
 joint log-probability, routing included), the critic and the entropy.
 The policy update scores a whole segment there in one call per pass, on
-(T, K, .) stacks of its features and bundles: the same ops act on each
-item, and give each transition's scores and gradients bit for bit.
+its (T, K, 5) features and a bundle of (T, K) fields: the same ops act on
+each item, and give each transition's scores and gradients bit for bit.
 """
 
 import math
@@ -57,7 +57,8 @@ _LOG_NORM = math.log(ACTION_STD * math.sqrt(2.0 * math.pi))
 
 @dataclass
 class ActionBundle:
-    """One generation's joint decision for all K tasks."""
+    """One generation's joint decision for all K tasks, fields (K,); a PPO
+    segment of T generations stacks them into one bundle of (T, K) fields."""
     a1: np.ndarray        # (K,) source task per target, a1[j] != j
     a2: np.ndarray        # (K,) transfer proportion
     a31: np.ndarray       # (K,) operator id in {1..4}
@@ -98,10 +99,10 @@ def _sample_categorical(rng: np.random.Generator, probs: np.ndarray) -> int:
 
 def _sample_source(rng: np.random.Generator, probs: np.ndarray,
                    scores: np.ndarray) -> int:
-    # invert the CDF over sources in descending-score order: the partition
-    # of [0, 1) is then a property of the tasks themselves, which keeps
-    # sampled routing equivariant under task permutations
-    order = np.argsort(-scores, kind="stable")
+    # invert the CDF over the sources (self, at -inf, sorts last and is cut)
+    # in descending-score order: the partition of [0, 1) is then a property
+    # of the tasks, which keeps sampled routing equivariant under permutations
+    order = np.argsort(-scores, kind="stable")[:-1]
     return int(order[_sample_categorical(rng, probs[order])])
 
 

@@ -9,9 +9,10 @@ the policy takes `k_ppo` full-batch update passes of
            + value_coef * E[(return - V)^2] - entropy_coef * H
 
 where r is the ratio of the current to the behaviour probability of the
-joint action.  Each pass scores the segment as one stacked graph with
-(T, 1) columns (`score_segment`), and the loss is one array expression
-over them.
+joint action.  A segment is three arrays, stacked once at its update:
+(T, K, 5) features, an ActionBundle of (T, K) fields and (T,) rewards.
+Each pass scores them with one `evaluate_actions` call, one stacked
+graph, and the loss is one array expression over its (T, 1) columns.
 Rollouts only act; the first pass scores the segment with the parameters
 that collected it, and those log-probabilities and values are the
 behaviour log-probabilities and GAE values of all k_ppo passes.
@@ -37,13 +38,6 @@ from .policy import ActionBundle, act, critic_value, evaluate_actions, init_poli
 from .seeds import derive_rng, derive_seed
 
 log = logging.getLogger(__name__)
-
-
-@dataclass
-class Transition:
-    features: np.ndarray
-    action: ActionBundle
-    reward: float
 
 
 @dataclass
@@ -106,23 +100,13 @@ def compute_advantages(rewards, values, config: PPOConfig,
     return adv, returns
 
 
-def score_segment(store: ParameterStore, buffer):
-    """Score a segment's T transitions with one `evaluate_actions` call on
-    their stacked (T, K, 5) features and (T, K) action fields; returns the
-    log-probabilities, values and entropies as three (T, 1) columns, each
-    entry bit for bit the transition's own score."""
-    bundle = ActionBundle(*(np.stack([getattr(t.action, f.name) for t in buffer])
-                            for f in fields(ActionBundle)))
-    scored = evaluate_actions(store, np.stack([t.features for t in buffer]), bundle)
-    return tuple(tape.reshape(node, (len(buffer), 1)) for node in scored)
-
-
-def _ppo_loss(columns, advantages, returns, old_logp, config: PPOConfig):
-    """Clipped-surrogate loss over a segment's `score_segment` columns;
-    advantages, returns and old_logp hold one entry per transition.  The
-    entropy enters the loss only when entropy_coef is nonzero."""
-    logp, value, entropy = columns
-    n = logp.value.shape[0]
+def _ppo_loss(scores, advantages, returns, old_logp, config: PPOConfig):
+    """Clipped-surrogate loss over a segment's `evaluate_actions` scores,
+    three (T, 1, 1) nodes taken as (T, 1) columns; advantages, returns and
+    old_logp hold one entry per transition.  The entropy enters the loss
+    only when entropy_coef is nonzero."""
+    n = len(advantages)
+    logp, value, entropy = (tape.reshape(node, (n, 1)) for node in scores)
     adv = np.reshape(advantages, (n, 1))
     ratio = tape.exp(tape.sub(logp, constant(np.reshape(old_logp, (n, 1)))))
     clipped = tape.clip(ratio, 1.0 - config.clip_eps, 1.0 + config.clip_eps)
@@ -141,23 +125,24 @@ def _ppo_loss(columns, advantages, returns, old_logp, config: PPOConfig):
     return loss, parts
 
 
-def ppo_update(buffer, store: ParameterStore, config: PPOConfig,
-               bootstrap_value: float) -> dict:
-    """k_ppo clipped-surrogate passes over one segment, one Adam step each.
+def ppo_update(store: ParameterStore, features, actions: ActionBundle, rewards,
+               config: PPOConfig, bootstrap_value: float) -> dict:
+    """k_ppo clipped-surrogate passes over one segment of T transitions, its
+    (T, K, 5) features, (T, K) action fields and (T,) rewards, one Adam
+    step each.
 
     A non-finite loss aborts the update: that pass applies no step, earlier
     passes keep theirs, and the returned statistics hold the diagnostic.
     Non-finite routing scores raise the policy's ValueError instead.
     """
-    rewards = np.array([t.reward for t in buffer])
     stats = {"iterations": [], "aborted": False, "diagnostic": None}
     for it in range(config.k_ppo):
-        columns = score_segment(store, buffer)
+        scores = evaluate_actions(store, features, actions)
         if it == 0:
-            old_logp = columns[0].value[:, 0]
+            old_logp = scores[0].value[:, 0, 0]
             advantages, returns = compute_advantages(
-                rewards, columns[1].value[:, 0], config, bootstrap_value)
-        loss, parts = _ppo_loss(columns, advantages, returns, old_logp, config)
+                rewards, scores[1].value[:, 0, 0], config, bootstrap_value)
+        loss, parts = _ppo_loss(scores, advantages, returns, old_logp, config)
         if not np.isfinite(loss.value).all():
             stats["aborted"] = True
             stats["diagnostic"] = (
@@ -199,7 +184,7 @@ def run_training_episode(store, instance, config: PPOConfig, pop_size: int,
     rngs = [derive_rng(episode_seed, "sample", j)
             for j in range(instance.n_tasks)]
     features = extract_state(state)
-    buffer = []
+    steps = []
     ep_return = rc_total = rk_total = 0.0
     for t in range(1, config.budget + 1):
         bundle = act(store, features, rngs)
@@ -207,14 +192,18 @@ def run_training_episode(store, instance, config: PPOConfig, pop_size: int,
         ep_return += reward
         rc_total += float(rc.sum())
         rk_total += float(rk.sum())
-        buffer.append(Transition(features, bundle, reward))
+        steps.append((features, bundle, reward))
         next_features = extract_state(state)
         done = t == config.budget
         if t % config.t_ppo == 0 or done:
             bootstrap = (0.0 if done else
                          critic_value(store, next_features).value.item())
-            ppo_update(buffer, store, config, bootstrap)
-            buffer = []
+            seg_features, bundles, rewards = zip(*steps)
+            actions = ActionBundle(*(np.stack([getattr(b, f.name) for b in bundles])
+                                     for f in fields(ActionBundle)))
+            ppo_update(store, np.stack(seg_features), actions, np.array(rewards),
+                       config, bootstrap)
+            steps = []
         features = next_features
     return ep_return, rc_total / config.budget, rk_total / config.budget
 

@@ -56,6 +56,13 @@ class TestGenerate:
         assert instances[0].n_tasks == 3
 
 
+    def test_out_in_a_new_directory(self, tmp_path):
+        out = tmp_path / "new" / "nested" / "set.jsonl"
+        run(["generate", "--level", "m", "--seed", "4", "--tasks", "2",
+             "--dim", "2", "--out", str(out), "--limit", "2"])
+        assert len(B.load_instances(str(out))) == 2
+
+
 class TestTrainEvaluatePipeline:
     def test_full_pipeline(self, tmp_path, tiny_dataset):
         config = {

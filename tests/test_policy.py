@@ -178,6 +178,26 @@ class TestRoute:
         assert (np.abs(freq - probs) <= 3 * sigma + 1e-9).all()
 
 
+    def test_sampled_routing_never_picks_self_at_the_top_of_the_draws(self):
+        # the K-1 source probabilities can sum to just under 1; a draw past
+        # their sum must go to a source, never to the masked task itself
+        class TopDraw:
+            def random(self):
+                return np.nextafter(1.0, 0.0)
+
+        rng = derive_rng(8, "top-draw")
+        short = 0
+        for _ in range(100):
+            masked = rng.standard_normal((5, 5)) * 3.0
+            np.fill_diagonal(masked, -np.inf)
+            probs = tape.softmax_rows(constant(masked)).value
+            for j in range(5):
+                order = np.argsort(-masked[j], kind="stable")
+                short += np.cumsum(probs[j][order])[-1] <= np.nextafter(1.0, 0.0)
+                assert P._sample_source(TopDraw(), probs[j], masked[j]) == order[-2]
+        assert short > 0
+
+
 def _half_read_stores(store):
     """Two copies of store whose heads' first layers read only one half of
     the pair row [decision_j | decision_{a1[j]}]: `own` keeps store's

@@ -3,6 +3,7 @@ loop's determinism and accounting."""
 
 import os
 import re
+from dataclasses import fields
 
 import numpy as np
 import pytest
@@ -19,28 +20,35 @@ from emtlab.nn.tape import backward, constant
 from emtlab.seeds import derive_rng
 from tests.test_harness import OVERFLOW_MESSAGE, overflowing_instance
 from tests.test_policy import random_features, task_rngs
-from tests.test_tape import assert_same_bytes
+from tests.test_tape import assert_same_bytes, stack_actions
 
 
 def sampled_buffer(store, n, k=3, seed=0, rewards=None):
-    buf = []
-    for i in range(n):
-        f = random_features(k, seed * 100 + i)
-        bundle = P.act(store, f, task_rngs(k, seed * 100 + i))
-        r = 1.0 if rewards is None else rewards[i]
-        buf.append(ppo.Transition(f, bundle, r))
-    return buf
+    """n sampled K-task steps as a segment's arrays: (n, K, 5) features,
+    a bundle of (n, K) action fields and (n,) rewards."""
+    features = [random_features(k, seed * 100 + i) for i in range(n)]
+    bundles = [P.act(store, f, task_rngs(k, seed * 100 + i))
+               for i, f in enumerate(features)]
+    rewards = np.ones(n) if rewards is None else np.array(rewards, dtype=float)
+    return np.stack(features), stack_actions(bundles), rewards
 
 
-def scored_segment(store, buf, config, bootstrap_value=0.0):
-    """What ppo_update's first pass builds: the segment's score columns,
-    their log-probabilities, and GAE over their values."""
-    columns = ppo.score_segment(store, buf)
-    old_logp = columns[0].value[:, 0]
-    rewards = np.array([t.reward for t in buf])
-    adv, ret = ppo.compute_advantages(rewards, columns[1].value[:, 0], config,
+def transition(segment, i):
+    """Transition i of a segment alone: its (K, 5) features and a bundle of
+    its (K,) action fields, sliced from the stacks."""
+    features, actions, _ = segment
+    return features[i], P.ActionBundle(*(getattr(actions, f.name)[i]
+                                         for f in fields(P.ActionBundle)))
+
+
+def scored_segment(store, segment, config, bootstrap_value=0.0):
+    """What ppo_update's first pass builds: the segment's `evaluate_actions`
+    scores, their log-probabilities, and GAE over their values."""
+    features, actions, rewards = segment
+    scores = P.evaluate_actions(store, features, actions)
+    adv, ret = ppo.compute_advantages(rewards, scores[1].value[:, 0, 0], config,
                                       bootstrap_value)
-    return columns, old_logp, adv, ret
+    return scores, scores[0].value[:, 0, 0], adv, ret
 
 
 def per_transition_loss(scored, advantages, returns, old_logp, config):
@@ -177,7 +185,7 @@ class TestUpdate:
         buf = sampled_buffer(store, n, k=k, seed=seed)
         config = ppo.PPOConfig(k_ppo=2, entropy_coef=entropy_coef,
                                learning_rate=1e-4)
-        stats = ppo.ppo_update(buf, store, config, bootstrap)
+        stats = ppo.ppo_update(store, *buf, config, bootstrap)
         it = stats["iterations"][0]
         assert not stats["aborted"] and it["mean_ratio"] == 1.0
         if n >= 2:
@@ -195,13 +203,13 @@ class TestUpdate:
         buf = sampled_buffer(store, n, k=k, seed=seed,
                              rewards=rng.normal(size=n).tolist())
         config = ppo.PPOConfig(entropy_coef=entropy_coef)
-        columns, old_logp, adv, ret = scored_segment(store, buf, config)
+        scores, old_logp, adv, ret = scored_segment(store, buf, config)
         # behaviour log-probabilities off by up to 0.5 either way, so the
         # ratios straddle the clip range
         old_logp = old_logp + rng.uniform(-0.5, 0.5, size=n)
-        loss, _ = ppo._ppo_loss(columns, adv, ret, old_logp, config)
+        loss, _ = ppo._ppo_loss(scores, adv, ret, old_logp, config)
         grads = backward(loss)
-        scored = [P.evaluate_actions(store, t.features, t.action) for t in buf]
+        scored = [P.evaluate_actions(store, *transition(buf, i)) for i in range(n)]
         reference = per_transition_loss(scored, adv, ret, old_logp, config)
         reference_grads = backward(reference)
         assert loss.value.item() == pytest.approx(reference.value.item(),
@@ -224,13 +232,13 @@ class TestUpdate:
         buf = sampled_buffer(store, n, k=k, seed=seed,
                              rewards=rng.normal(size=n).tolist())
         config = ppo.PPOConfig(entropy_coef=entropy_coef)
-        columns, old_logp, adv, ret = scored_segment(store, buf, config)
-        scored = [P.evaluate_actions(store, t.features, t.action) for t in buf]
+        scores, old_logp, adv, ret = scored_segment(store, buf, config)
+        scored = [P.evaluate_actions(store, *transition(buf, i)) for i in range(n)]
         reference = tuple(tape.concat(nodes, axis=0) for nodes in zip(*scored))
-        for column, expected in zip(columns, reference):
-            assert_same_bytes(column.value, expected.value)
+        for score, expected in zip(scores, reference):
+            assert_same_bytes(score.value.reshape(n, 1), expected.value)
         old_logp = old_logp + rng.uniform(-0.5, 0.5, size=n)
-        loss, parts = ppo._ppo_loss(columns, adv, ret, old_logp, config)
+        loss, parts = ppo._ppo_loss(scores, adv, ret, old_logp, config)
         expected_loss, expected_parts = ppo._ppo_loss(reference, adv, ret,
                                                       old_logp, config)
         assert_same_bytes(loss.value, expected_loss.value)
@@ -250,7 +258,7 @@ class TestUpdate:
         v = P.critic_value(store, f).value.item()
         config = ppo.PPOConfig(k_ppo=1, clip_eps=0.2)
         scored, old_logp, adv, ret = scored_segment(
-            store, [ppo.Transition(f, bundle, v + 1.0)], config)
+            store, (f[None], stack_actions([bundle]), np.array([v + 1.0])), config)
         assert adv[0] == pytest.approx(1.0, rel=1e-12)
         _, parts = ppo._ppo_loss(scored, adv, ret, old_logp - np.log(2.0), config)
         assert parts["mean_ratio"] == pytest.approx(2.0, rel=1e-10)
@@ -266,7 +274,7 @@ class TestUpdate:
             config = ppo.PPOConfig(k_ppo=1, learning_rate=1e-3)
             scored, old_logp, adv, ret = scored_segment(store, buf, config)
             loss_before, _ = ppo._ppo_loss(scored, adv, ret, old_logp, config)
-            ppo.ppo_update(buf, store, config, 0.0)
+            ppo.ppo_update(store, *buf, config, 0.0)
             rescored = scored_segment(store, buf, config)[0]
             loss_after, _ = ppo._ppo_loss(rescored, adv, ret, old_logp, config)
             if loss_after.value.item() < loss_before.value.item():
@@ -286,9 +294,9 @@ class TestUpdate:
         surrogate_grads = backward(loss)
 
         total = None
-        for a, tr in zip(adv, buf):
-            logp, _, _ = P.evaluate_actions(store, tr.features, tr.action)
-            term = tape.scale(logp, -a / len(buf))
+        for i, a in enumerate(adv):
+            logp, _, _ = P.evaluate_actions(store, *transition(buf, i))
+            term = tape.scale(logp, -a / len(adv))
             total = term if total is None else tape.add(total, term)
         # the critic is on the surrogate's graph (scaled by 0) only
         reference = backward(total)
@@ -301,7 +309,7 @@ class TestUpdate:
         buf = sampled_buffer(store, 2, seed=2)
         store["kc2.b"].value[0, 0] = np.nan
         before = {n: store[n].value.copy() for n in list(store.params)}
-        stats = ppo.ppo_update(buf, store, ppo.PPOConfig(k_ppo=2), 0.0)
+        stats = ppo.ppo_update(store, *buf, ppo.PPOConfig(k_ppo=2), 0.0)
         assert stats["aborted"] and "non-finite" in stats["diagnostic"]
         assert stats["iterations"] == []
         for n in list(store.params):
@@ -313,7 +321,7 @@ class TestUpdate:
         rewards = [0.5, -1.0, 2.0]
         reference = P.init_policy(29)
         buf = sampled_buffer(reference, 3, seed=4, rewards=rewards)
-        ppo.ppo_update(buf, reference, ppo.PPOConfig(k_ppo=1), 0.0)
+        ppo.ppo_update(reference, *buf, ppo.PPOConfig(k_ppo=1), 0.0)
         loss_of = ppo._ppo_loss
         calls = []
 
@@ -324,7 +332,7 @@ class TestUpdate:
 
         monkeypatch.setattr(ppo, "_ppo_loss", nan_second_loss)
         store = P.init_policy(29)
-        stats = ppo.ppo_update(buf, store, ppo.PPOConfig(k_ppo=3), 0.0)
+        stats = ppo.ppo_update(store, *buf, ppo.PPOConfig(k_ppo=3), 0.0)
         assert stats["aborted"] and len(stats["iterations"]) == 1
         assert len(calls) == 2 and store.step == 1
         for n, p in reference.params.items():
@@ -337,7 +345,7 @@ class TestUpdate:
         rng = derive_rng(3, "rew")
         buf = sampled_buffer(store, 5, seed=3, rewards=rng.normal(size=5).tolist())
         before = {n: store[n].value.copy() for n in list(store.params)}
-        stats = ppo.ppo_update(buf, store, ppo.PPOConfig(), 0.0)
+        stats = ppo.ppo_update(store, *buf, ppo.PPOConfig(), 0.0)
         assert len(stats["iterations"]) == 3
         changed = any(not np.array_equal(store[n].value, before[n])
                       for n in list(store.params))
@@ -442,6 +450,39 @@ class TestTrain:
         assert final == (tmp_path / saved[-1]).read_bytes()
         assert sorted(p.name for p in tmp_path.iterdir()) == sorted(
             set(saved) | {"checkpoint.json"})
+
+    def test_segments_cut_every_t_ppo_steps_and_at_episode_end(self, monkeypatch):
+        # budget 7, t_ppo 3: segments of 3, 3 and 1 steps, each holding its
+        # steps' features in order; the first two bootstrap from the critic's
+        # value of the state after them, the last ends the episode
+        states, segments = [], []
+        extract, update = ppo.extract_state, ppo.ppo_update
+
+        def spy_extract(state):
+            states.append(extract(state))
+            return states[-1]
+
+        def spy_update(store, features, actions, rewards, config, bootstrap):
+            # the state after the segment is the last one extracted
+            segments.append((features, actions, rewards, bootstrap, len(states),
+                             P.critic_value(store, states[-1]).value.item()))
+            return update(store, features, actions, rewards, config, bootstrap)
+
+        monkeypatch.setattr(ppo, "extract_state", spy_extract)
+        monkeypatch.setattr(ppo, "ppo_update", spy_update)
+        ppo.run_training_episode(P.init_policy(37), desk_instances(1)[0],
+                                 ppo.PPOConfig(budget=7, t_ppo=3), 6, 41)
+        assert len(states) == 8
+        assert [len(features) for features, *_ in segments] == [3, 3, 1]
+        start = 0
+        for features, actions, rewards, bootstrap, seen, value in segments:
+            end = start + len(features)
+            assert_same_bytes(features, np.stack(states[start:end]))
+            assert actions.a1.shape == (end - start, 2)
+            assert rewards.shape == (end - start,)
+            assert seen == end + 1
+            assert bootstrap == (0.0 if end == 7 else value)
+            start = end
 
     def test_episode_return_matches_engine_rewards(self, tmp_path, monkeypatch):
         recorded = []

@@ -3,6 +3,7 @@ and hand-computed oracles."""
 
 import math
 import zlib
+from dataclasses import fields
 from unittest import mock
 
 import numpy as np
@@ -224,6 +225,13 @@ def id_keyed_topo_order(root):
     return order
 
 
+def stack_actions(bundles):
+    """One ActionBundle of (T, K) fields from T bundles of (K,) fields, as
+    the training loop stacks a segment."""
+    return P.ActionBundle(*(np.stack([getattr(b, f.name) for b in bundles])
+                            for f in fields(P.ActionBundle)))
+
+
 def ppo_loss_graph(k, n, seed, entropy_coef):
     """A policy store and a builder of its PPO loss over n sampled K-task
     transitions.  The graph has transposes feeding matmuls, shared nodes and
@@ -231,17 +239,19 @@ def ppo_loss_graph(k, n, seed, entropy_coef):
     either way, so the ratios straddle the clip range."""
     rng = derive_rng(seed, "accum")
     store = P.init_policy(seed)
-    buf = []
+    steps = []
     for t in range(n):
         features = rng.random((k, 5))
         streams = [derive_rng(seed, t, j) for j in range(k)]
-        buf.append(ppo.Transition(features, P.act(store, features, streams), 0.0))
+        steps.append((features, P.act(store, features, streams)))
+    features = np.stack([f for f, _ in steps])
+    actions = stack_actions([bundle for _, bundle in steps])
     config = ppo.PPOConfig(entropy_coef=entropy_coef)
-    old_logp = (ppo.score_segment(store, buf)[0].value[:, 0]
+    old_logp = (P.evaluate_actions(store, features, actions)[0].value[:, 0, 0]
                 + rng.uniform(-0.5, 0.5, size=n))
     adv, ret = rng.normal(size=n), rng.normal(size=n)
-    return store, lambda: ppo._ppo_loss(ppo.score_segment(store, buf), adv,
-                                        ret, old_logp, config)[0]
+    return store, lambda: ppo._ppo_loss(P.evaluate_actions(store, features, actions),
+                                        adv, ret, old_logp, config)[0]
 
 
 class TestBackward:

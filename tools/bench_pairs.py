@@ -1,7 +1,7 @@
 """Paired benchmark runs of a parent commit against the working tree.
 
     python3 tools/bench_pairs.py --parent HEAD --out BENCH_train_round.json \
-        train-desk=10 eval-paper=3 ablate-desk=3
+        train-desk=10 eval-paper=5 ablate-desk=5
 
 Run from the root of a source checkout.  The parent's committed files are
 exported with `git archive` into a fresh directory, so the parent side
