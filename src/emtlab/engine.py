@@ -40,11 +40,14 @@ the same stream order, but all operator indices of a task-generation
 come from one bounded-integer call, and so do all its partner indices
 (_draw_rows, then _fix_rows).
 
-emt_step runs a generation in three phases.  First, per task in index
-order, it makes every draw of the generation from that task's stream, in
-the order above, and finishes the transfer picks into pool positions;
-every count depends only on the action, N and D, so no draw waits for an
-offspring.  Second, one array pass (self_evolve) builds the
+emt_step checks the action as one (5, K) array and runs a generation in
+three phases.  First, per task in index order, it makes the seven draws of
+the generation from that task's stream, in the order above, and keeps them
+raw; only the transfer picks are finished into pool positions there, as
+their segments differ by task.  Every count depends only on the action, N
+and D, so no draw waits for an offspring.  One array pass per kind then
+builds the transfer mask and finishes every crossover mask (u < Cr per
+row, then j_rand).  Second, one array pass (self_evolve) builds the
 self-evolution offspring of all K tasks from the positions before the
 generation.  Third, per task in index order, it builds the transfer
 offspring from the source population as it stands then, evaluates the
@@ -60,7 +63,6 @@ task axis, although the controller is: relabelling the tasks of an
 instance (same streams, positions and routing) changes the results.
 """
 
-import math
 from dataclasses import dataclass
 from functools import lru_cache
 from typing import NamedTuple
@@ -230,28 +232,20 @@ def _fix_rows(draws, segments):
     return out
 
 
-def _crossover_mask(rng, rows, d, cr):
-    """Binomial crossover mask: each gene from the mutant with probability
-    cr, and one j_rand gene per row always."""
-    mask = rng.random((rows, d)) < cr
-    mask[np.arange(rows), rng.integers(0, d, size=rows)] = True
-    return mask
-
-
 def _draw_self(rng, rows, n, d):
-    """Self-evolution draws of `rows` parents in a population of n: (raw
-    draws of three distinct partners among the N - 1 rows other than the
-    parent, crossover mask)."""
-    return (_draw_rows(rng, rows, ((n - 1, 3),)),
-            _crossover_mask(rng, rows, d, SELF_CR))
+    """Raw self-evolution draws of `rows` parents in a population of n:
+    partner draws of three distinct rows among the N - 1 other than the
+    parent, crossover uniforms (rows, d) and j_rand (rows,)."""
+    return (_draw_rows(rng, rows, ((n - 1, 3),)), rng.random((rows, d)),
+            rng.integers(0, d, size=rows))
 
 
 def self_evolve(positions, partners, parents, mask) -> np.ndarray:
     """DE/rand/1/bin offspring, clamped to [0, 1], in one array pass.
 
     positions is (K, N, D); parents are row indices into its (K*N, D)
-    reshape; partners and mask are each parent's draws from _draw_self,
-    its partners taken from its own population.
+    reshape; partners are each parent's partner draws from _draw_self,
+    taken from its own population, and mask its finished crossover mask.
     """
     k, n, d = positions.shape
     parents = np.asarray(parents, dtype=int)
@@ -264,37 +258,29 @@ def self_evolve(positions, partners, parents, mask) -> np.ndarray:
     return np.clip(np.where(mask, mutants, x[parents]), 0.0, 1.0)
 
 
-class TransferDraws(NamedTuple):
-    """One task-generation's transfer draws, made by _draw_transfer."""
-    hosts: np.ndarray              # (m_kt,) target parents paired with the offspring
-    picks: list                    # pool positions: the (m_kt, 1) random base
-                                   # (none for a best-row base), the (m_kt, 2) pair
-    mask: np.ndarray               # (m_kt, D) crossover mask
-
-
-def _draw_transfer(rng, n, d, a2, op_id, cr) -> TransferDraws:
-    """Transfer draws of a target of n rows.  m_kt = round(a2 * N), at most
-    N; zero means no transfer and no stream consumption.  Picks are
-    positions in their pools: the m_kt source elites or the n target rows."""
-    m_kt = math.floor(a2 * n + 0.5)  # round half up
-    if m_kt <= 0:
-        return TransferDraws(np.empty(0, dtype=int), [], np.empty((0, d), dtype=bool))
+def _draw_transfer(rng, n, d, m_kt, op_id):
+    """Transfer draws of m_kt offspring into a target of n rows: hosts, pool
+    positions (of the m_kt source elites or the n target rows) of the
+    (m_kt, 1) random base, if any, and the (m_kt, 2) pair, and the raw
+    crossover uniforms and j_rand.  m_kt = 0 consumes nothing."""
+    if m_kt == 0:
+        return np.empty(0, dtype=int), [], np.empty((0, d)), np.empty(0, dtype=int)
     hosts = rng.choice(n, size=m_kt, replace=False)
     base_is_source, base_is_best = OPERATORS[op_id]
     base_pool, diff_pool = (m_kt, n) if base_is_source else (n, m_kt)
     segments = ((diff_pool, 2),) if base_is_best else ((base_pool, 1), (diff_pool, 2))
-    return TransferDraws(hosts, _fix_rows(_draw_rows(rng, m_kt, segments), segments),
-                         _crossover_mask(rng, m_kt, d, cr))
+    return (hosts, _fix_rows(_draw_rows(rng, m_kt, segments), segments),
+            rng.random((m_kt, d)), rng.integers(0, d, size=m_kt))
 
 
 def transfer_evolve(target: Population, source: Population, op_id: int,
-                    f: float, draws: TransferDraws):
-    """Knowledge-transfer offspring for one target task.
+                    f: float, hosts, picks, mask):
+    """Knowledge-transfer offspring for one target task, from
+    _draw_transfer's hosts and picks and the finished crossover mask.
 
     Returns (offspring, hosts): hosts are the uniformly sampled target
     parents each offspring is paired with for crossover and selection.
     """
-    hosts = draws.hosts
     if len(hosts) == 0:
         return np.empty((0, target.positions.shape[1])), hosts
     base_is_source, base_is_best = OPERATORS[op_id]
@@ -302,12 +288,12 @@ def transfer_evolve(target: Population, source: Population, op_id: int,
     # rows; target picks are rows already
     elites = source.fitness.argsort(kind="stable")[:len(hosts)]
     from_source = [base_is_source] * (not base_is_best) + [not base_is_source]
-    rows = [elites[p] if src else p for src, p in zip(from_source, draws.picks)]
+    rows = [elites[p] if src else p for src, p in zip(from_source, picks)]
     base, diff = (source, target) if base_is_source else (target, source)
     base_rows = base.fitness.argmin() if base_is_best else rows[0][:, 0]
     x, pairs = diff.positions, rows[-1]
     mutants = base.positions[base_rows] + f * (x[pairs[:, 0]] - x[pairs[:, 1]])
-    trials = np.where(draws.mask, mutants, target.positions[hosts])
+    trials = np.where(mask, mutants, target.positions[hosts])
     return np.clip(trials, 0.0, 1.0), hosts
 
 
@@ -349,56 +335,57 @@ def emt_step(state: EMTState, action):
     ValueError before anything changes.
     """
     k = state.n_tasks
-    checked = {}
-    for name in ("a1", "a2", "a31", "a32", "a33"):
-        values = np.asarray(getattr(action, name), dtype=np.float64)
-        if len(values) != k:
-            raise ValueError(f"action {name} has {len(values)} entries, but the "
+    names = ("a1", "a2", "a31", "a32", "a33")
+    fields = [np.asarray(getattr(action, name), dtype=np.float64) for name in names]
+    for name, field in zip(names, fields):
+        if len(field) != k:
+            raise ValueError(f"action {name} has {len(field)} entries, but the "
                              f"number of tasks K is {k}")
-        if name == "a1":
-            ok = ((values % 1 == 0) & (values >= 0) & (values < k)
-                  & (values != np.arange(k)))
-            expected = "the integral index of another task as source"
-        elif name == "a31":
-            ok = (values[:, None] == list(OPERATORS)).any(axis=1)
-            expected = f"an operator id in {sorted(OPERATORS)}"
-        else:
-            lo, hi = ACTION_RANGES[name]
-            ok = np.isfinite(values) & (values >= lo) & (values <= hi)
-            expected = f"a finite value in [{lo}, {hi}]"
-        bad = np.flatnonzero(~ok)
-        if len(bad):
-            raise ValueError(f"action {name} of task {bad[0]} is {values[bad[0]]}, "
-                             f"expected {expected}")
-        checked[name] = values
-    # Python scalars, converted once: phases 1 and 3 read them task by task
-    a1, a31 = (checked[f].astype(int).tolist() for f in ("a1", "a31"))
-    a2, a32, a33 = (checked[f].tolist() for f in ("a2", "a32", "a33"))
+    values = np.array(fields)                                   # (5, K)
+    # a1 indexes a task and a31 is an id of OPERATORS, the integers 1..4
+    lo, hi = np.array([(0, k - 1), ACTION_RANGES["a2"], (min(OPERATORS), max(OPERATORS)),
+                       ACTION_RANGES["a32"], ACTION_RANGES["a33"]]).T[..., None]
+    ok = (values >= lo) & (values <= hi)                        # NaN fails
+    ok[[0, 2]] &= values[[0, 2]] % 1 == 0
+    ok[0] &= values[0] != np.arange(k)                          # never its own source
+    if not ok.all():
+        row, j = np.argwhere(~ok)[0]
+        name = names[row]
+        expected = ("the integral index of another task as source" if name == "a1"
+                    else f"an operator id in {sorted(OPERATORS)}" if name == "a31"
+                    else "a finite value in [{}, {}]".format(*ACTION_RANGES[name]))
+        raise ValueError(f"action {name} of task {j} is {values[row, j]}, "
+                         f"expected {expected}")
+    # indices as Python ints, read task by task in phases 1 and 3
+    a1, a31 = values[[0, 2]].astype(int).tolist()
+    a2, a32, a33 = values[[1, 3, 4]]
     _, n, d = state.positions.shape
-    # phase 1: every draw of the generation, task by task
-    transfers, selfs = [], []
+    m_kt = np.floor(a2 * n + 0.5).astype(int)                   # round half up
+    # phase 1: every draw of the generation, task by task, raw
+    hosts, picks, t_u, t_jrand, partners, s_u, s_jrand = zip(*(
+        _draw_transfer(rng, n, d, m, op) + _draw_self(rng, n - m, n, d)
+        for rng, m, op in zip(state.task_rngs, m_kt.tolist(), a31)))
     transfer_mask = np.zeros((k, n), dtype=bool)
-    for j, rng in enumerate(state.task_rngs):
-        draws = _draw_transfer(rng, n, d, a2[j], a31[j], a33[j])
-        transfer_mask[j, draws.hosts] = True
-        transfers.append(draws)
-        selfs.append(_draw_self(rng, n - len(draws.hosts), n, d))
+    transfer_mask[np.repeat(np.arange(k), m_kt), np.concatenate(hosts)] = True
+    # every crossover mask: the transfer rows of each task, then all self rows
+    u = np.concatenate([*t_u, *s_u])
+    masks = u < np.repeat(np.append(a33, SELF_CR), [*m_kt, k * n - m_kt.sum()])[:, None]
+    masks[np.arange(len(u)), np.concatenate([*t_jrand, *s_jrand])] = True
+    *transfer_masks, self_masks = np.split(masks, np.cumsum(m_kt))
     # phase 2: the self-evolution offspring of every task at once
-    partners, masks = zip(*selfs)
     combined = np.empty_like(state.positions)
     self_parents = np.flatnonzero(~transfer_mask)
     combined.reshape(k * n, d)[self_parents] = self_evolve(
-        state.positions, np.concatenate(partners), self_parents,
-        np.concatenate(masks))
+        state.positions, np.concatenate(partners), self_parents, self_masks)
     # phase 3: transfer, evaluation and selection, task by task
     best_before = state.best_values()
     n_transfer = np.count_nonzero(transfer_mask, axis=1)
     n_success = np.zeros(k, dtype=int)
     pops = state.populations
     for j, pop in enumerate(pops):
-        offspring, hosts = transfer_evolve(pop, pops[a1[j]], a31[j], a32[j],
-                                           transfers[j])
-        combined[j, hosts] = offspring
+        offspring, rows = transfer_evolve(pop, pops[a1[j]], a31[j], a32[j],
+                                          hosts[j], picks[j], transfer_masks[j])
+        combined[j, rows] = offspring
         fitness = evaluate_subtask_batch(state.instance.sub_tasks[j], combined[j])
         state.evaluations += n
         n_success[j] = greedy_select(pop, combined[j], fitness, transfer_mask[j])

@@ -15,7 +15,7 @@ import numpy as np
 
 from .engine import (NORMALIZER_TOL, OPERATORS, check_pop_size, emt_step,
                      extract_state, init_populations)
-from .policy import act_with_context, init_policy
+from .policy import ActionBundle, act_with_context, init_policy, routing_scores
 from .seeds import derive_rng, derive_seed
 from .stats import wilcoxon_signed_rank
 
@@ -77,14 +77,19 @@ class Controller:
         if v in ("no_tr", "random_all"):
             r = ablation_rng.integers(0, k - 1, size=k)
             forced_a1 = np.where(r < np.arange(k), r, r + 1)
+        if v == "random_all":  # every action is substituted: no head is computed
+            scores = routing_scores(self.store, features)
+            return ActionBundle(forced_a1, ablation_rng.uniform(0.0, 1.0, size=k),
+                                ablation_rng.integers(1, 1 + len(OPERATORS), size=k),
+                                np.full(k, 0.5), np.full(k, 0.5)), scores
         bundle, scores = act_with_context(self.store, features, forced_a1)
-        if v in ("no_kc", "random_all"):
+        if v == "no_kc":
             bundle.a2 = ablation_rng.uniform(0.0, 1.0, size=k)
-        if v in ("no_op", "random_all"):
+        if v == "no_op":
             bundle.a31 = ablation_rng.integers(1, 1 + len(OPERATORS), size=k)
-        if v in ("no_f", "random_all"):
+        if v == "no_f":
             bundle.a32 = np.full(k, 0.5)
-        if v in ("no_cr", "random_all"):
+        if v == "no_cr":
             bundle.a33 = np.full(k, 0.5)
         if v == "no_transfer":
             bundle.a2 = np.zeros(k)

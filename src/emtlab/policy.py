@@ -18,8 +18,10 @@ is scored as that of the unclamped Gaussian at the clamped value.
 `act`, the sampled pass of training, draws every action, task j's only
 from the j-th RNG stream (order per task: routing, amount, operator, F,
 Cr), which keeps the whole controller permutation-equivariant in the
-task axis.  `act_with_context`, the deterministic pass of inference,
-takes the argmax of discrete actions and the mean of continuous ones.
+task axis; two passes over the streams draw the routing uniforms, then
+the rest, and every categorical CDF is inverted row-wise (_inverse_cdf).
+`act_with_context`, the deterministic pass of inference, takes the argmax
+of discrete actions and the mean of continuous ones.
 
 A value critic (MLP on the mean task embedding) provides the baseline for
 advantage estimation; it is permutation-invariant and K-agnostic.
@@ -91,19 +93,13 @@ def embed(store: ParameterStore, features: np.ndarray) -> Node:
     return dense(store, "fe", constant(feats))
 
 
-def _sample_categorical(rng: np.random.Generator, probs: np.ndarray) -> int:
-    cdf = np.cumsum(probs)
-    cdf[-1] = 1.0
-    return int(np.searchsorted(cdf, rng.random(), side="right"))
-
-
-def _sample_source(rng: np.random.Generator, probs: np.ndarray,
-                   scores: np.ndarray) -> int:
-    # invert the CDF over the sources (self, at -inf, sorts last and is cut)
-    # in descending-score order: the partition of [0, 1) is then a property
-    # of the tasks, which keeps sampled routing equivariant under permutations
-    order = np.argsort(-scores, kind="stable")[:-1]
-    return int(order[_sample_categorical(rng, probs[order])])
+def _inverse_cdf(probs: np.ndarray, u: np.ndarray) -> np.ndarray:
+    """Row i's category under the uniform u[i]: the count of its cumulative
+    probabilities <= u[i], the last set to 1.0 so that every u in [0, 1)
+    falls inside, as np.searchsorted(cdf, u[i], side="right") finds it."""
+    cdf = np.cumsum(probs, axis=1)
+    cdf[:, -1] = 1.0
+    return np.count_nonzero(cdf <= u[:, None], axis=1)
 
 
 def _trunk(store, features):
@@ -165,25 +161,26 @@ def _log_prob(heads, bundle: ActionBundle, route_probs: Node) -> Node:
     return tape.add(logp, _categorical_logp(route_probs, bundle.a1))
 
 
-def _sample_gaussian(rngs, mu: np.ndarray, lo: float, hi: float) -> np.ndarray:
-    draws = np.array([rngs[j].normal(mu[j], ACTION_STD) for j in range(len(mu))])
-    return np.clip(draws, lo, hi)
-
-
 def act(store, features, rngs) -> ActionBundle:
     """Sampled pass: an ActionBundle drawn from the per-task streams rngs."""
     _, decision, masked, route_probs = _trunk(store, features)
     k = len(masked.value)
     if len(rngs) != k:
         raise ValueError("sampling needs one rng stream per task")
-    a1 = np.array([_sample_source(rngs[j], route_probs.value[j], masked.value[j])
-                   for j in range(k)])
+    # invert the CDF over the sources (self, at -inf, sorts last and is cut)
+    # in descending-score order: the partition of [0, 1) is then a property
+    # of the tasks, which keeps sampled routing equivariant under permutations
+    order = np.argsort(-masked.value, axis=1, kind="stable")[:, :-1]
+    u = np.array([rng.random() for rng in rngs])
+    source_probs = np.take_along_axis(route_probs.value, order, axis=1)
+    a1 = order[np.arange(k), _inverse_cdf(source_probs, u)]
     mu_kc, op_probs, mu_f, mu_cr = (h.value for h in _heads(store, decision, a1))
-    a2 = _sample_gaussian(rngs, mu_kc[:, 0], 0.0, 0.5)
-    a31 = np.array([_sample_categorical(rngs[j], op_probs[j]) for j in range(k)]) + 1
-    a32 = _sample_gaussian(rngs, mu_f[:, 0], 0.0, 1.0)
-    a33 = _sample_gaussian(rngs, mu_cr[:, 0], 0.0, 1.0)
-    return ActionBundle(a1, a2, a31, a32, a33)
+    a2, u, a32, a33 = np.array([
+        (rng.normal(kc, ACTION_STD), rng.random(), rng.normal(f, ACTION_STD),
+         rng.normal(cr, ACTION_STD))
+        for rng, kc, f, cr in zip(rngs, mu_kc[:, 0], mu_f[:, 0], mu_cr[:, 0])]).T
+    return ActionBundle(a1, np.clip(a2, 0.0, 0.5), _inverse_cdf(op_probs, u) + 1,
+                        np.clip(a32, 0.0, 1.0), np.clip(a33, 0.0, 1.0))
 
 
 def act_with_context(store, features, forced_a1):
@@ -200,6 +197,11 @@ def act_with_context(store, features, forced_a1):
     mu_kc, op_probs, mu_f, mu_cr = (h.value for h in _heads(store, decision, a1))
     return ActionBundle(a1, mu_kc[:, 0], np.argmax(op_probs, axis=1) + 1,
                         mu_f[:, 0], mu_cr[:, 0]), masked.value
+
+
+def routing_scores(store, features) -> np.ndarray:
+    """act_with_context's (K, K) masked routing scores, computing no head."""
+    return _trunk(store, features)[2].value
 
 
 def _critic(store, e: Node) -> Node:

@@ -138,6 +138,26 @@ class TestRegression:
         # 75.0 is exactly at the bound, which is not past it
         assert metrics["evals_per_s"]["pairs_past_bound"] == 2
 
+    def test_median_past_bound_from_few_pairs_reads_unresolved(self):
+        # the change's median is 30% worse, but only one pair is past the
+        # bound: host noise that moved the two sides apart, not a loss
+        p = pairs(5)
+        set_metric(p, "cpu_s", [8.0, 8.0, 10.0, 13.0, 13.0],
+                   [9.0, 9.0, 13.0, 13.0, 13.0])
+        summary = bench_pairs.summarize(p, SPEC)
+        assert summary["metrics"]["cpu_s"]["pairs_past_bound"] == 1
+        assert summary["metrics"]["cpu_s"]["regression"] == "unresolved"
+        assert not summary["no_regression"]
+
+    def test_half_the_pairs_past_bound_is_not_more_than_half(self):
+        p = pairs(4)
+        # medians 10.2 and 12.9, 26% apart; 13.0 vs 10.0 is past, 12.8 vs
+        # 10.4 is not
+        set_metric(p, "cpu_s", [10.0, 10.0, 10.4, 10.4], [13.0, 13.0, 12.8, 12.8])
+        metrics = bench_pairs.summarize(p, SPEC)["metrics"]
+        assert metrics["cpu_s"]["pairs_past_bound"] == 2
+        assert metrics["cpu_s"]["regression"] == "unresolved"
+
     def test_wide_parent_spread_reads_unresolved(self):
         # the parent's quartiles span 5 s, more than 0.25 x its 10 s median
         p = pairs(3)
@@ -192,6 +212,40 @@ class TestTraceCounts:
         assert not result["counts_equal"]
         assert result["counts_differ"] == ["trace.spans"]
         assert result["metrics"]["change"]["trace.spans"] == 4.0
+
+
+class TestPairOrder:
+    def test_first_side_runs_once_more_before_each_pair(self, monkeypatch):
+        calls = []
+        cpu_s = iter([9.0, 12.0, 10.0, 9.0, 11.0, 10.0, 9.0, 12.0, 10.0])
+
+        def run_once(checkout, workload, seed, trace=False):
+            calls.append(checkout)
+            result = {"correct": True, "attempted": 1, "failed": 0,
+                      "metrics": {"cpu_s": {"value": next(cpu_s)},
+                                  "evals_per_s": {"value": 1.0}}}
+            return result, {"digests": {}, "environment": {"loadavg_at_start": 0.0}}
+
+        monkeypatch.setattr(bench_pairs, "run_once", run_once)
+        result = bench_pairs.bench_workload("ablate-desk", 3, "parent-dir", 0,
+                                            SPEC, {})
+        root = bench_pairs.ROOT
+        assert calls == ["parent-dir", "parent-dir", root,
+                         root, root, "parent-dir",
+                         "parent-dir", "parent-dir", root]
+        # the discarded runs read 9.0 each; the kept ones 12/10, 11/10, 12/10
+        assert [p["order"] for p in result["pairs"]] == [
+            ["parent", "change"], ["change", "parent"], ["parent", "change"]]
+        assert [p["parent"]["metrics"]["cpu_s"] for p in result["pairs"]] == [
+            12.0, 10.0, 12.0]
+        assert result["order_bias"] == {"parent_first": pytest.approx(1.2),
+                                        "change_first": pytest.approx(1.1)}
+
+    def test_order_no_pair_ran_has_no_bias(self):
+        p = pairs(1)
+        p[0]["order"] = ["parent", "change"]
+        assert bench_pairs.order_bias(p) == {"parent_first": 10.0 / 7.5,
+                                             "change_first": None}
 
 
 class TestSrcLines:

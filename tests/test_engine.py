@@ -33,6 +33,15 @@ def population(positions, fitness):
                       10, []).populations[0]
 
 
+def draw_self(rng, rows, n, d):
+    """Partner draws and the finished crossover mask of `rows` parents,
+    from _draw_self's raw draws as emt_step finishes them."""
+    partners, u, j_rand = E._draw_self(rng, rows, n, d)
+    mask = u < E.SELF_CR
+    mask[np.arange(rows), j_rand] = True
+    return partners, mask
+
+
 def replay_self(x, parents, rng, f=E.SELF_F, cr=E.SELF_CR):
     """Self-evolution reference: each parent's partners are drawn with one
     rng.choice from the population with the parent deleted, then
@@ -178,7 +187,7 @@ class TestSelfEvolve:
         state = E.init_populations(tiny_instance(2, 3), 5, seed=7, budget=10)
         pop = state.populations[0]
         pop.positions[:] = 0.25  # identical population: x_r1 + F(x_r2-x_r3) = x_r1
-        partners, mask = E._draw_self(derive_rng(1, "se"), 5, 5, 3)
+        partners, mask = draw_self(derive_rng(1, "se"), 5, 5, 3)
         off = E.self_evolve(state.positions, partners, np.arange(5), mask)
         np.testing.assert_allclose(off, 0.25)
 
@@ -188,7 +197,7 @@ class TestSelfEvolve:
         state = E.init_populations(tiny_instance(2, 6), 6, seed=8, budget=10)
         pop = state.populations[1]
         rng_b = derive_rng(2, "se")
-        partners, _ = E._draw_self(derive_rng(2, "se"), 6, 6, 6)
+        partners, _ = draw_self(derive_rng(2, "se"), 6, 6, 6)
         off = E.self_evolve(state.positions, partners, 6 + np.arange(6),
                             np.ones((6, 6), dtype=bool))
         # replicate the mutants with the documented draw order
@@ -207,7 +216,7 @@ class TestSelfEvolve:
         state = E.init_populations(tiny_instance(2, 3), 5, seed=7, budget=10)
         rng = derive_rng(1, "se")
         before = rng.bit_generator.state
-        partners, mask = E._draw_self(rng, len(parents), 5, 3)
+        partners, mask = draw_self(rng, len(parents), 5, 3)
         off = E.self_evolve(state.positions, partners, parents, mask)
         assert off.shape == (0, 3)
         assert rng.bit_generator.state == before
@@ -227,7 +236,7 @@ class TestSelfEvolve:
         replay = derive_rng(seed, "replay", "stream")
         expected = replay_self(x, parents, replay)
         stream = derive_rng(seed, "replay", "stream")
-        partners, mask = E._draw_self(stream, len(parents), n, 3)
+        partners, mask = draw_self(stream, len(parents), n, 3)
         assert stream.bit_generator.state == replay.bit_generator.state
         np.testing.assert_array_equal(
             E.self_evolve(positions, partners, n + parents, mask), expected)
@@ -235,7 +244,7 @@ class TestSelfEvolve:
     def test_offspring_inside_unit_box(self):
         state = E.init_populations(tiny_instance(2, 5), 12, seed=9, budget=10)
         for _ in range(10):
-            partners, mask = E._draw_self(derive_rng(3, "se"), 12, 12, 5)
+            partners, mask = draw_self(derive_rng(3, "se"), 12, 12, 5)
             off = E.self_evolve(state.positions, partners, np.arange(12), mask)
             assert (off >= 0.0).all() and (off <= 1.0).all()
 
@@ -275,17 +284,17 @@ class TestTransferEvolve:
     def _transfer(target, source, a2, op_id, f, cr, rng):
         """The transfer draws of one task, then its offspring."""
         n, d = target.positions.shape
-        draws = E._draw_transfer(rng, n, d, a2, op_id, cr)
-        return E.transfer_evolve(target, source, op_id, f, draws)
+        hosts, picks, u, j_rand = E._draw_transfer(rng, n, d, int(a2 * n + 0.5), op_id)
+        mask = u < cr
+        mask[np.arange(len(hosts)), j_rand] = True
+        return E.transfer_evolve(target, source, op_id, f, hosts, picks, mask)
 
     def test_transfer_count_rounding(self):
-        target, source = self._two_pops(n=50)
-        off, hosts = self._transfer(target, source, 0.2, 1, 0.5, 0.7,
-                                    derive_rng(4, "t"))
-        assert len(off) == 10 and len(hosts) == 10
-        off, hosts = self._transfer(target, source, 0.25, 1, 0.5, 0.7,
-                                    derive_rng(4, "t"))
-        assert len(off) == 13  # round half up: 12.5 -> 13
+        # emt_step rounds m_kt = a2 * N half up: 0.2 * 50 -> 10, 12.5 -> 13
+        for a2, m_kt in ((0.2, 10), (0.25, 13)):
+            state = E.init_populations(tiny_instance(2, 4), 50, seed=11, budget=10)
+            E.emt_step(state, bundle_for(state, a2=a2))
+            assert (state.n_transfer == m_kt).all()
 
     def test_zero_proportion_no_output_no_draws(self):
         target, source = self._two_pops()

@@ -5,7 +5,7 @@ import math
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from emtlab import harness as H
@@ -166,17 +166,19 @@ class TestRoute:
         probs = _softmax(masked)
         _, _, scores, route_probs = P._trunk(*_routing_store(raw))
         np.testing.assert_allclose(route_probs.value, probs, rtol=1e-12)
+        # act's routing rule (TestAct pins act to it): one uniform per task,
+        # inverted over the sources in descending-score order
         n = 100_000
         rng = derive_rng(5, "mc")
+        order = np.argsort(-scores.value, axis=1, kind="stable")[:, :-1]
+        tasks = np.tile(np.arange(4), n)
+        picks = order[tasks, P._inverse_cdf(
+            np.take_along_axis(route_probs.value, order, 1)[tasks], rng.random(4 * n))]
         counts = np.zeros((4, 4))
-        for _ in range(n):
-            for j in range(4):
-                counts[j, P._sample_source(rng, route_probs.value[j],
-                                           scores.value[j])] += 1
+        np.add.at(counts, (tasks, picks), 1)
         freq = counts / n
         sigma = np.sqrt(probs * (1 - probs) / n)
         assert (np.abs(freq - probs) <= 3 * sigma + 1e-9).all()
-
 
     def test_sampled_routing_never_picks_self_at_the_top_of_the_draws(self):
         # the K-1 source probabilities can sum to just under 1; a draw past
@@ -185,17 +187,63 @@ class TestRoute:
             def random(self):
                 return np.nextafter(1.0, 0.0)
 
+            def normal(self, loc, scale):
+                return loc
+
         rng = derive_rng(8, "top-draw")
         short = 0
         for _ in range(100):
-            masked = rng.standard_normal((5, 5)) * 3.0
+            raw = rng.standard_normal((5, 5)) * 3.0
+            masked = raw.copy()
             np.fill_diagonal(masked, -np.inf)
             probs = tape.softmax_rows(constant(masked)).value
+            a1 = P.act(*_routing_store(raw), [TopDraw()] * 5).a1
             for j in range(5):
                 order = np.argsort(-masked[j], kind="stable")
                 short += np.cumsum(probs[j][order])[-1] <= np.nextafter(1.0, 0.0)
-                assert P._sample_source(TopDraw(), probs[j], masked[j]) == order[-2]
+                assert a1[j] == order[-2]
         assert short > 0
+
+
+@st.composite
+def cdf_rows(draw):
+    """Softmax rows of one width and one uniform per row, some of them
+    exactly a cumulative sum or the largest double below 1."""
+    width = draw(st.integers(1, 6))
+    logits = np.array(draw(st.lists(st.lists(st.floats(-40.0, 40.0), min_size=width,
+                                             max_size=width), min_size=1, max_size=8)))
+    probs = np.exp(logits - logits.max(axis=1, keepdims=True))
+    probs /= probs.sum(axis=1, keepdims=True)
+    u = [draw(st.one_of(st.floats(0.0, 1.0, exclude_max=True),
+                        st.sampled_from([c for c in row if c < 1.0] or [0.0]),
+                        st.just(np.nextafter(1.0, 0.0))))
+         for row in np.cumsum(probs, axis=1)]
+    return probs, np.array(u)
+
+
+class TestInverseCDF:
+    # a softmax row whose cumulative sum passes 1.0 before its last entry
+    ABOVE_ONE = [0.9999460097257299, 5.399004526493317e-05, 5.590141984955091e-17,
+                 2.2900532004343125e-10, 3.42786595812937e-18]
+
+    def test_rounding_case_passes_one_early(self):
+        assert np.cumsum(self.ABOVE_ONE)[-2] > 1.0
+
+    @given(cdf_rows())
+    @example((np.array([ABOVE_ONE]), np.array([np.nextafter(1.0, 0.0)])))
+    @example((np.array([ABOVE_ONE] * 3), np.array([0.9999999997709949, 0.999999999770995,
+                                                   0.9999999999])))
+    @settings(max_examples=300, deadline=None)
+    def test_equals_searchsorted_per_row(self, case):
+        probs, u = case
+        expected = []
+        for row, x in zip(probs, u):
+            cdf = np.cumsum(row)
+            cdf[-1] = 1.0
+            expected.append(np.searchsorted(cdf, x, side="right"))
+        picks = P._inverse_cdf(probs, u)
+        np.testing.assert_array_equal(picks, expected)
+        assert (picks < probs.shape[1]).all()
 
 
 def _half_read_stores(store):
@@ -294,17 +342,23 @@ class TestContinuousHeads:
         np.testing.assert_allclose(bundle.a32, 1.0, atol=1e-12)
 
     def test_sampled_bounds_hold_in_bulk(self):
-        # one million draws through the sampling path, means near the edges
-        # so clamping actually triggers
-        rng = derive_rng(6, "bulk")
-        hit_low = hit_high = False
-        for _ in range(100):
-            mu = rng.uniform(-0.05, 0.55, size=10_000)
-            draws = P._sample_gaussian([rng] * len(mu), mu, 0.0, 0.5)
-            assert (draws >= 0.0).all() and (draws <= 0.5).all()
-            hit_low |= (draws == 0.0).any()
-            hit_high |= (draws == 0.5).any()
-        assert hit_low and hit_high
+        # saturated heads put every mean on an edge of its range, so that
+        # about half of act's draws are clamped there
+        store, k = P.init_policy(6), 10
+        f = random_features(k, 6)
+        hit = set()
+        for bias in (-40.0, 40.0):
+            for head in ("kc", "f", "cr"):
+                store[f"{head}2.W"].value[...] = 0.0
+                store[f"{head}2.b"].value[...] = bias
+            for draw in range(50):
+                bundle = P.act(store, f, task_rngs(k, draw))
+                for name, hi in (("a2", 0.5), ("a32", 1.0), ("a33", 1.0)):
+                    values = getattr(bundle, name)
+                    assert (values >= 0.0).all() and (values <= hi).all()
+                    hit |= {(name, edge) for edge in (0.0, hi) if (values == edge).any()}
+        assert hit == {(name, edge) for name, hi in (("a2", 0.5), ("a32", 1.0), ("a33", 1.0))
+                       for edge in (0.0, hi)}
 
 
 class TestOperatorHead:
@@ -332,10 +386,8 @@ class TestOperatorHead:
         p = _heads_for(store, 2)[1].value[0]
         rng = derive_rng(8, "opmc")
         n = 100_000
-        counts = np.zeros(4)
-        for _ in range(n):
-            a = P._sample_categorical(rng, p)
-            counts[a] += 1
+        counts = np.bincount(P._inverse_cdf(np.tile(p, (n, 1)), rng.random(n)),
+                             minlength=4)
         freq = counts / n
         sigma = np.sqrt(p * (1 - p) / n)
         assert (np.abs(freq - p) <= 3 * sigma + 1e-9).all()

@@ -9,6 +9,10 @@ runs exactly what is committed and the repository's own state is not
 touched.  For every `workload=pairs` argument, each pair runs
 `perfbench/run.py --trace 0` once on the parent and once on the working
 tree, alternating which side goes first, at perfbench's own run length.
+Before each pair, its first side runs once more and that run is
+discarded, so that neither side pays alone for a cold start; per workload
+and per order, `order_bias` keeps the median ratio of the first run's
+`cpu_s` to the second's, which reads 1 when the order does not matter.
 The JSON file written to --out holds each run's end-to-end metrics, whether
 the two runs of a pair wrote the same output digests, each side's share of
 failed episodes, and per metric the median and quartiles of each side and
@@ -21,14 +25,16 @@ wrote the same digests, the working tree failed no larger share of
 episodes and no more runs than the parent, it won at least nine tenths of
 the pairs, and its median is better than the parent's by more than the
 parent's inter-quartile range.  Each metric also gets a regression verdict
-from its `bound` in BENCHMARK.json: `worse` when the working tree's median
-is worse than the parent's by more than bound x the parent's median,
-`unresolved` when the parent's inter-quartile range exceeds bound x its
-median and not every working-tree run beats every parent run, and `none`
-otherwise.  A workload has `no_regression` when every metric reads `none`.
-Next to the verdict, `pairs_past_bound` counts the pairs in which the
-working tree's run is worse than its paired parent run by more than bound
-x that run, which shows whether a `worse` median repeats pair by pair.
+from its `bound` in BENCHMARK.json.  `pairs_past_bound` counts the pairs
+in which the working tree's run is worse than its paired parent run by
+more than bound x that run.  The verdict is `worse` when the working
+tree's median is worse than the parent's by more than bound x the
+parent's median and more than half of the pairs are past the bound too;
+`unresolved` when the median is past the bound but the pairs are not, or
+when the parent's inter-quartile range exceeds bound x its median and not
+every working-tree run beats every parent run; and `none` otherwise.  A
+workload has `no_regression` when every metric reads `none`, so an
+`unresolved` verdict fails it just as `worse` does.
 After its pairs, each workload runs once more per side with `--trace 1`
 for one traced round; the JSON keeps both sides' per-layer metrics,
 `counts_equal`, and `counts_differ`, the names of the `count/round`
@@ -135,14 +141,16 @@ def outputs(pairs):
     }
 
 
-def regression(parent, change, direction, bound):
+def regression(parent, change, direction, bound, past):
     """`worse`, `unresolved` or `none`: whether the change's runs show a
-    regression beyond `bound`, a share of the parent's median."""
+    regression beyond `bound`, a share of the parent's median; `past` is
+    the number of pairs past the bound, and a median past it reads `worse`
+    only when more than half of the pairs are."""
     sign = 1.0 if direction == "lower" else -1.0
     before = quartiles(parent)
     allowed = bound * abs(before["median"])
     if sign * (float(np.median(change)) - before["median"]) > allowed:
-        return "worse"
+        return "worse" if past > len(parent) / 2 else "unresolved"
     beats_all = (max(change) < min(parent) if direction == "lower"
                  else min(change) > max(parent))
     if before["q3"] - before["q1"] > allowed and not beats_all:
@@ -181,12 +189,24 @@ def summarize(pairs, spec):
                                and wins >= WIN_SHARE * len(pairs)
                                and gain > before["q3"] - before["q1"]),
             "regression": regression(parent, change, direction,
-                                     metric["bound"]),
+                                     metric["bound"], past),
             "pairs_past_bound": past,
         }
     return {"outputs": kept, "metrics": summary,
             "no_regression": all(s["regression"] == "none"
                                  for s in summary.values())}
+
+
+def order_bias(pairs):
+    """Per order, the median over its pairs of the first run's `cpu_s`
+    over the second run's; None for an order that no pair ran."""
+    ratios = {side: [] for side in SIDES}
+    for p in pairs:
+        first, second = p["order"]
+        ratios[first].append(p[first]["metrics"]["cpu_s"]
+                             / p[second]["metrics"]["cpu_s"])
+    return {f"{side}_first": float(np.median(r)) if r else None
+            for side, r in ratios.items()}
 
 
 def counts_differ(parent, change, names):
@@ -211,14 +231,15 @@ def trace_workload(workload, parent_dir, seed, count_names):
 def bench_workload(workload, n_pairs, parent_dir, seed, spec, environment):
     """Runs the pairs of one workload; fills `environment` from the first
     run record."""
+    checkouts = {"parent": parent_dir, "change": ROOT}
     pairs = []
     for i in range(n_pairs):
         order = ("parent", "change") if i % 2 == 0 else ("change", "parent")
         pair = {"order": list(order)}
         digests = {}
+        run_once(checkouts[order[0]], workload, seed)       # discarded
         for side in order:
-            checkout = parent_dir if side == "parent" else ROOT
-            result, record = run_once(checkout, workload, seed)
+            result, record = run_once(checkouts[side], workload, seed)
             pair[side] = {
                 "correct": result["correct"],
                 "attempted": result["attempted"],
@@ -236,7 +257,8 @@ def bench_workload(workload, n_pairs, parent_dir, seed, spec, environment):
                   f"{result['failed']}/{result['attempted']}", flush=True)
         pair["digests_equal"] = digests["parent"] == digests["change"]
         pairs.append(pair)
-    return {"pairs": pairs, **summarize(pairs, spec)}
+    return {"pairs": pairs, **summarize(pairs, spec),
+            "order_bias": order_bias(pairs)}
 
 
 def parse_pairs(text):
@@ -282,12 +304,17 @@ def run_pairs(args, spec, count_names, parent_dir):
                        "inter-quartile range"),
         "regression_rule": ("worse: the change's median is worse than the "
                             "parent's by more than bound x the parent's "
-                            "median; unresolved: the parent's inter-quartile "
-                            "range exceeds bound x its median and not every "
-                            "change run beats every parent run; "
-                            "pairs_past_bound: the pairs whose change run is "
-                            "worse than their parent run by more than bound x "
-                            "that run"),
+                            "median and more than half of the pairs are past "
+                            "the bound; unresolved: the median is past the "
+                            "bound but at most half of the pairs are, or the "
+                            "parent's inter-quartile range exceeds bound x "
+                            "its median and not every change run beats every "
+                            "parent run; pairs_past_bound: the pairs whose "
+                            "change run is worse than their parent run by "
+                            "more than bound x that run"),
+        "order_rule": ("before each pair its first side runs once more, "
+                       "discarded; order_bias: per order, the median ratio "
+                       "of the first run's cpu_s to the second's"),
         "environment": environment,
         "workloads": {},
     }
@@ -315,7 +342,8 @@ def run_pairs(args, spec, count_names, parent_dir):
                   f"claim {s['claim_rule_met']} "
                   f"regression {s['regression']} past bound "
                   f"{s['pairs_past_bound']}/{len(result['pairs'])}")
-        print(f"{workload:12s} no_regression {result['no_regression']}")
+        print(f"{workload:12s} no_regression {result['no_regression']} "
+              f"order_bias {result['order_bias']}")
         trace = result["trace"]
         print(f"{workload:12s} counts_equal {trace['counts_equal']} "
               + " ".join(trace["counts_differ"]))
