@@ -86,7 +86,8 @@ def adam_step(store: ParameterStore, grads: dict, learning_rate: float) -> None:
 def save_checkpoint(store: ParameterStore, path: str) -> None:
     """Write one JSON record (name, shape, values) per parameter; float64
     values round-trip exactly.  A non-finite value or moment raises
-    CheckpointError, since either means training blew up."""
+    CheckpointError, since either means training blew up.  A failed write
+    leaves `path` as it was and no temporary file."""
     records = []
     for name in sorted(store.params):
         p = store.params[name]
@@ -97,9 +98,13 @@ def save_checkpoint(store: ParameterStore, path: str) -> None:
             name, list(p.value.shape), p.value.ravel().tolist()))))
     doc = {"format_version": CHECKPOINT_VERSION, "parameters": records}
     tmp = path + ".tmp"
-    with open(tmp, "w") as fh:
-        fh.write(json.dumps(doc))   # dumps uses the C encoder, dump never does
-    os.replace(tmp, path)
+    try:
+        with open(tmp, "w") as fh:
+            fh.write(json.dumps(doc))   # dumps uses the C encoder, dump never does
+        os.replace(tmp, path)
+    finally:
+        if os.path.exists(tmp):
+            os.remove(tmp)
 
 
 def load_checkpoint(path: str) -> ParameterStore:

@@ -1,36 +1,40 @@
 """Reverse-mode automatic differentiation over matrix-valued nodes.
 
 The graph is rebuilt dynamically on every forward pass: each operation
-returns a Node holding a float64 value, its parents, and a closure
-that adds the parents' shares of the node's adjoint to an adjoint table.
-backward() seeds the scalar loss with 1 in a table of its own, walks the
-graph in reverse topological order, and returns each parameter's
-gradient: the sum of the adjoints of its leaves.  The graph keeps no
-adjoints, so differentiating it again gives the same gradients.  One
-rule makes every adjoint: it starts as a C-ordered buffer of zeros and
-each use of its node adds its share, every operand of every op alike.
+returns a Node holding a float64 value, its parents, and its
+vector-Jacobian product vjp(g), which maps the node's adjoint g to one
+share per parent, in parent order.  backward() seeds the scalar loss with
+1 in a table of its own, walks the graph in reverse topological order,
+and returns each parameter's gradient: the sum of the adjoints of its
+leaves.  The graph keeps no adjoints, so differentiating it again gives
+the same gradients.  backward() alone applies the one rule that makes
+every adjoint: it starts as a C-ordered buffer of zeros and each share is
+added to it, first summed back over the axes that were broadcast on the
+forward pass when its shape differs from the parent's.  take's share is
+an (index, values) pair that np.add.at scatters into the buffer in place:
+a dense share would add the values of a repeated index to each other
+before adding them to what the buffer already holds, and round otherwise.
 
 All values are 2-D matrices, scalars 1x1, or stacks of T such matrices of
 shape (T, rows, cols), on which every op acts item by item: matmul and
 transpose on the last two axes, sum_all, mean_axis, softmax_rows and take
-within each item.  Broadcasting follows numpy rules, with adjoints summed
-back over broadcast axes.  A 2-D value broadcast over a stack, such as a
-parameter, gets one adjoint: the items' adjoints added from the last to
-the first, the order in which backward() would add the adjoints of T
-separate leaves, so a stacked graph gives the gradients of T 2-D graphs
-bit for bit.
+within each item.  Broadcasting follows numpy rules.  A 2-D value
+broadcast over a stack, such as a parameter, gets one adjoint: the items'
+adjoints added from the last to the first, the order in which backward()
+would add the adjoints of T separate leaves, so a stacked graph gives the
+gradients of T 2-D graphs bit for bit.
 """
 
 import numpy as np
 
 
 class Node:
-    __slots__ = ("value", "parents", "bprop", "param")
+    __slots__ = ("value", "parents", "vjp", "param")
 
-    def __init__(self, value, parents=(), bprop=None, param=None):
+    def __init__(self, value, parents=(), vjp=None, param=None):
         self.value = value
         self.parents = parents
-        self.bprop = bprop
+        self.vjp = vjp
         self.param = param
 
 
@@ -42,9 +46,10 @@ def constant(x) -> Node:
 def _buffer(table, key, shape):
     # table[key], created as zeros on first use; its C order keeps later
     # matmuls on one BLAS path, and shares of -0.0 sum to 0.0 in it
-    if key not in table:
-        table[key] = np.zeros(shape)
-    return table[key]
+    buf = table.get(key)
+    if buf is None:
+        buf = table[key] = np.zeros(shape)
+    return buf
 
 
 def _accum(adj, node, g):
@@ -70,113 +75,75 @@ def _unbroadcast(g, shape):
 
 
 def add(a: Node, b: Node) -> Node:
-    out = Node(a.value + b.value, (a, b))
-    out.bprop = lambda g, adj: (
-        _accum(adj, a, _unbroadcast(g, a.value.shape)),
-        _accum(adj, b, _unbroadcast(g, b.value.shape)))
-    return out
+    return Node(a.value + b.value, (a, b), lambda g: (g, g))
 
 
 def sub(a: Node, b: Node) -> Node:
-    out = Node(a.value - b.value, (a, b))
-    out.bprop = lambda g, adj: (
-        _accum(adj, a, _unbroadcast(g, a.value.shape)),
-        _accum(adj, b, _unbroadcast(-g, b.value.shape)))
-    return out
+    return Node(a.value - b.value, (a, b), lambda g: (g, -g))
 
 
 def mul(a: Node, b: Node) -> Node:
-    out = Node(a.value * b.value, (a, b))
-    out.bprop = lambda g, adj: (
-        _accum(adj, a, _unbroadcast(g * b.value, a.value.shape)),
-        _accum(adj, b, _unbroadcast(g * a.value, b.value.shape)))
-    return out
+    return Node(a.value * b.value, (a, b), lambda g: (g * b.value, g * a.value))
 
 
 def div(a: Node, b: Node) -> Node:
-    out = Node(a.value / b.value, (a, b))
-
-    def bprop(g, adj):
-        _accum(adj, a, _unbroadcast(g / b.value, a.value.shape))
-        _accum(adj, b, _unbroadcast(-g * a.value / (b.value * b.value), b.value.shape))
-    out.bprop = bprop
-    return out
+    return Node(a.value / b.value, (a, b), lambda g: (
+        g / b.value, -g * a.value / (b.value * b.value)))
 
 
 def scale(a: Node, c) -> Node:
     """Multiply by a constant: a float, or an array of a's shape."""
-    out = Node(a.value * c, (a,))
-    out.bprop = lambda g, adj: _accum(adj, a, g * c)
-    return out
+    return Node(a.value * c, (a,), lambda g: (g * c,))
 
 
 def matmul(a: Node, b: Node) -> Node:
-    out = Node(a.value @ b.value, (a, b))
-    out.bprop = lambda g, adj: (
-        _accum(adj, a, g @ b.value.swapaxes(-1, -2)),
-        _accum(adj, b, _unbroadcast(a.value.swapaxes(-1, -2) @ g, b.value.shape)))
-    return out
+    return Node(a.value @ b.value, (a, b), lambda g: (
+        g @ b.value.swapaxes(-1, -2), a.value.swapaxes(-1, -2) @ g))
 
 
 def transpose(a: Node) -> Node:
-    out = Node(a.value.swapaxes(-1, -2).copy(), (a,))
-    out.bprop = lambda g, adj: _accum(adj, a, g.swapaxes(-1, -2))
-    return out
+    return Node(a.value.swapaxes(-1, -2).copy(), (a,),
+                lambda g: (g.swapaxes(-1, -2),))
 
 
 def reshape(a: Node, shape) -> Node:
-    out = Node(a.value.reshape(shape), (a,))
-    out.bprop = lambda g, adj: _accum(adj, a, g.reshape(a.value.shape))
-    return out
+    return Node(a.value.reshape(shape), (a,), lambda g: (g.reshape(a.value.shape),))
 
 
 def tanh(a: Node) -> Node:
     y = np.tanh(a.value)
-    out = Node(y, (a,))
-    out.bprop = lambda g, adj: _accum(adj, a, g * (1.0 - y * y))
-    return out
+    return Node(y, (a,), lambda g: (g * (1.0 - y * y),))
 
 
 def relu(a: Node) -> Node:
-    y = np.maximum(a.value, 0.0)
-    out = Node(y, (a,))
-    out.bprop = lambda g, adj: _accum(adj, a, g * (a.value > 0.0))
-    return out
+    return Node(np.maximum(a.value, 0.0), (a,), lambda g: (g * (a.value > 0.0),))
 
 
 def exp(a: Node) -> Node:
     y = np.exp(a.value)
-    out = Node(y, (a,))
-    out.bprop = lambda g, adj: _accum(adj, a, g * y)
-    return out
+    return Node(y, (a,), lambda g: (g * y,))
 
 
 def log(a: Node) -> Node:
-    out = Node(np.log(a.value), (a,))
-    out.bprop = lambda g, adj: _accum(adj, a, g / a.value)
-    return out
+    return Node(np.log(a.value), (a,), lambda g: (g / a.value,))
 
 
 def sqrt(a: Node) -> Node:
     y = np.sqrt(a.value)
-    out = Node(y, (a,))
-    out.bprop = lambda g, adj: _accum(adj, a, g / (2.0 * y))
-    return out
+    return Node(y, (a,), lambda g: (g / (2.0 * y),))
 
 
 def sum_all(a: Node) -> Node:
     """Sum of all entries: 1x1 for a 2-D value, (T, 1, 1) for a stack."""
     v = a.value
-    out = Node(v.reshape(v.shape[:-2] + (-1,)).sum(axis=-1)[..., None, None], (a,))
-    out.bprop = lambda g, adj: _accum(adj, a, np.broadcast_to(g, v.shape))
-    return out
+    return Node(v.reshape(v.shape[:-2] + (-1,)).sum(axis=-1)[..., None, None], (a,),
+                lambda g: (np.broadcast_to(g, v.shape),))
 
 
 def mean_axis(a: Node, axis: int) -> Node:
     n = a.value.shape[axis]
-    out = Node(a.value.mean(axis=axis, keepdims=True), (a,))
-    out.bprop = lambda g, adj: _accum(adj, a, np.broadcast_to(g / n, a.value.shape))
-    return out
+    return Node(a.value.mean(axis=axis, keepdims=True), (a,),
+                lambda g: (np.broadcast_to(g / n, a.value.shape),))
 
 
 def softmax_rows(a: Node) -> Node:
@@ -184,13 +151,7 @@ def softmax_rows(a: Node) -> Node:
     shifted = a.value - a.value.max(axis=-1, keepdims=True)
     e = np.exp(shifted)
     p = e / e.sum(axis=-1, keepdims=True)
-    out = Node(p, (a,))
-
-    def bprop(g, adj):
-        dot = (g * p).sum(axis=-1, keepdims=True)
-        _accum(adj, a, p * (g - dot))
-    out.bprop = bprop
-    return out
+    return Node(p, (a,), lambda g: (p * (g - (g * p).sum(axis=-1, keepdims=True)),))
 
 
 def take(a: Node, index) -> Node:
@@ -201,40 +162,29 @@ def take(a: Node, index) -> Node:
     items = (np.arange(len(a.value))[:, None],) if a.value.ndim == 3 else ()
     index = items + (index if entries else (index,))
     picked = a.value[index]
-    out = Node(picked[..., None] if entries else picked, (a,))
-    # np.add.at in place: a dense sum would reorder repeated indices' adds
-    out.bprop = lambda g, adj: np.add.at(_buffer(adj, a, a.value.shape), index,
-                                         g.reshape(picked.shape))
-    return out
+    return Node(picked[..., None] if entries else picked, (a,),
+                lambda g: ((index, g.reshape(picked.shape)),))
 
 
 def concat(nodes, axis: int) -> Node:
     """Join a sequence of nodes along an axis: 0 stacks rows, 1 places
     columns side by side."""
     ends = np.cumsum([n.value.shape[axis] for n in nodes])[:-1]
-    out = Node(np.concatenate([n.value for n in nodes], axis=axis), tuple(nodes))
-    out.bprop = lambda g, adj: [_accum(adj, n, part) for n, part
-                                in zip(nodes, np.split(g, ends, axis=axis))]
-    return out
+    return Node(np.concatenate([n.value for n in nodes], axis=axis), tuple(nodes),
+                lambda g: np.split(g, ends, axis=axis))
 
 
 def clip(a: Node, lo: float, hi: float) -> Node:
     """Clamp values; adjoint passes through only inside [lo, hi]."""
-    y = np.clip(a.value, lo, hi)
-    out = Node(y, (a,))
-    out.bprop = lambda g, adj: _accum(adj, a,
-                                      g * ((a.value >= lo) & (a.value <= hi)))
-    return out
+    return Node(np.clip(a.value, lo, hi), (a,),
+                lambda g: (g * ((a.value >= lo) & (a.value <= hi)),))
 
 
 def minimum(a: Node, b: Node) -> Node:
     """Elementwise min; adjoint follows the selected branch (ties go to a)."""
     mask = a.value <= b.value
-    out = Node(np.where(mask, a.value, b.value), (a, b))
-    out.bprop = lambda g, adj: (
-        _accum(adj, a, _unbroadcast(g * mask, a.value.shape)),
-        _accum(adj, b, _unbroadcast(g * ~mask, b.value.shape)))
-    return out
+    return Node(np.where(mask, a.value, b.value), (a, b),
+                lambda g: (g * mask, g * ~mask))
 
 
 def _topo_order(root):
@@ -267,8 +217,16 @@ def backward(loss: Node) -> dict:
     # every node gets its whole adjoint before the reverse walk reaches it
     adj = {loss: np.ones_like(loss.value)}
     for node in reversed(order):
-        if node.bprop is not None:
-            node.bprop(adj[node], adj)
+        if node.vjp is None:
+            continue
+        for parent, share in zip(node.parents, node.vjp(adj[node])):
+            shape = parent.value.shape
+            if type(share) is tuple:   # take's (index, values)
+                np.add.at(_buffer(adj, parent, shape), *share)
+                continue
+            if share.shape != shape:
+                share = _unbroadcast(share, shape)
+            _accum(adj, parent, share)
     grads = {}
     for node in order:   # the first leaf's adjoint buffer holds the sum
         if node.param in grads:

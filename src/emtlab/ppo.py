@@ -242,8 +242,12 @@ def train(train_set, config: PPOConfig, seed: int, pop_size: int,
     if last_checkpoint is None:
         save_checkpoint(store, final)
     else:
-        shutil.copyfile(last_checkpoint, final + ".tmp")
-        os.replace(final + ".tmp", final)
+        try:
+            shutil.copyfile(last_checkpoint, final + ".tmp")
+            os.replace(final + ".tmp", final)
+        finally:
+            if os.path.exists(final + ".tmp"):
+                os.remove(final + ".tmp")
     return result
 
 

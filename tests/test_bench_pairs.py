@@ -195,23 +195,47 @@ class TestTraceCounts:
         assert bench_pairs.counts_differ(parent, change, COUNTS) == [
             "engine.self_evolve.offspring"]
 
-    def test_one_traced_run_per_side(self, monkeypatch):
+    def test_three_traced_runs_per_side_alternating(self, monkeypatch):
         calls = []
+        spans = iter([5.0, 4.0, 4.0, 5.0, 5.0, 4.0])
 
         def run_once(checkout, workload, seed, trace=False):
             calls.append((checkout, workload, seed, trace))
-            spans = 5.0 if checkout == "parent-dir" else 4.0
-            metrics = {"engine.self_evolve.offspring": 10.0, "trace.spans": spans}
+            metrics = {"engine.self_evolve.offspring": 10.0,
+                       "trace.spans": next(spans),
+                       "engine.self_evolve.s": float(len(calls))}
             return {"metrics": {name: {"value": value, "unit": "count/round"}
                                 for name, value in metrics.items()}}, {}
 
         monkeypatch.setattr(bench_pairs, "run_once", run_once)
         result = bench_pairs.trace_workload("eval-paper", "parent-dir", 1, COUNTS)
-        assert calls == [("parent-dir", "eval-paper", 1, True),
-                         (bench_pairs.ROOT, "eval-paper", 1, True)]
+        parent = ("parent-dir", "eval-paper", 1, True)
+        change = (bench_pairs.ROOT, "eval-paper", 1, True)
+        assert calls == [parent, change, change, parent, parent, change]
         assert not result["counts_equal"]
         assert result["counts_differ"] == ["trace.spans"]
+        # runs 1, 4, 5 are the parent's; 2, 3, 6 the change's
+        assert [r["engine.self_evolve.s"] for r in result["runs"]["parent"]] == [
+            1.0, 4.0, 5.0]
+        assert result["metrics"]["parent"]["engine.self_evolve.s"] == 4.0
+        assert result["metrics"]["change"]["engine.self_evolve.s"] == 3.0
         assert result["metrics"]["change"]["trace.spans"] == 4.0
+
+    def test_counts_must_agree_in_every_run(self, monkeypatch):
+        # equal medians, but one parent run counted one span more
+        spans = iter([5.0, 5.0, 5.0, 6.0, 5.0, 5.0])
+
+        def run_once(checkout, workload, seed, trace=False):
+            metrics = {"engine.self_evolve.offspring": 10.0,
+                       "trace.spans": next(spans)}
+            return {"metrics": {name: {"value": value, "unit": "count/round"}
+                                for name, value in metrics.items()}}, {}
+
+        monkeypatch.setattr(bench_pairs, "run_once", run_once)
+        result = bench_pairs.trace_workload("eval-paper", "parent-dir", 1, COUNTS)
+        assert result["metrics"]["parent"] == result["metrics"]["change"]
+        assert result["counts_differ"] == ["trace.spans"]
+        assert not result["counts_equal"]
 
 
 class TestPairOrder:

@@ -1,5 +1,6 @@
 """Controllers, metrics, evaluation determinism, and comparison output."""
 
+import gc
 import tracemalloc
 
 import numpy as np
@@ -231,6 +232,7 @@ class TestRunEpisode:
         tracemalloc.start()
         try:
             ep = H.run_episode(inst, controller, 1, pop_size=4, budget=250)
+            gc.collect()   # count the record, not the interpreter's free lists
             held = tracemalloc.get_traced_memory()[0]
         finally:
             tracemalloc.stop()

@@ -1,6 +1,7 @@
 """Parameter store, adaptive-moment updates, and checkpoint round-trips."""
 
 import json
+import os
 
 import numpy as np
 import pytest
@@ -165,6 +166,21 @@ class TestCheckpoint:
         with pytest.raises(CheckpointError, match="parameter z is not finite"):
             save_checkpoint(store, str(path))
         assert not path.exists() and not (tmp_path / "ckpt.json.tmp").exists()
+
+    def test_failed_replace_keeps_earlier_file(self, tmp_path, monkeypatch):
+        path = tmp_path / "ckpt.json"
+        save_checkpoint(make_store(), str(path))
+        earlier = path.read_bytes()
+        store = make_store()
+        store["w"].value[0, 0] = 9.0
+
+        def fail(src, dst):
+            raise OSError("replace failed")
+        monkeypatch.setattr(os, "replace", fail)
+        with pytest.raises(OSError, match="replace failed"):
+            save_checkpoint(store, str(path))
+        assert path.read_bytes() == earlier
+        assert [p.name for p in tmp_path.iterdir()] == ["ckpt.json"]
 
     def test_missing_file(self, tmp_path):
         with pytest.raises(CheckpointError, match="not found"):

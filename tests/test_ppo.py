@@ -451,6 +451,25 @@ class TestTrain:
         assert sorted(p.name for p in tmp_path.iterdir()) == sorted(
             set(saved) | {"checkpoint.json"})
 
+    def test_failed_final_copy_keeps_earlier_file(self, tmp_path, monkeypatch):
+        config = ppo.PPOConfig(epochs=1, budget=4, t_ppo=4)
+        ppo.train(desk_instances(1), config, seed=12, pop_size=6,
+                  out_dir=str(tmp_path))
+        earlier = (tmp_path / "checkpoint.json").read_bytes()
+        replace = os.replace
+
+        def fail_final(src, dst):
+            if os.path.basename(dst) == "checkpoint.json":
+                raise OSError("replace failed")
+            replace(src, dst)
+        monkeypatch.setattr(os, "replace", fail_final)
+        with pytest.raises(OSError, match="replace failed"):
+            ppo.train(desk_instances(1), config, seed=13, pop_size=6,
+                      out_dir=str(tmp_path))
+        assert (tmp_path / "checkpoint.json").read_bytes() == earlier
+        assert sorted(p.name for p in tmp_path.iterdir()) == [
+            "checkpoint.json", "checkpoint_epoch_001.json"]
+
     def test_segments_cut_every_t_ppo_steps_and_at_episode_end(self, monkeypatch):
         # budget 7, t_ppo 3: segments of 3, 3 and 1 steps, each holding its
         # steps' features in order; the first two bootstrap from the critic's

@@ -501,19 +501,26 @@ class TestPrimitiveGradients:
         "minimum": lambda a, b: tape.minimum(a, b),
     }
 
+    # equal shapes, then either operand broadcast: along rows, and a 2-D
+    # one over a stack, so backward sums each share back to its operand
+    SHAPES = [((3, 4), (3, 4)), ((3, 4), (1, 4)), ((1, 4), (3, 4)),
+              ((2, 3, 4), (3, 4)), ((2, 3, 4), (1, 4)), ((3, 4), (2, 3, 4))]
+
     @pytest.mark.parametrize("name", sorted(CASES))
     def test_binary_ops(self, name):
         rng = np.random.default_rng(zlib.crc32(name.encode()))
-        store = ParameterStore()
-        store.add("a", rng.uniform(-1, 1, (3, 4)))
-        store.add("b", rng.uniform(-1, 1, (3, 4)))
-        w = rng.standard_normal(self.CASES[name](
-            store.leaf("a"), store.leaf("b")).value.shape)
+        for shape_a, shape_b in self.SHAPES:
+            store = ParameterStore()
+            store.add("a", rng.uniform(-1, 1, shape_a))
+            store.add("b", rng.uniform(-1, 1, shape_b))
+            w = rng.standard_normal(self.CASES[name](
+                store.leaf("a"), store.leaf("b")).value.shape)
 
-        def build():
-            out = self.CASES[name](store.leaf("a"), store.leaf("b"))
-            return tape.sum_all(tape.mul(out, constant(w)))
-        fd_gradcheck(store, build, rng)
+            def build():
+                out = self.CASES[name](store.leaf("a"), store.leaf("b"))
+                items = tape.sum_all(tape.mul(out, constant(w)))   # (T, 1, 1) on a stack
+                return tape.sum_all(tape.reshape(items, (-1, 1)))
+            fd_gradcheck(store, build, rng)
 
     UNARY = {
         "tanh": tape.tanh,

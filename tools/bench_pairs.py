@@ -35,10 +35,12 @@ when the parent's inter-quartile range exceeds bound x its median and not
 every working-tree run beats every parent run; and `none` otherwise.  A
 workload has `no_regression` when every metric reads `none`, so an
 `unresolved` verdict fails it just as `worse` does.
-After its pairs, each workload runs once more per side with `--trace 1`
-for one traced round; the JSON keeps both sides' per-layer metrics,
-`counts_equal`, and `counts_differ`, the names of the `count/round`
-metrics of BENCHMARK.json whose values differ between the sides.
+After its pairs, each workload runs three more times per side with
+`--trace 1` for one traced round each, alternating which side goes first;
+the JSON keeps each side's per-layer metrics per run and their per-metric
+medians, `counts_equal`, and `counts_differ`, the names of the
+`count/round` metrics of BENCHMARK.json whose values differ between any
+two traced runs, of either side.
 `src_lines` holds each side's line count of `src/**/*.py`, as `wc -l`
 counts them.
 """
@@ -59,6 +61,9 @@ SIDES = ("parent", "change")
 # perfbench runs at least one untraced and one traced round; a short run
 # length stops it there
 TRACE_SECONDS = 1
+# one traced round per side cannot tell a per-layer change from the
+# round-to-round spread; three give a median
+TRACE_RUNS = 3
 
 
 def export_commit(ref, dest):
@@ -216,15 +221,24 @@ def counts_differ(parent, change, names):
 
 
 def trace_workload(workload, parent_dir, seed, count_names):
-    """One traced round per side: both sides' per-layer metrics and which
-    work counts differ."""
-    metrics = {}
-    for side in SIDES:
-        checkout = parent_dir if side == "parent" else ROOT
-        result, _ = run_once(checkout, workload, seed, trace=True)
-        metrics[side] = {name: m["value"] for name, m in result["metrics"].items()}
-    differ = counts_differ(metrics["parent"], metrics["change"], count_names)
-    return {"metrics": metrics, "counts_equal": not differ,
+    """TRACE_RUNS traced rounds per side, alternating which side goes
+    first as the pairs do: each side's per-layer metrics per run and their
+    per-metric medians, and the work counts that differ between any two
+    runs, of either side."""
+    checkouts = {"parent": parent_dir, "change": ROOT}
+    runs = {side: [] for side in SIDES}
+    for i in range(TRACE_RUNS):
+        for side in SIDES if i % 2 == 0 else SIDES[::-1]:
+            result, _ = run_once(checkouts[side], workload, seed, trace=True)
+            runs[side].append({name: m["value"]
+                               for name, m in result["metrics"].items()})
+    metrics = {side: {name: float(np.median([run[name] for run in side_runs]))
+                      for name in side_runs[0]}
+               for side, side_runs in runs.items()}
+    first, *rest = runs["parent"] + runs["change"]
+    differ = [name for name in count_names
+              if any(counts_differ(first, run, [name]) for run in rest)]
+    return {"metrics": metrics, "runs": runs, "counts_equal": not differ,
             "counts_differ": differ}
 
 
@@ -293,6 +307,7 @@ def run_pairs(args, spec, count_names, parent_dir):
         "command": f"perfbench/run.py --seed {args.seed} --trace 0",
         "trace_command": (f"perfbench/run.py --seed {args.seed} --trace 1 "
                           f"--seconds {TRACE_SECONDS}"),
+        "trace_runs_per_side": TRACE_RUNS,
         "parent": {"ref": args.parent, "commit": parent},
         "change": working_tree(),
         "src_lines": {"parent": src_lines(parent_dir), "change": src_lines(ROOT)},
